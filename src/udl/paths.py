@@ -182,12 +182,23 @@ def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budg
 def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
-    """Counts for several start vertices; parallelizes over starts."""
+    """Counts for several start vertices.
+
+    On a full grid every count is read from one field built from the
+    irredundant k-tuples of vectors (see `_grid_paths`); no DFS runs and
+    `workers` is unused.  Other point sets run a per-start DFS, spread over
+    `workers` processes.
+    """
     _validate_k(k)
     starts = [(int(s[0]), int(s[1])) for s in starts]
     _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
     for s in starts:
         _resolve_start(g, s)
+    dims = _grid_dims(g.points)
+    if dims is not None:
+        x0, y0, _, _ = dims
+        _, field = _grid_paths(g, k, dims)
+        return {s: int(field[s[0] - x0, s[1] - y0]) for s in starts}
     if workers <= 1 or len(starts) < 2:
         adjvec, negsets = _adjvec(g)
         return {s: _count_from(adjvec, negsets, g.index[s], k) for s in starts}
@@ -312,38 +323,96 @@ def _grid_dims(points) -> tuple[int, int, int, int] | None:
 def _tuple_stats(vectors, k: int):
     """Stats for every irredundant k-tuple of displacement vectors.
 
-    Returns parallel lists (sum_x, sum_y, min/max prefix x, min/max prefix y),
-    extremes taken over all prefix sums including the empty one.
+    Returns six int64 arrays (sum_x, sum_y, min/max prefix x, min/max prefix
+    y), extremes taken over all prefix sums including the empty one, in DFS
+    order: lexicographic in the vector order.  The DFS stops at depth k - 1;
+    the last vector is broadcast over every prefix, minus the blocked ones
+    (z is blocked when -z is a prefix-subset sum).
     """
-    cols = ([], [], [], [], [], [])
-    sx_l, sy_l, mnx_l, mxx_l, mny_l, mxy_l = cols
+    import numpy as np
+
     vecs = [(dx, dy, complex(dx, dy)) for dx, dy in vectors]
+    blocker = {-z: j for j, (_, _, z) in enumerate(vecs)}
+    prefixes: list[tuple[int, int, int, int, int, int]] = []
+    blocked_rows: list[int] = []
+    blocked_cols: list[int] = []
     S: set[complex] = set()
 
     def rec(remaining, sx, sy, mnx, mxx, mny, mxy):
+        if remaining == 1:
+            row = len(prefixes)
+            prefixes.append((sx, sy, mnx, mxx, mny, mxy))
+            for s in S:
+                j = blocker.get(s)
+                if j is not None:
+                    blocked_rows.append(row)
+                    blocked_cols.append(j)
+            return
         for dx, dy, z in vecs:
             if -z in S:
                 continue
             nsx, nsy = sx + dx, sy + dy
-            a = nsx if nsx < mnx else mnx
-            b = nsx if nsx > mxx else mxx
-            c = nsy if nsy < mny else mny
-            d = nsy if nsy > mxy else mxy
-            if remaining == 1:
-                sx_l.append(nsx)
-                sy_l.append(nsy)
-                mnx_l.append(a)
-                mxx_l.append(b)
-                mny_l.append(c)
-                mxy_l.append(d)
-            else:
-                added = [x for x in chain((z,), (s + z for s in S)) if x not in S]
-                S.update(added)
-                rec(remaining - 1, nsx, nsy, a, b, c, d)
-                S.difference_update(added)
+            added = [x for x in chain((z,), (s + z for s in S)) if x not in S]
+            S.update(added)
+            rec(
+                remaining - 1,
+                nsx,
+                nsy,
+                nsx if nsx < mnx else mnx,
+                nsx if nsx > mxx else mxx,
+                nsy if nsy < mny else mny,
+                nsy if nsy > mxy else mxy,
+            )
+            S.difference_update(added)
 
     rec(k, 0, 0, 0, 0, 0, 0)
-    return cols
+    pre = np.array(prefixes, dtype=np.int64).reshape(-1, 6)
+    allowed = np.ones((len(prefixes), len(vecs)), dtype=bool)
+    allowed[blocked_rows, blocked_cols] = False
+    rows, cols = np.nonzero(allowed)
+    step = np.array([(dx, dy) for dx, dy, _ in vecs], dtype=np.int64).reshape(-1, 2)
+    sx = pre[rows, 0] + step[cols, 0]
+    sy = pre[rows, 1] + step[cols, 1]
+    return (
+        sx,
+        sy,
+        np.minimum(pre[rows, 2], sx),
+        np.maximum(pre[rows, 3], sx),
+        np.minimum(pre[rows, 4], sy),
+        np.maximum(pre[rows, 5], sy),
+    )
+
+
+def _grid_paths(g: UnitDistanceGraph, k: int, dims):
+    """(rects, field) for the full grid g, built once per k and cached on g.
+
+    rects = (sx, sy, ax, bx, ay, by) covers each irredundant k-tuple that fits
+    the grid: its total displacement and the rectangle [ax, bx] x [ay, by] of
+    start offsets v - (x0, y0) whose prefix bounding box stays inside.
+    field[ox, oy] is the number of irredundant k-paths leaving (x0+ox, y0+oy):
+    the rectangles summed through a 2D difference array and two cumsums.
+    """
+    import numpy as np
+
+    cache = getattr(g, "_grid_paths", None)
+    if cache is None:
+        cache = g._grid_paths = {}
+    if k not in cache:
+        _, _, w, h = dims
+        sx, sy, mnx, mxx, mny, mxy = _tuple_stats(g.vectors, k)
+        ax, bx, ay, by = -mnx, w - 1 - mxx, -mny, h - 1 - mxy
+        keep = (ax <= bx) & (ay <= by)
+        rects = tuple(col[keep] for col in (sx, sy, ax, bx, ay, by))
+        _, _, ax, bx, ay, by = rects
+        cells = (w + 1) * (h + 1)
+
+        def corners(x, y):
+            return np.bincount(x * (h + 1) + y, minlength=cells)
+
+        diff = corners(ax, ay) - corners(bx + 1, ay) - corners(ax, by + 1) + corners(bx + 1, by + 1)
+        field = diff.reshape(w + 1, h + 1).cumsum(axis=0).cumsum(axis=1)[:w, :h]
+        cache[k] = (rects, field)
+    return cache[k]
 
 
 def _grid_effort(r: int, k: int) -> int:
@@ -353,19 +422,23 @@ def _grid_effort(r: int, k: int) -> int:
 def total_irredundant_paths(
     g: UnitDistanceGraph, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> int:
-    """Total irredundant k-edge paths over all start vertices."""
+    """Total irredundant k-edge paths over all start vertices.
+
+    On a full grid this is the sum of the per-start count field (see
+    `count_irredundant_many`); otherwise it sums per-start DFS counts.
+    """
     _validate_k(k)
     dims = _grid_dims(g.points)
-    if dims is not None:
-        _check_budget(_grid_effort(len(g.vectors), k), step_budget)
-        _, _, w, h = dims
-        sx, sy, mnx, mxx, mny, mxy = _tuple_stats(g.vectors, k)
-        total = 0
-        for i in range(len(sx)):
-            total += max(w - (mxx[i] - mnx[i]), 0) * max(h - (mxy[i] - mny[i]), 0)
-        return total
-    counts = count_irredundant_many(g, list(g.points), k, workers=workers, step_budget=step_budget)
-    return sum(counts.values())
+    if dims is None:
+        counts = count_irredundant_many(g, list(g.points), k, workers=workers, step_budget=step_budget)
+        return sum(counts.values())
+    _check_budget(_grid_effort(len(g.vectors), k), step_budget)
+    _, _, w, h = dims
+    rects, field = _grid_paths(g, k, dims)
+    if len(rects[0]) * w * h < 2**63:
+        return int(field.sum())
+    # every start may carry every tuple: an int64 sum could wrap
+    return sum(field.ravel().tolist())
 
 
 def max_pair_count(
@@ -373,10 +446,12 @@ def max_pair_count(
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None, int]:
     """The ordered pair (v, w) maximizing the irredundant path count |P_vw|.
 
-    Ties break toward the lexicographically smallest (v, w).  Full-grid point
-    sets take a translation-invariant route: each irredundant vector tuple
-    admits a rectangle of valid starts, accumulated per total displacement
-    with 2D difference arrays.  Anything else falls back to per-start DFS.
+    Ties break toward the lexicographically smallest (v, w).  On a full grid
+    the tuples that fit are grouped by total displacement w - v; inside one
+    group |P_vw| is the depth of v in the group's start rectangles.  Groups
+    are visited largest first, stopping once a group has fewer rectangles
+    than the best depth found, and each is evaluated only at its compressed
+    corners.  Anything else falls back to per-start DFS.
     """
     _validate_k(k)
     dims = _grid_dims(g.points)
@@ -394,43 +469,37 @@ def max_pair_count(
 def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     import numpy as np
 
-    x0, y0, w, h = dims
-    sx, sy, mnx, mxx, mny, mxy = (np.array(col, dtype=np.int64) for col in _tuple_stats(g.vectors, k))
-    if len(sx) == 0:
+    x0, y0, _, _ = dims
+    rects, _ = _grid_paths(g, k, dims)
+    if len(rects[0]) == 0:
         return (None, None, 0)
-    # valid start offsets (vx - x0) form [ax, bx] x [ay, by]
-    ax = -mnx
-    bx = w - 1 - mxx
-    ay = -mny
-    by = h - 1 - mxy
-    keep = (ax <= bx) & (ay <= by)
-    if not bool(keep.any()):
-        return (None, None, 0)
-    sx, sy, ax, bx, ay, by = (col[keep] for col in (sx, sy, ax, bx, ay, by))
-    order = np.lexsort((sy, sx))
-    sx, sy, ax, bx, ay, by = (col[order] for col in (sx, sy, ax, bx, ay, by))
-    # group boundaries by (sx, sy)
-    breaks = np.flatnonzero((np.diff(sx) != 0) | (np.diff(sy) != 0)) + 1
-    bounds = [0, *breaks.tolist(), len(sx)]
+    order = np.lexsort((rects[1], rects[0]))
+    sx, sy, ax, bx, ay, by = (col[order] for col in rects)
+    heads = np.flatnonzero(np.r_[True, (np.diff(sx) != 0) | (np.diff(sy) != 0)])
+    ends = np.r_[heads[1:], len(sx)]
+    visit = np.argsort(heads - ends, kind="stable").tolist()  # largest group first
+    heads, ends = heads.tolist(), ends.tolist()
     best_count = 0
     best_vw = None
-    diff = np.zeros((w + 1, h + 1), dtype=np.int64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        diff[:] = 0
-        np.add.at(diff, (ax[lo:hi], ay[lo:hi]), 1)
-        np.add.at(diff, (bx[lo:hi] + 1, ay[lo:hi]), -1)
-        np.add.at(diff, (ax[lo:hi], by[lo:hi] + 1), -1)
-        np.add.at(diff, (bx[lo:hi] + 1, by[lo:hi] + 1), 1)
-        counts = diff.cumsum(axis=0).cumsum(axis=1)[:w, :h]
-        peak = int(counts.max())
-        if peak < best_count or peak == 0:
-            continue
-        ix, iy = np.argwhere(counts == peak)[0]
-        v = (x0 + int(ix), y0 + int(iy))
+    for gi in visit:
+        lo, hi = heads[gi], ends[gi]
+        if hi - lo < best_count:
+            break  # depth never exceeds a group's rectangle count
+        gax, gbx, gay, gby = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
+        # the lexicographically smallest deepest point has some ax as its x
+        # and some ay as its y: moving left or down from anywhere else keeps
+        # every rectangle that covered it
+        ux = np.unique(gax)
+        uy = np.unique(gay)
+        inx = ((gax[:, None] <= ux) & (ux <= gbx[:, None])).astype(np.int64)
+        iny = ((gay[:, None] <= uy) & (uy <= gby[:, None])).astype(np.int64)
+        depth = inx.T @ iny
+        flat = int(depth.argmax())
+        peak = int(depth.flat[flat])
+        i, j = divmod(flat, len(uy))
+        v = (x0 + int(ux[i]), y0 + int(uy[j]))
         wpt = (v[0] + int(sx[lo]), v[1] + int(sy[lo]))
-        if peak > best_count or (best_vw is not None and (v, wpt) < best_vw):
+        if peak > best_count or (peak == best_count and (v, wpt) < best_vw):
             best_count = peak
             best_vw = (v, wpt)
-    if best_vw is None:
-        return (None, None, 0)
     return (best_vw[0], best_vw[1], best_count)

@@ -135,10 +135,12 @@ def peel(g: UnitDistanceGraph, threshold: float | None = None) -> UnitDistanceGr
     Each removed vertex takes fewer than `threshold` edges with it, so the
     survivor keeps e(H) > e(G) - v(G) * threshold; at the default threshold
     that is at least half the edges.  May be empty when the threshold exceeds
-    the degeneracy.
+    the degeneracy.  When no vertex is below the threshold, returns g itself.
     """
     if threshold is None:
         threshold = g.edge_count / (2 * len(g.points)) if g.points else 0.0
+    if min(map(len, g.adj), default=threshold) >= threshold:
+        return g
     adj_map = {i: g.adj[i] for i in range(len(g.points))}
     alive = peel_adjacency(adj_map, threshold)
     keep = sorted(alive)

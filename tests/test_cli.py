@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,3 +153,12 @@ def test_paths_subcommand(capsys):
     assert stat["sample_size"] == 50
     assert stat["min_count"] >= stat["lower_bound"]
     assert stat["total_paths"] == 3128
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, udl.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

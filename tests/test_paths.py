@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate, product
 
 import pytest
 
@@ -15,11 +16,12 @@ from udl.paths import (
     max_pair_count,
     path_count_lower_bound,
     per_pair_counts,
+    _tuple_stats,
     total_irredundant_paths,
 )
 from udl.udgraph import build_graph
 
-from oracles import has_vanishing_subsum, irredundant_walk_count, walks_from
+from oracles import has_vanishing_subsum, irredundant_walk_count, two_squares_set, walks_from
 
 
 def grid(side):
@@ -212,3 +214,73 @@ def test_count_many_matches_single_and_workers_agree():
     assert seq == {s: count_irredundant_from(g, s, 3) for s in starts}
     par = count_irredundant_many(g, starts, 3, workers=2)
     assert par == seq
+
+
+def _lex_min_best(pairs):
+    best = (None, None, 0)
+    for (v, w), c in sorted(pairs.items()):
+        if c > best[2]:
+            best = (v, w, c)
+    return best
+
+
+def test_grid_route_matches_dfs_on_random_offset_grids():
+    rng = random.Random(2)
+    ms = [1, 2, 4, 5, 8, 10, 13, 25, 65]
+    cases = [(14, 14, 5, 2), (9, 12, 5, 2)]
+    while len(cases) < 120:
+        w, h, m = rng.randint(1, 14), rng.randint(1, 14), rng.choice(ms)
+        r = len(two_squares_set(m))
+        # keep the per-start DFS reference affordable
+        k_top = max(k for k in range(1, 5) if k == 1 or w * h * r**k <= 1_000_000)
+        cases.append((w, h, m, rng.randint(1, k_top)))
+    for w, h, m, k in cases:
+        x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
+        g = build_graph([(x0 + x, y0 + y) for x in range(w) for y in range(h)], m)
+        pairs = per_pair_counts(g, k)
+        starts = rng.sample(g.points, min(len(g.points), 12))
+        counts = count_irredundant_many(g, starts, k)
+        assert counts == {s: count_irredundant_from(g, s, k) for s in starts}, (w, h, m, k)
+        total = total_irredundant_paths(g, k)
+        assert total == sum(pairs.values()), (w, h, m, k)
+        best = max_pair_count(g, k)
+        assert best == _lex_min_best(pairs), (w, h, m, k)
+        assert all(type(c) is int for c in (*counts.values(), total, best[2]))
+        if (w, h, m, k) == (14, 14, 5, 2):
+            assert sum(1 for c in pairs.values() if c == best[2]) > 1  # the tie-break decides
+
+
+def test_max_pair_all_two_tuple_groups_tie_at_m1105():
+    # the n = 10^4 configuration's 32 vectors: each of the 480 unordered
+    # non-opposite pairs {a, b} is a displacement group of depth 2 once the
+    # grid holds both orders, so the lexicographic tie-break picks the winner
+    g = build_graph(grid(67), 1105)
+    pairs = per_pair_counts(g, 2)
+    best = max_pair_count(g, 2)
+    assert best == _lex_min_best(pairs)
+    assert best[2] == 2
+    assert len({(w[0] - v[0], w[1] - v[1]) for (v, w), c in pairs.items() if c == 2}) == 480
+
+
+def test_tuple_stats_match_filtered_product_oracle():
+    for m, k_top in [(1, 4), (2, 3), (5, 4), (25, 3)]:
+        vecs = sorted(two_squares_set(m))
+        for k in range(1, k_top + 1):
+            expected = []
+            for tup in product(vecs, repeat=k):
+                if has_vanishing_subsum(tup):
+                    continue
+                xs = list(accumulate((v[0] for v in tup), initial=0))
+                ys = list(accumulate((v[1] for v in tup), initial=0))
+                expected.append((xs[-1], ys[-1], min(xs), max(xs), min(ys), max(ys)))
+            got = list(zip(*(col.tolist() for col in _tuple_stats(vecs, k))))
+            assert got == expected, (m, k)
+
+
+def test_count_many_workers_agree_on_a_holed_grid():
+    pts = [p for p in grid(8) if p not in {(3, 4), (5, 1)}]
+    g = build_graph(pts, 5)
+    starts = [(0, 0), (3, 3), (7, 7), (2, 5), (4, 4)]
+    seq = count_irredundant_many(g, starts, 3)
+    assert seq == {s: count_irredundant_from(g, s, 3) for s in starts}
+    assert count_irredundant_many(g, starts, 3, workers=2) == seq

@@ -143,3 +143,10 @@ def test_edge_text_is_sorted_numerically():
     rows = [tuple(map(int, line.split())) for line in g.to_edge_text().splitlines()]
     assert rows == sorted(rows)
     assert all((r[0], r[1]) < (r[2], r[3]) for r in rows)
+
+
+def test_peel_returns_the_graph_itself_when_nothing_falls_below():
+    for n in (100, 10**4):
+        params = choose_params(n)
+        g = build_graph(build_config(params), params.m)
+        assert peel(g) is g
