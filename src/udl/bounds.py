@@ -76,6 +76,11 @@ def lambert_w(x: float) -> float:
     return w
 
 
+def k_star(log_n: float, r: int, c2: float = 1.0) -> float:
+    """exp(W(5 c2 log n / r) / 5), the path length that balances the bound."""
+    return math.exp(lambert_w(5.0 * c2 * log_n / r) / 5.0)
+
+
 class KWindow(NamedTuple):
     k_star: float
     k_lo: float
@@ -90,12 +95,11 @@ def optimal_k_window(n=None, r: int = 1, c2: float = 1.0, *, log_n=None) -> KWin
     if c2 <= 0:
         raise ValueError(f"c2 must be positive, got {c2}")
     big_l = _resolve_log_n(n, log_n)
-    k_star = math.exp(lambert_w(5.0 * c2 * big_l / r) / 5.0)
     base = (big_l / r) ** 0.2
-    window = KWindow(k_star, K_WINDOW_LO * base, K_WINDOW_HI * base)
+    window = KWindow(k_star(big_l, r, c2), K_WINDOW_LO * base, K_WINDOW_HI * base)
     if not window.k_lo <= window.k_star <= window.k_hi:
         raise ValueError(
-            f"window constants do not bracket k_star={k_star:.4f} at "
+            f"window constants do not bracket k_star={window.k_star:.4f} at "
             f"log n={big_l:.4g}, r={r}; outside the calibrated domain"
         )
     return window
@@ -116,9 +120,8 @@ def calibrate_k_window(log_n_values, r_values, k_range=range(2, 65)):
         for r in r_values:
             base = (big_l / r) ** 0.2
             k_emp = min(k_range, key=lambda k: epsilon_rhs(k, r, log_n=big_l))
-            k_star = math.exp(lambert_w(5.0 * big_l / r) / 5.0)
             ratios.append(k_emp / base)
-            ratios.append(k_star / base)
+            ratios.append(k_star(big_l, r) / base)
     return min(ratios), max(ratios)
 
 
@@ -171,14 +174,13 @@ def bound_row(params: BoundParams) -> dict:
     k_star, and the feasibility flag."""
     big_l = _resolve_log_n(params.n, params.log_n)
     eps = params.epsilon if params.epsilon is not None else epsilon_rhs(params.k, params.r, log_n=big_l)
-    k_star = math.exp(lambert_w(5.0 * params.c2 * big_l / max(params.r, 1)) / 5.0)
     return {
         "k": params.k,
         "r": params.r,
         "log_n": big_l,
         "log2_solution_bound": log2_solution_bound(params.k, params.r),
         "epsilon_rhs": eps,
-        "k_star": k_star,
+        "k_star": k_star(big_l, max(params.r, 1), params.c2),
         "feasible_k": k_feasible(params.k, eps, log_n=big_l),
     }
 

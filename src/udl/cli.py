@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import bounds as bounds_mod
-from .config import build_config, choose_params, generators, rank_bounds, verify_edge_in_group
+from .config import choose_params, generators, rank_bounds, verify_edge_in_group
 from .gaussian import GaussInt, representations
 from .numtheory import AP_1_MOD_4, chebyshev
 from .paths import (
@@ -21,7 +21,7 @@ from .paths import (
     path_count_lower_bound,
     total_irredundant_paths,
 )
-from .udgraph import build_graph, degree_summary, peel
+from .udgraph import build_graph, degree_summary, grid_graph, peel
 
 SAMPLE_STARTS = 50
 ASYMPTOTIC_X = 10**6
@@ -147,7 +147,7 @@ def verify_all(
         raise ValueError(f"need 1 <= k_max <= {MAX_VERIFY_K}, got {k_max}")
 
     params = choose_params(n)
-    g = build_graph(build_config(params), params.m)
+    g = grid_graph(params.side, params.m)
     summary = degree_summary(g)
     h = peel(g)
     h_summary = degree_summary(h)
@@ -211,7 +211,7 @@ def verify_all(
 
     rng = random.Random(seed)
     sample = sorted(rng.sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count)))
-    starts = [h.points[i] for i in sample]
+    starts = [h.point(i) for i in sample]
     for k in range(2, k_max + 1):
         counts = count_irredundant_many(h, starts, k, workers=workers, step_budget=step_budget)
         lower = path_count_lower_bound(h_summary.min_degree, k)
@@ -246,7 +246,7 @@ def verify_all(
     checks.append(_check("lambert_at_e", abs(bounds_mod.lambert_w(math.e) - 1.0), 1e-12))
 
     big_l = math.log(n)
-    k_star = math.exp(bounds_mod.lambert_w(5.0 * big_l / params.r) / 5.0)
+    k_star = bounds_mod.k_star(big_l, params.r)
     base = (big_l / params.r) ** 0.2
     checks.append(_check("k_window_lower", bounds_mod.K_WINDOW_LO * base, k_star))
     checks.append(_check("k_window_upper", k_star, bounds_mod.K_WINDOW_HI * base))
@@ -309,7 +309,7 @@ def _cmd_graph(args) -> int:
             print("error: give --n or --points", file=sys.stderr)
             return 2
         params = choose_params(args.n)
-        g = build_graph(build_config(params), params.m)
+        g = grid_graph(params.side, params.m)
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(g.to_edge_text())
@@ -331,13 +331,12 @@ def _cmd_graph(args) -> int:
 
 def _cmd_paths(args) -> int:
     params = choose_params(args.n)
-    g = build_graph(build_config(params), params.m)
-    h = peel(g)
+    h = peel(grid_graph(params.side, params.m))
     d = degree_summary(h)
     rng = random.Random(args.seed)
     sample = sorted(rng.sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count)))
     counts = count_irredundant_many(
-        h, [h.points[i] for i in sample], args.k, workers=args.workers, step_budget=args.step_budget
+        h, [h.point(i) for i in sample], args.k, workers=args.workers, step_budget=args.step_budget
     )
     try:
         total = total_irredundant_paths(h, args.k, workers=args.workers, step_budget=args.step_budget)

@@ -101,7 +101,12 @@ def _adjvec(g: UnitDistanceGraph):
 
 def _resolve_start(g: UnitDistanceGraph, start) -> int:
     key = (int(start[0]), int(start[1]))
-    i = g.index.get(key)
+    if g.grid is None:
+        i = g.index.get(key)
+    else:
+        x0, y0, w, h = g.grid
+        ox, oy = key[0] - x0, key[1] - y0
+        i = ox * h + oy if 0 <= ox < w and 0 <= oy < h else None
     if i is None:
         raise ValueError(f"start vertex {key} is not in the graph")
     return i
@@ -194,7 +199,7 @@ def count_irredundant_many(
     _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
     for s in starts:
         _resolve_start(g, s)
-    dims = _grid_dims(g.points)
+    dims = g.grid
     if dims is not None:
         x0, y0, _, _ = dims
         _, field = _grid_paths(g, k, dims)
@@ -308,18 +313,6 @@ def path_count_lower_bound(delta: int, k: int) -> int:
     return out
 
 
-def _grid_dims(points) -> tuple[int, int, int, int] | None:
-    """(x0, y0, width, height) when the sorted point list is a full grid."""
-    if not points:
-        return None
-    x0, y0 = points[0]
-    x1, y1 = points[-1]
-    w, h = x1 - x0 + 1, y1 - y0 + 1
-    if w > 0 and h > 0 and w * h == len(points):
-        return (x0, y0, w, h)
-    return None
-
-
 def _tuple_stats(vectors, k: int):
     """Stats for every irredundant k-tuple of displacement vectors.
 
@@ -428,7 +421,7 @@ def total_irredundant_paths(
     `count_irredundant_many`); otherwise it sums per-start DFS counts.
     """
     _validate_k(k)
-    dims = _grid_dims(g.points)
+    dims = g.grid
     if dims is None:
         counts = count_irredundant_many(g, list(g.points), k, workers=workers, step_budget=step_budget)
         return sum(counts.values())
@@ -454,8 +447,8 @@ def max_pair_count(
     corners.  Anything else falls back to per-start DFS.
     """
     _validate_k(k)
-    dims = _grid_dims(g.points)
-    if dims is not None and len(g.points) > 1:
+    dims = g.grid
+    if dims is not None and g.vertex_count > 1:
         _check_budget(_grid_effort(len(g.vectors), k), step_budget)
         return _max_pair_grid(g, k, dims)
     pairs = per_pair_counts(g, k, workers=workers, step_budget=step_budget)

@@ -15,6 +15,7 @@ from udl.bounds import (
     enumerate_nondegenerate,
     epsilon_rhs,
     k_feasible,
+    k_star,
     lambert_w,
     log2_solution_bound,
     max_rank_coefficient,
@@ -253,3 +254,12 @@ def test_enumerate_validation_and_budget():
         enumerate_nondegenerate([1, 0], group, 1)
     with pytest.raises(ValueError):
         enumerate_nondegenerate([1, 1], group, 9)
+
+
+def test_k_star_is_the_one_formula_every_caller_reads():
+    for log_n, r, c2 in [(100.0, 1, 1.0), (1000.0, 2, 1.0), (math.log(10**5), 4, 1.0), (50.0, 3, 0.5)]:
+        expect = math.exp(lambert_w(5.0 * c2 * log_n / r) / 5.0)
+        assert k_star(log_n, r, c2) == expect  # bit for bit
+        assert optimal_k_window(log_n=log_n, r=r, c2=c2).k_star == expect
+        assert bound_row(BoundParams(k=3, r=r, log_n=log_n, c2=c2))["k_star"] == expect
+    assert bound_row(BoundParams(k=3, r=0, log_n=100.0))["k_star"] == k_star(100.0, 1)

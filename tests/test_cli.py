@@ -9,6 +9,8 @@ import pytest
 from udl.cli import dispatch, verify_all
 from udl.gaussian import representations
 
+from oracles import two_squares_set
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -162,3 +164,26 @@ def test_importing_the_cli_does_not_load_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_verify_probes_no_edges_on_the_config_grid(monkeypatch):
+    import udl.udgraph
+
+    def refuse(*args):
+        raise AssertionError("verify_all probed the grid for edges")
+
+    monkeypatch.setattr(udl.udgraph, "_probe", refuse)
+    report = verify_all(10**4, 3)
+    assert report.passed and report.edge_count == 98_176
+
+
+def test_graph_n_1e6_finishes_without_building_the_adjacency():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "udl.cli", "graph", "--n", "1000000"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0, out.stderr
+    twice = sum((1000 - abs(dx)) * (1000 - abs(dy)) for dx, dy in two_squares_set(32045))
+    assert json.loads(out.stdout) == {
+        "vertices": 10**6, "edges": twice // 2, "min_degree": 16, "max_degree": 64, "m": 32045
+    }

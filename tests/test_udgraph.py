@@ -5,10 +5,13 @@ import random
 import pytest
 
 from udl.config import build_config, choose_params
+from udl.paths import count_irredundant_many, max_pair_count, total_irredundant_paths
 from udl.udgraph import (
     DegreeSummary,
+    UnitDistanceGraph,
     build_graph,
     degree_summary,
+    grid_graph,
     lattice_vectors,
     peel,
     peel_adjacency,
@@ -150,3 +153,115 @@ def test_peel_returns_the_graph_itself_when_nothing_falls_below():
         params = choose_params(n)
         g = build_graph(build_config(params), params.m)
         assert peel(g) is g
+
+
+def oracle_graph(pts, m):
+    """The graph on sorted pts with adjacency from the O(n^2) edge oracle."""
+    index = {p: i for i, p in enumerate(pts)}
+    adj = [[] for _ in pts]
+    edges = edge_set_bruteforce(pts, m)
+    for p, q in edges:
+        adj[index[p]].append(index[q])
+        adj[index[q]].append(index[p])
+    for row in adj:
+        row.sort()
+    return UnitDistanceGraph(pts, m, adj, len(edges), lattice_vectors(m))
+
+
+def test_grid_graph_matches_explicit_probing_on_random_boxes():
+    rng = random.Random(31)
+    ms = [1, 2, 3, 4, 5, 8, 25, 65, 1105, 5525]
+    cases = [(1, 1, 1), (1, 9, 1), (9, 1, 4), (3, 3, 1105), (12, 2, 5525), (5, 5, 3)]
+    cases += [(rng.randint(1, 12), rng.randint(1, 12), rng.choice(ms)) for _ in range(54)]
+    removals = 0
+    for w, h, m in cases:
+        x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
+        pts = [(x0 + x, y0 + y) for x in range(w) for y in range(h)]
+        ref = oracle_graph(pts, m)
+        degs = [len(row) for row in ref.adj]
+        expect = DegreeSummary(min(degs), max(degs), w * h, ref.edge_count)
+        g = grid_graph(w, m, height=h, corner=(x0, y0))
+        assert degree_summary(g) == expect, (w, h, m)
+        assert g.edge_count == ref.edge_count
+        for t in {min(degs) + 0.5, (min(degs) + max(degs)) / 2, max(degs)}:
+            got = peel(grid_graph(w, m, height=h, corner=(x0, y0)), t)
+            alive = peel_adjacency(dict(enumerate(ref.adj)), t)
+            survivors = [pts[i] for i in sorted(alive)]
+            assert got.points == survivors, (w, h, m, t)
+            assert got.same_as(peel(ref, t))
+            assert set(got.edges()) == edge_set_bruteforce(survivors, m)
+            assert got.edge_count == len(edge_set_bruteforce(survivors, m))
+            removals += len(survivors) < len(pts)
+        assert g.same_as(ref) and ref.same_as(g), (w, h, m)
+        assert g.to_edge_text() == ref.to_edge_text()
+        assert build_graph(reversed(pts), m).same_as(g)
+    assert removals >= len(cases)
+
+
+def test_grid_graph_validation_and_shapes():
+    g = grid_graph(4, 5, height=2, corner=(-1, 3))
+    assert g.grid == (-1, 3, 4, 2) and g.vertex_count == 8
+    assert g.point(0) == (-1, 3) and g.point(7) == (2, 4)
+    assert [g.point(i) for i in range(8)] == g.points
+    assert grid_graph(10, 5).same_as(build_graph(grid(10), 5))
+    for w, h in [(0, 3), (3, 0), (-1, -1)]:
+        with pytest.raises(ValueError):
+            grid_graph(w, 5, height=h)
+    with pytest.raises(ValueError):
+        grid_graph(3, 0)
+
+
+def test_grid_starts_are_checked_against_the_box():
+    g = grid_graph(4, 5, height=3, corner=(-2, 7))
+    corners = [(-2, 7), (1, 7), (-2, 9), (1, 9)]
+    assert set(count_irredundant_many(g, corners, 1)) == set(corners)
+    for start in [(2, 7), (-3, 7), (-2, 10), (-2, 6), (2, 9)]:
+        with pytest.raises(ValueError):
+            count_irredundant_many(g, [start], 1)
+    assert g._index is None
+
+
+def test_points_with_a_full_box_count_but_a_hole_are_not_a_grid():
+    # first and last points span a 2 x 2 box and there are four points, yet
+    # (0, 5) and (1, -3) lie outside it
+    pts = [(0, 0), (0, 5), (1, -3), (1, 1)]
+    g = build_graph(pts, 1)
+    assert g.grid is None
+    assert set(g.edges()) == edge_set_bruteforce(pts, 1) == set()
+    assert degree_summary(g) == DegreeSummary(0, 0, 4, 0)
+    assert count_irredundant_many(g, [(0, 0)], 1) == {(0, 0): 0}
+
+
+def test_work_on_the_config_grid_builds_no_adjacency():
+    params = choose_params(10**4)
+    g = grid_graph(params.side, params.m)
+    summary = degree_summary(g)
+    assert summary.edge_count == build_graph(build_config(params), params.m).edge_count
+    h = peel(g)
+    assert h is g
+    starts = [g.point(i) for i in range(0, g.vertex_count, 211)]
+    for k in (2, 3):
+        count_irredundant_many(h, starts, k)
+        total_irredundant_paths(h, k)
+        max_pair_count(h, k)
+    assert g._adj is None and g._index is None and g._points is None
+
+
+def test_vectors_are_computed_once_per_graph(monkeypatch):
+    import udl.udgraph
+
+    calls = []
+    original = udl.udgraph.lattice_vectors
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(udl.udgraph, "lattice_vectors", counted)
+    holed = [p for p in grid(8) if p != (3, 3)]
+    g = build_graph(holed, 5)
+    h = peel(g, 3.5)
+    assert h.vertex_count < g.vertex_count and h.vectors is g.vectors
+    assert build_graph([], 10**6).vectors == original(10**6)
+    grid_graph(6, 25).adj
+    assert calls == [5, 10**6, 25]
