@@ -1,9 +1,12 @@
 """Irredundant path enumeration on unit-distance graphs.
 
 A k-edge path is irredundant when no nonempty subset of its displacement
-vectors sums to zero (which also rules out repeated vertices).  The DFS
-prunes with the running set of all nonempty prefix-subset sums: a
-continuation z is admissible exactly when -z is absent from that set.
+vectors sums to zero (which also rules out repeated vertices).  Every route
+walks with one pruned DFS, `_walks`: it keeps the running set S of all
+nonempty prefix-subset sums, and a continuation z is admissible exactly when
+-z is absent from S.  Per-start counts, per-pair counts and enumeration walk
+an explicit graph's adjacency; on a full grid, `_tuple_stats` walks the
+vectors themselves and every statistic is read from the resulting tuples.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 
 from .gaussian import GaussInt
 from .udgraph import UnitDistanceGraph, build_graph
@@ -117,6 +120,38 @@ def _validate_k(k: int) -> None:
         raise ValueError(f"k must be in [1, {MAX_PATH_LENGTH}], got {k}")
 
 
+def _walks(step, start, depth: int):
+    """(trail, walks): every irredundant `depth`-edge walk from `start`.
+
+    `step(u)` lists the moves out of u as (w, u - w), with u - w a complex.
+    `walks` yields the set S of nonempty prefix-subset sums once per walk,
+    S then covering all `depth` vectors, while `trail` holds the walk's
+    vertices start .. w.  A move with vector z is admissible exactly when -z
+    is not in S.  Both are live views: read them before the next step.
+    """
+    trail = [start]
+    S: set[complex] = set()
+
+    def walk(u, left: int):
+        for w, nz in step(u):
+            if nz in S:
+                continue
+            z = -nz
+            added = {s + z for s in S}
+            added.add(z)
+            added -= S
+            S.update(added)
+            trail.append(w)
+            if left > 1:
+                yield from walk(w, left - 1)
+            else:
+                yield S
+            trail.pop()
+            S.difference_update(added)
+
+    return trail, walk(start, depth) if depth else iter((S,))
+
+
 def count_irredundant_from(
     g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None
 ) -> int:
@@ -129,31 +164,13 @@ def count_irredundant_from(
 
 
 def _count_from(adjvec, negsets, i: int, k: int) -> int:
-    if k == 1:
-        return len(adjvec[i])
-    S: set[complex] = set()
-
-    def rec(u: int, remaining: int) -> int:
-        if remaining == 1:
-            # a neighbor w is blocked exactly when u - w is a prefix-subset sum
-            c = len(adjvec[u])
-            negs = negsets[u]
-            for s in S:
-                if s in negs:
-                    c -= 1
-            return c
-        total = 0
-        for w, nz in adjvec[u]:
-            if nz in S:
-                continue
-            z = -nz
-            added = [x for x in chain((z,), (s + z for s in S)) if x not in S]
-            S.update(added)
-            total += rec(w, remaining - 1)
-            S.difference_update(added)
-        return total
-
-    return rec(i, k)
+    trail, walks = _walks(adjvec.__getitem__, i, k - 1)
+    total = 0
+    for S in walks:
+        # a last step to w is blocked exactly when u - w is in S
+        u = trail[-1]
+        total += len(adjvec[u]) - len(S & negsets[u])
+    return total
 
 
 def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None):
@@ -163,25 +180,66 @@ def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budg
     i = _resolve_start(g, start)
     adjvec, _ = _adjvec(g)
     pts = g.points
-    S: set[complex] = set()
-    trail = [i]
+    trail, walks = _walks(adjvec.__getitem__, i, k)
+    for _ in walks:
+        yield PathRecord.from_vertices([pts[t] for t in trail])
 
-    def rec(u: int, remaining: int):
-        for w, nz in adjvec[u]:
-            if nz in S:
-                continue
-            trail.append(w)
-            if remaining == 1:
-                yield PathRecord.from_vertices([pts[t] for t in trail])
-            else:
-                z = -nz
-                added = [x for x in chain((z,), (s + z for s in S)) if x not in S]
-                S.update(added)
-                yield from rec(w, remaining - 1)
-                S.difference_update(added)
-            trail.pop()
 
-    yield from rec(i, k)
+def _pairs_from(g: UnitDistanceGraph, adjvec, i: int, k: int, out: dict) -> None:
+    pts = g.points
+    start = pts[i]
+    trail, walks = _walks(adjvec.__getitem__, i, k - 1)
+    for S in walks:
+        for w, nz in adjvec[trail[-1]]:
+            if nz not in S:
+                key = (start, pts[w])
+                out[key] = out.get(key, 0) + 1
+
+
+def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None) -> list[tuple[int, int]]:
+    """`starts` as distinct (x, y) keys in first-seen order, checked and budgeted."""
+    starts = list(dict.fromkeys((int(s[0]), int(s[1])) for s in starts))
+    _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
+    for s in starts:
+        _resolve_start(g, s)
+    return starts
+
+
+def _dfs_chunk(starts, k: int, pairs: bool, g: UnitDistanceGraph | None = None) -> dict:
+    """Per-start DFS over distinct starts: {v: count}, or {(v, w): |P_vw|} when
+    `pairs`.  Without `g` it runs on the graph a pool worker rebuilt."""
+    g = _POOL_GRAPH if g is None else g
+    adjvec, negsets = _adjvec(g)
+    out: dict = {}
+    for s in starts:
+        if pairs:
+            _pairs_from(g, adjvec, g.index[s], k, out)
+        else:
+            out[s] = _count_from(adjvec, negsets, g.index[s], k)
+    return out
+
+
+def _run_dfs(g: UnitDistanceGraph, starts, k: int, pairs: bool, workers: int) -> dict:
+    """`_dfs_chunk` over distinct starts, serially or split across `workers`
+    processes; the chunks share no start, so their results never overlap."""
+    if workers <= 1 or len(starts) < 2:
+        return _dfs_chunk(starts, k, pairs, g)
+    chunks = [c for c in (starts[i::workers] for i in range(workers)) if c]
+    out: dict = {}
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_pool_init, initargs=(g.points, g.m)
+    ) as pool:
+        for part in pool.map(_dfs_chunk, chunks, repeat(k), repeat(pairs)):
+            out.update(part)
+    return out
+
+
+_POOL_GRAPH: UnitDistanceGraph | None = None
+
+
+def _pool_init(points, m) -> None:
+    global _POOL_GRAPH
+    _POOL_GRAPH = build_graph(points, m)
 
 
 def count_irredundant_many(
@@ -195,75 +253,14 @@ def count_irredundant_many(
     `workers` processes.
     """
     _validate_k(k)
-    starts = [(int(s[0]), int(s[1])) for s in starts]
-    _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
-    for s in starts:
-        _resolve_start(g, s)
+    starts = _checked_starts(g, starts, k, step_budget)
     dims = g.grid
     if dims is not None:
         x0, y0, _, _ = dims
         _, field = _grid_paths(g, k, dims)
         return {s: int(field[s[0] - x0, s[1] - y0]) for s in starts}
-    if workers <= 1 or len(starts) < 2:
-        adjvec, negsets = _adjvec(g)
-        return {s: _count_from(adjvec, negsets, g.index[s], k) for s in starts}
-    chunks = [starts[i::workers] for i in range(workers)]
-    out: dict[tuple[int, int], int] = {}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(g.points, g.m)
-    ) as pool:
-        for part in pool.map(_pool_count_chunk, [(c, k) for c in chunks if c]):
-            out.update(part)
-    return {s: out[s] for s in starts}
-
-
-_POOL_GRAPH: UnitDistanceGraph | None = None
-
-
-def _pool_init(points, m) -> None:
-    global _POOL_GRAPH
-    _POOL_GRAPH = build_graph(points, m)
-
-
-def _pool_count_chunk(job):
-    starts, k = job
-    g = _POOL_GRAPH
-    adjvec, negsets = _adjvec(g)
-    return {s: _count_from(adjvec, negsets, g.index[s], k) for s in starts}
-
-
-def _pool_pairs_chunk(job):
-    starts, k = job
-    g = _POOL_GRAPH
-    adjvec, _ = _adjvec(g)
-    out: dict = {}
-    for s in starts:
-        _pairs_from(g, adjvec, g.index[s], k, out)
-    return out
-
-
-def _pairs_from(g: UnitDistanceGraph, adjvec, i: int, k: int, out: dict) -> None:
-    pts = g.points
-    start = pts[i]
-    S: set[complex] = set()
-
-    def rec(u: int, remaining: int):
-        if remaining == 1:
-            for w, nz in adjvec[u]:
-                if nz not in S:
-                    key = (start, pts[w])
-                    out[key] = out.get(key, 0) + 1
-            return
-        for w, nz in adjvec[u]:
-            if nz in S:
-                continue
-            z = -nz
-            added = [x for x in chain((z,), (s + z for s in S)) if x not in S]
-            S.update(added)
-            rec(w, remaining - 1)
-            S.difference_update(added)
-
-    rec(i, k)
+    counts = _run_dfs(g, starts, k, False, workers)
+    return {s: counts[s] for s in starts}
 
 
 def per_pair_counts(
@@ -277,30 +274,12 @@ def per_pair_counts(
     """Ordered-pair path counts |P_vw| for every start v.
 
     Pairs are ordered: (v, w) and (w, v) are counted separately (reversal is
-    a bijection between the two path families, so the counts agree).
+    a bijection between the two path families, so the counts agree).  A start
+    listed twice is counted once.
     """
     _validate_k(k)
-    if starts is None:
-        starts = list(g.points)
-    else:
-        starts = [(int(s[0]), int(s[1])) for s in starts]
-        for s in starts:
-            _resolve_start(g, s)
-    _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
-    out: dict = {}
-    if workers <= 1 or len(starts) < 2:
-        adjvec, _ = _adjvec(g)
-        for s in starts:
-            _pairs_from(g, adjvec, g.index[s], k, out)
-        return out
-    chunks = [starts[i::workers] for i in range(workers)]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(g.points, g.m)
-    ) as pool:
-        for part in pool.map(_pool_pairs_chunk, [(c, k) for c in chunks if c]):
-            for key, val in part.items():
-                out[key] = out.get(key, 0) + val
-    return out
+    starts = _checked_starts(g, g.points if starts is None else starts, k, step_budget)
+    return _run_dfs(g, starts, k, True, workers)
 
 
 def path_count_lower_bound(delta: int, k: int) -> int:
@@ -318,61 +297,43 @@ def _tuple_stats(vectors, k: int):
 
     Returns six int64 arrays (sum_x, sum_y, min/max prefix x, min/max prefix
     y), extremes taken over all prefix sums including the empty one, in DFS
-    order: lexicographic in the vector order.  The DFS stops at depth k - 1;
-    the last vector is broadcast over every prefix, minus the blocked ones
-    (z is blocked when -z is a prefix-subset sum).
+    order: lexicographic in the vector order.  `_walks` takes every vector
+    as a move from anywhere (its trail holds vector indices) and stops at
+    depth k - 1; the last vector is broadcast over every prefix, minus the
+    blocked ones (z is blocked when -z is a prefix-subset sum).
     """
     import numpy as np
 
-    vecs = [(dx, dy, complex(dx, dy)) for dx, dy in vectors]
-    blocker = {-z: j for j, (_, _, z) in enumerate(vecs)}
-    prefixes: list[tuple[int, int, int, int, int, int]] = []
+    zs = [complex(dx, dy) for dx, dy in vectors]
+    blocker = {-z: j for j, z in enumerate(zs)}
+    blocks = frozenset(blocker)
+    moves = [(j, -z) for j, z in enumerate(zs)]
+    chosen: list[list[int]] = []
     blocked_rows: list[int] = []
     blocked_cols: list[int] = []
-    S: set[complex] = set()
-
-    def rec(remaining, sx, sy, mnx, mxx, mny, mxy):
-        if remaining == 1:
-            row = len(prefixes)
-            prefixes.append((sx, sy, mnx, mxx, mny, mxy))
-            for s in S:
-                j = blocker.get(s)
-                if j is not None:
-                    blocked_rows.append(row)
-                    blocked_cols.append(j)
-            return
-        for dx, dy, z in vecs:
-            if -z in S:
-                continue
-            nsx, nsy = sx + dx, sy + dy
-            added = [x for x in chain((z,), (s + z for s in S)) if x not in S]
-            S.update(added)
-            rec(
-                remaining - 1,
-                nsx,
-                nsy,
-                nsx if nsx < mnx else mnx,
-                nsx if nsx > mxx else mxx,
-                nsy if nsy < mny else mny,
-                nsy if nsy > mxy else mxy,
-            )
-            S.difference_update(added)
-
-    rec(k, 0, 0, 0, 0, 0, 0)
-    pre = np.array(prefixes, dtype=np.int64).reshape(-1, 6)
-    allowed = np.ones((len(prefixes), len(vecs)), dtype=bool)
+    trail, walks = _walks(lambda _: moves, None, k - 1)
+    for row, S in enumerate(walks):
+        chosen.append(trail[1:])
+        for s in S & blocks:
+            blocked_rows.append(row)
+            blocked_cols.append(blocker[s])
+    step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
+    walked = step[np.array(chosen, dtype=np.intp).reshape(len(chosen), k - 1)]
+    # prefix sums of every walk, the empty prefix first: (walks, k, 2)
+    pre = np.concatenate([np.zeros((len(chosen), 1, 2), dtype=np.int64), walked], axis=1).cumsum(axis=1)
+    lo, hi = pre.min(axis=1), pre.max(axis=1)
+    allowed = np.ones((len(chosen), len(zs)), dtype=bool)
     allowed[blocked_rows, blocked_cols] = False
     rows, cols = np.nonzero(allowed)
-    step = np.array([(dx, dy) for dx, dy, _ in vecs], dtype=np.int64).reshape(-1, 2)
-    sx = pre[rows, 0] + step[cols, 0]
-    sy = pre[rows, 1] + step[cols, 1]
+    sx = pre[rows, -1, 0] + step[cols, 0]
+    sy = pre[rows, -1, 1] + step[cols, 1]
     return (
         sx,
         sy,
-        np.minimum(pre[rows, 2], sx),
-        np.maximum(pre[rows, 3], sx),
-        np.minimum(pre[rows, 4], sy),
-        np.maximum(pre[rows, 5], sy),
+        np.minimum(lo[rows, 0], sx),
+        np.maximum(hi[rows, 0], sx),
+        np.minimum(lo[rows, 1], sy),
+        np.maximum(hi[rows, 1], sy),
     )
 
 

@@ -284,3 +284,57 @@ def test_count_many_workers_agree_on_a_holed_grid():
     seq = count_irredundant_many(g, starts, 3)
     assert seq == {s: count_irredundant_from(g, s, 3) for s in starts}
     assert count_irredundant_many(g, starts, 3, workers=2) == seq
+
+
+def _holed_box(w, h, holes):
+    return [(x, y) for x in range(w) for y in range(h) if (x, y) not in holes]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_start_is_counted_once(workers):
+    g = build_graph(_holed_box(6, 6, {(2, 3), (4, 1)}), 5)
+    assert g.grid is None
+    once = count_irredundant_from(g, (0, 0), 2)
+    for starts in ([(0, 0), (0, 0)], [(0, 0), (1, 1), (0, 0)]):
+        pairs = per_pair_counts(g, 2, starts=starts, workers=workers)
+        from_origin = {key: c for key, c in pairs.items() if key[0] == (0, 0)}
+        assert from_origin == per_pair_counts(g, 2, starts=[(0, 0)])
+        assert sum(from_origin.values()) == once
+        counts = count_irredundant_many(g, starts, 2, workers=workers)
+        assert list(counts) == list(dict.fromkeys(starts))
+        assert counts[(0, 0)] == once
+
+
+def test_pairs_pool_matches_serial_on_a_holed_grid():
+    g = build_graph(_holed_box(8, 8, {(3, 4), (5, 1), (0, 7)}), 5)
+    assert g.grid is None
+    pairs = per_pair_counts(g, 3)
+    assert per_pair_counts(g, 3, workers=2) == pairs
+    assert total_irredundant_paths(g, 3, workers=2) == total_irredundant_paths(g, 3) == sum(pairs.values())
+    assert max_pair_count(g, 3, workers=2) == max_pair_count(g, 3) == _lex_min_best(pairs)
+
+
+def test_walker_routes_agree_with_oracles_on_holed_boxes():
+    rng = random.Random(7)
+    for _ in range(15):
+        w, h, m, k = rng.randint(2, 7), rng.randint(2, 7), rng.choice([1, 5, 25]), rng.randint(1, 3)
+        # opposite corners stay, so the bounding box stays w x h
+        inner = [(x, y) for x in range(w) for y in range(h) if (x, y) not in {(0, 0), (w - 1, h - 1)}]
+        pts = _holed_box(w, h, set(rng.sample(inner, max(1, len(inner) // 5))))
+        g = build_graph(pts, m)
+        assert g.grid is None
+        starts = rng.sample(pts, min(len(pts), 5))
+        pairs = per_pair_counts(g, k, starts=starts)
+        for s in starts:
+            recs = list(enumerate_irredundant_from(g, s, k))
+            expected = {
+                walk for walk in walks_from(pts, m, s, k) if is_irredundant(PathRecord.from_vertices(walk))
+            }
+            assert {rec.vertices for rec in recs} == expected, (w, h, m, k, s)
+            counts = (
+                count_irredundant_from(g, s, k),
+                len(recs),
+                sum(c for (v, _), c in pairs.items() if v == s),
+                irredundant_walk_count(pts, m, s, k),
+            )
+            assert len(set(counts)) == 1, (w, h, m, k, s, counts)
