@@ -230,7 +230,8 @@ def verify_all(
             info.append({"name": f"total_paths_k{k}", "status": "skipped: step budget"})
         try:
             pv, pw, peak = max_pair_count(h, k, workers=workers, step_budget=step_budget)
-            stat["max_pair"] = {"v": list(pv), "w": list(pw), "count": peak}
+            # v and w are None when the graph has no irredundant k-path
+            stat["max_pair"] = {"v": pv and list(pv), "w": pw and list(pw), "count": peak}
             lhs = math.log2(peak) if peak > 0 else 0.0
             checks.append(
                 _check(f"pair_count_within_solution_bound_k{k}", lhs, bounds_mod.log2_solution_bound(k, params.r - 1))

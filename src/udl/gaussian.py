@@ -52,11 +52,6 @@ class GaussInt:
 UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
 
 
-def gmul(u: GaussInt, v: GaussInt) -> GaussInt:
-    """Ring product (a,b)*(c,d) = (ac - bd, ad + bc)."""
-    return u * v
-
-
 def are_associates(u: GaussInt, v: GaussInt) -> bool:
     """True when u = unit * v for one of the four units."""
     return any(u == w * v for w in UNITS)

@@ -1,23 +1,22 @@
 """Irredundant path enumeration on unit-distance graphs.
 
 A k-edge path is irredundant when no nonempty subset of its displacement
-vectors sums to zero (which also rules out repeated vertices).  Every route
-walks with one pruned DFS, `_walks`: it keeps the running set S of all
-nonempty prefix-subset sums, and a continuation z is admissible exactly when
--z is absent from S.  Per-start counts, per-pair counts and enumeration walk
-an explicit graph's adjacency; on a full grid, `_tuple_stats` walks the
-vectors themselves and every statistic is read from the resulting tuples.
+vectors sums to zero (which also rules out repeated vertices).  One pruned
+DFS, `_walks`, keeps the running set S of all nonempty prefix-subset sums; a
+continuation z is admissible exactly when -z is absent from S.  Walked over
+the vectors it lists the irredundant k-tuples; a k-path is one placed at a
+start whose prefix points all lie in the point set, found by a box test on a
+full grid and a neighbour table elsewhere.  The per-start DFS over the
+adjacency (`count_irredundant_from`) is the reference route.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 
 from .gaussian import GaussInt
-from .udgraph import UnitDistanceGraph, build_graph
+from .udgraph import UnitDistanceGraph, _probe
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
@@ -185,73 +184,21 @@ def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budg
         yield PathRecord.from_vertices([pts[t] for t in trail])
 
 
-def _pairs_from(g: UnitDistanceGraph, adjvec, i: int, k: int, out: dict) -> None:
-    pts = g.points
-    start = pts[i]
-    trail, walks = _walks(adjvec.__getitem__, i, k - 1)
-    for S in walks:
-        for w, nz in adjvec[trail[-1]]:
-            if nz not in S:
-                key = (start, pts[w])
-                out[key] = out.get(key, 0) + 1
-
-
-def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None) -> list[tuple[int, int]]:
-    """`starts` as distinct (x, y) keys in first-seen order, checked and budgeted."""
+def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None) -> dict[tuple[int, int], int]:
+    """{(x, y): vertex index} for the distinct `starts` in first-seen order,
+    budgeted before any is resolved."""
     starts = list(dict.fromkeys((int(s[0]), int(s[1])) for s in starts))
     _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
-    for s in starts:
-        _resolve_start(g, s)
-    return starts
-
-
-def _dfs_chunk(starts, k: int, pairs: bool, g: UnitDistanceGraph | None = None) -> dict:
-    """Per-start DFS over distinct starts: {v: count}, or {(v, w): |P_vw|} when
-    `pairs`.  Without `g` it runs on the graph a pool worker rebuilt."""
-    g = _POOL_GRAPH if g is None else g
-    adjvec, negsets = _adjvec(g)
-    out: dict = {}
-    for s in starts:
-        if pairs:
-            _pairs_from(g, adjvec, g.index[s], k, out)
-        else:
-            out[s] = _count_from(adjvec, negsets, g.index[s], k)
-    return out
-
-
-def _run_dfs(g: UnitDistanceGraph, starts, k: int, pairs: bool, workers: int) -> dict:
-    """`_dfs_chunk` over distinct starts, serially or split across `workers`
-    processes; the chunks share no start, so their results never overlap."""
-    if workers <= 1 or len(starts) < 2:
-        return _dfs_chunk(starts, k, pairs, g)
-    chunks = [c for c in (starts[i::workers] for i in range(workers)) if c]
-    out: dict = {}
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(g.points, g.m)
-    ) as pool:
-        for part in pool.map(_dfs_chunk, chunks, repeat(k), repeat(pairs)):
-            out.update(part)
-    return out
-
-
-_POOL_GRAPH: UnitDistanceGraph | None = None
-
-
-def _pool_init(points, m) -> None:
-    global _POOL_GRAPH
-    _POOL_GRAPH = build_graph(points, m)
+    return {s: _resolve_start(g, s) for s in starts}
 
 
 def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
-    """Counts for several start vertices.
-
-    On a full grid every count is read from one field built from the
-    irredundant k-tuples of vectors (see `_grid_paths`); no DFS runs and
-    `workers` is unused.  Other point sets run a per-start DFS, spread over
-    `workers` processes.
-    """
+    """Counts for several start vertices: on a full grid read from one field
+    built from the irredundant k-tuples of vectors (see `_grid_paths`), on
+    other point sets from the tuples placed there (see `_place`).  `workers`
+    is kept for callers that pass it and selects nothing."""
     _validate_k(k)
     starts = _checked_starts(g, starts, k, step_budget)
     dims = g.grid
@@ -259,19 +206,14 @@ def count_irredundant_many(
         x0, y0, _, _ = dims
         _, field = _grid_paths(g, k, dims)
         return {s: int(field[s[0] - x0, s[1] - y0]) for s in starts}
-    counts = _run_dfs(g, starts, k, False, workers)
-    return {s: counts[s] for s in starts}
+    counts, _ = _place(g, k, list(starts.values()))
+    return dict(zip(starts, counts.tolist()))
 
 
 def per_pair_counts(
-    g: UnitDistanceGraph,
-    k: int,
-    starts=None,
-    *,
-    workers: int = 1,
-    step_budget: int | None = None,
+    g: UnitDistanceGraph, k: int, starts=None, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
-    """Ordered-pair path counts |P_vw| for every start v.
+    """Ordered-pair path counts |P_vw| for every start v (see `_place`).
 
     Pairs are ordered: (v, w) and (w, v) are counted separately (reversal is
     a bijection between the two path families, so the counts agree).  A start
@@ -279,7 +221,9 @@ def per_pair_counts(
     """
     _validate_k(k)
     starts = _checked_starts(g, g.points if starts is None else starts, k, step_budget)
-    return _run_dfs(g, starts, k, True, workers)
+    pairs: dict = {}
+    _place(g, k, list(starts.values()), pairs)
+    return pairs
 
 
 def path_count_lower_bound(delta: int, k: int) -> int:
@@ -292,14 +236,11 @@ def path_count_lower_bound(delta: int, k: int) -> int:
     return out
 
 
-def _tuple_stats(vectors, k: int):
-    """Stats for every irredundant k-tuple of displacement vectors.
-
-    Returns six int64 arrays (sum_x, sum_y, min/max prefix x, min/max prefix
-    y), extremes taken over all prefix sums including the empty one, in DFS
-    order: lexicographic in the vector order.  `_walks` takes every vector
-    as a move from anywhere (its trail holds vector indices) and stops at
-    depth k - 1; the last vector is broadcast over every prefix, minus the
+def _irredundant_tuples(vectors, k: int):
+    """(heads, rows, cols): the irredundant k-tuples of vector indices in DFS
+    order, lexicographic in the vector order; tuple t is heads[rows[t]] then
+    cols[t].  `_walks` takes every vector as a move from anywhere and stops
+    at depth k - 1; the last vector is broadcast over every head, minus the
     blocked ones (z is blocked when -z is a prefix-subset sum).
     """
     import numpy as np
@@ -308,23 +249,32 @@ def _tuple_stats(vectors, k: int):
     blocker = {-z: j for j, z in enumerate(zs)}
     blocks = frozenset(blocker)
     moves = [(j, -z) for j, z in enumerate(zs)]
-    chosen: list[list[int]] = []
+    heads: list[list[int]] = []
     blocked_rows: list[int] = []
     blocked_cols: list[int] = []
     trail, walks = _walks(lambda _: moves, None, k - 1)
     for row, S in enumerate(walks):
-        chosen.append(trail[1:])
+        heads.append(trail[1:])
         for s in S & blocks:
             blocked_rows.append(row)
             blocked_cols.append(blocker[s])
-    step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
-    walked = step[np.array(chosen, dtype=np.intp).reshape(len(chosen), k - 1)]
-    # prefix sums of every walk, the empty prefix first: (walks, k, 2)
-    pre = np.concatenate([np.zeros((len(chosen), 1, 2), dtype=np.int64), walked], axis=1).cumsum(axis=1)
-    lo, hi = pre.min(axis=1), pre.max(axis=1)
-    allowed = np.ones((len(chosen), len(zs)), dtype=bool)
+    allowed = np.ones((len(heads), len(zs)), dtype=bool)
     allowed[blocked_rows, blocked_cols] = False
     rows, cols = np.nonzero(allowed)
+    return np.array(heads, dtype=np.intp).reshape(len(heads), k - 1), rows, cols
+
+
+def _tuple_stats(vectors, k: int):
+    """Six int64 arrays over the irredundant k-tuples, in the order of
+    `_irredundant_tuples`: sum_x, sum_y, and min/max prefix x and y, extremes
+    taken over all prefix sums including the empty one."""
+    import numpy as np
+
+    heads, rows, cols = _irredundant_tuples(vectors, k)
+    step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
+    # prefix sums of every head, the empty prefix first: (heads, k, 2)
+    pre = np.concatenate([np.zeros((len(heads), 1, 2), dtype=np.int64), step[heads]], axis=1).cumsum(axis=1)
+    lo, hi = pre.min(axis=1), pre.max(axis=1)
     sx = pre[rows, -1, 0] + step[cols, 0]
     sy = pre[rows, -1, 1] + step[cols, 1]
     return (
@@ -335,6 +285,57 @@ def _tuple_stats(vectors, k: int):
         np.minimum(lo[rows, 1], sy),
         np.maximum(hi[rows, 1], sy),
     )
+
+
+def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None):
+    """(counts, best) in one pass over the irredundant k-tuples placed at the
+    vertex indices `starts`, every vertex when None (then cached on g per k).
+    Grouped by total displacement d, a group's depth at v is |P_vw| for
+    w = v + d.  counts[i] is the number of paths from starts[i]; best is the
+    (v, w, |P_vw|) of largest count, ties going to the smallest (v, w) when
+    `starts` ascend.  `pairs`, when given, gets every nonzero |P_vw|.
+    """
+    import numpy as np
+
+    if starts is None:
+        cache = vars(g).setdefault("_placed", {})
+        if k not in cache:
+            cache[k] = _place(g, k, range(g.vertex_count))
+        return cache[k]
+    n, pts = g.vertex_count, g.points
+    if getattr(g, "_neighbours", None) is None:
+        # [j, i] is the index of point i + vector j, or n when absent; column n
+        # is all n, so a chain of k gathers that once leaves g stays out
+        hits = _probe(pts, g.index, g.vectors, n) + [[n] * len(g.vectors)]
+        g._neighbours = np.array(hits, dtype=np.intp).reshape(n + 1, -1).T.copy()
+    table = g._neighbours
+    starts = np.array(starts, dtype=np.intp)
+    counts = np.zeros(len(starts), dtype=np.int64)
+    best = (None, None, 0)
+    heads, rows, cols = _irredundant_tuples(g.vectors, k)
+    if not len(starts) or not len(rows):
+        return counts, best
+    tuples = np.concatenate([heads[rows], cols[:, None]], axis=1)
+    disp = np.array(g.vectors, dtype=np.int64)[tuples].sum(axis=1)
+    order = np.lexsort((disp[:, 1], disp[:, 0]))
+    cuts = np.flatnonzero((np.diff(disp[order], axis=0) != 0).any(axis=1)) + 1
+    for group, (dx, dy) in zip(np.split(tuples[order], cuts), disp[order[np.r_[0, cuts]]].tolist()):
+        depth = np.zeros(len(starts), dtype=np.int64)
+        for tup in group.tolist():
+            at = starts
+            for j in tup:
+                at = table[j, at]
+            depth += at != n
+        counts += depth
+        i = int(depth.argmax())  # the first deepest start
+        peak, v = int(depth[i]), pts[starts[i]]
+        w = (v[0] + dx, v[1] + dy)
+        if peak > best[2] or (peak == best[2] > 0 and (v, w) < best[:2]):
+            best = (v, w, peak)
+        if pairs is not None:
+            for s, c in zip(starts[depth > 0].tolist(), depth[depth > 0].tolist()):
+                pairs[(pts[s], (pts[s][0] + dx, pts[s][1] + dy))] = c
+    return counts, best
 
 
 def _grid_paths(g: UnitDistanceGraph, k: int, dims):
@@ -379,13 +380,14 @@ def total_irredundant_paths(
     """Total irredundant k-edge paths over all start vertices.
 
     On a full grid this is the sum of the per-start count field (see
-    `count_irredundant_many`); otherwise it sums per-start DFS counts.
+    `count_irredundant_many`); otherwise it sums the placed tuples of every
+    start (see `_place`).
     """
     _validate_k(k)
     dims = g.grid
     if dims is None:
-        counts = count_irredundant_many(g, list(g.points), k, workers=workers, step_budget=step_budget)
-        return sum(counts.values())
+        _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
+        return int(_place(g, k)[0].sum())
     _check_budget(_grid_effort(len(g.vectors), k), step_budget)
     _, _, w, h = dims
     rects, field = _grid_paths(g, k, dims)
@@ -405,19 +407,16 @@ def max_pair_count(
     group |P_vw| is the depth of v in the group's start rectangles.  Groups
     are visited largest first, stopping once a group has fewer rectangles
     than the best depth found, and each is evaluated only at its compressed
-    corners.  Anything else falls back to per-start DFS.
+    corners.  Any other point set reads the pass of `_place` over every
+    start.
     """
     _validate_k(k)
     dims = g.grid
     if dims is not None and g.vertex_count > 1:
         _check_budget(_grid_effort(len(g.vectors), k), step_budget)
         return _max_pair_grid(g, k, dims)
-    pairs = per_pair_counts(g, k, workers=workers, step_budget=step_budget)
-    best = (None, None, 0)
-    for (v, w), count in pairs.items():
-        if count > best[2] or (count == best[2] and best[0] is not None and (v, w) < (best[0], best[1])):
-            best = (v, w, count)
-    return best
+    _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
+    return _place(g, k)[1]
 
 
 def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):

@@ -67,7 +67,7 @@ class UnitDistanceGraph:
     @property
     def adj(self) -> list[list[int]]:
         if self._adj is None:
-            self._adj, _ = _probe(self.points, self.index, self.vectors)
+            self._adj, _ = _adjacency(self.points, self.index, self.vectors)
         return self._adj
 
     @property
@@ -130,23 +130,21 @@ def _grid_dims(points) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _probe(points, index, vectors) -> tuple[list[list[int]], int]:
-    """Adjacency rows and edge count: every point probed against every vector.
+def _probe(points, index, vectors, missing=None) -> list[list]:
+    """Row i lists, for each vector in turn, the index of point i + vector, or
+    `missing` when that point is not in `index`.
 
     Cost is O(n * R(m)) hash lookups instead of the O(n^2) pair scan.
     """
-    adj: list[list[int]] = [[] for _ in points]
-    edge_count = 0
-    for i, (x, y) in enumerate(points):
-        row = adj[i]
-        for dx, dy in vectors:
-            j = index.get((x + dx, y + dy))
-            if j is not None:
-                # vectors are sorted, so the row comes out sorted by coordinates
-                row.append(j)
-                if j > i:
-                    edge_count += 1
-    return adj, edge_count
+    return [[index.get((x + dx, y + dy), missing) for dx, dy in vectors] for x, y in points]
+
+
+def _adjacency(points, index, vectors) -> tuple[list[list[int]], int]:
+    """Adjacency rows and edge count; vectors are sorted, so each row comes
+    out sorted by neighbor coordinates, and closed under negation, so each
+    edge is in two rows."""
+    adj = [[j for j in row if j is not None] for row in _probe(points, index, vectors)]
+    return adj, sum(map(len, adj)) // 2
 
 
 def grid_graph(
@@ -183,7 +181,7 @@ def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
         x0, y0, w, h = dims
         return grid_graph(w, m, height=h, corner=(x0, y0))
     vectors = lattice_vectors(m)
-    adj, edge_count = _probe(pts, {p: i for i, p in enumerate(pts)}, vectors)
+    adj, edge_count = _adjacency(pts, {p: i for i, p in enumerate(pts)}, vectors)
     return UnitDistanceGraph(pts, m, adj, edge_count, vectors)
 
 

@@ -33,6 +33,16 @@ def test_verify_workers_do_not_change_bytes(capsys):
     assert out1 == out4
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_verify_small_grids_without_a_longest_path(capsys, n):
+    # the 2 x 2 grid with m = 1 has no irredundant 3-path, so no pair carries one
+    code, out, _ = run(capsys, ["verify", "--n", str(n)])
+    report = verify_all(n, 3)
+    assert json.loads(out) == json.loads(report.to_json())
+    assert code == (0 if report.passed else 1)
+    assert report.path_stats[-1]["max_pair"] == {"v": None, "w": None, "count": 0}
+
+
 def test_verify_report_contents_n100():
     report = verify_all(100, 3)
     assert report.passed

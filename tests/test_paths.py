@@ -314,13 +314,23 @@ def test_pairs_pool_matches_serial_on_a_holed_grid():
     assert max_pair_count(g, 3, workers=2) == max_pair_count(g, 3) == _lex_min_best(pairs)
 
 
-def test_walker_routes_agree_with_oracles_on_holed_boxes():
-    rng = random.Random(7)
+def _walker_cases(rng):
     for _ in range(15):
         w, h, m, k = rng.randint(2, 7), rng.randint(2, 7), rng.choice([1, 5, 25]), rng.randint(1, 3)
         # opposite corners stay, so the bounding box stays w x h
         inner = [(x, y) for x in range(w) for y in range(h) if (x, y) not in {(0, 0), (w - 1, h - 1)}]
-        pts = _holed_box(w, h, set(rng.sample(inner, max(1, len(inner) // 5))))
+        yield _holed_box(w, h, set(rng.sample(inner, max(1, len(inner) // 5)))), m, k
+    # two holed boxes 10^12 apart, one at a negative offset: the neighbour
+    # table grows with the points, not with the bounding box
+    far = 10**12
+    sparse = [(x - 9, y - far) for x, y in _holed_box(5, 6, {(2, 2), (1, 4)})]
+    sparse += [(x + far, y + 3) for x, y in _holed_box(6, 4, {(3, 1)})]
+    yield from ((sparse, m, k) for m, k in [(1, 3), (5, 3), (25, 2)])
+
+
+def test_walker_routes_agree_with_oracles_on_holed_boxes():
+    rng = random.Random(7)
+    for pts, m, k in _walker_cases(rng):
         g = build_graph(pts, m)
         assert g.grid is None
         starts = rng.sample(pts, min(len(pts), 5))
@@ -330,11 +340,41 @@ def test_walker_routes_agree_with_oracles_on_holed_boxes():
             expected = {
                 walk for walk in walks_from(pts, m, s, k) if is_irredundant(PathRecord.from_vertices(walk))
             }
-            assert {rec.vertices for rec in recs} == expected, (w, h, m, k, s)
+            assert {rec.vertices for rec in recs} == expected, (m, k, s)
             counts = (
                 count_irredundant_from(g, s, k),
                 len(recs),
                 sum(c for (v, _), c in pairs.items() if v == s),
                 irredundant_walk_count(pts, m, s, k),
             )
-            assert len(set(counts)) == 1, (w, h, m, k, s, counts)
+            assert len(set(counts)) == 1, (m, k, s, counts)
+        for j in range(1, k + 1):  # one graph, so each length reads its own cached pass
+            from_dfs = {s: count_irredundant_from(g, s, j) for s in pts}
+            every = per_pair_counts(g, j)
+            assert count_irredundant_many(g, starts, j) == {s: from_dfs[s] for s in starts}, (m, j)
+            assert total_irredundant_paths(g, j) == sum(from_dfs.values()) == sum(every.values()), (m, j)
+            assert max_pair_count(g, j) == _lex_min_best(every), (m, j)
+
+
+def test_path_statistics_start_no_process(monkeypatch):
+    import multiprocessing.process
+
+    def holed():
+        return build_graph(_holed_box(8, 8, {(3, 4), (5, 1), (0, 7)}), 5)
+
+    def stats(g, workers):
+        starts = [(0, 0), (3, 3), (7, 7), (2, 5)]
+        return (
+            count_irredundant_many(g, starts, 3, workers=workers),
+            per_pair_counts(g, 3, workers=workers),
+            total_irredundant_paths(g, 3, workers=workers),
+            max_pair_count(g, 3, workers=workers),
+        )
+
+    serial = stats(holed(), 1)
+
+    def refuse(self):
+        raise AssertionError("a path statistic started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert stats(holed(), 2) == serial
