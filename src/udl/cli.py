@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import bounds as bounds_mod
 from .config import choose_params, generators, rank_bounds, verify_edge_in_group
 from .gaussian import GaussInt, representations
-from .numtheory import AP_1_MOD_4, chebyshev
+from .numtheory import AP_1_MOD_4, chebyshev, factor
 from .paths import (
     StepBudgetExceeded,
     count_irredundant_many,
@@ -261,25 +261,13 @@ def verify_all(
 
 
 def _factor_squarefree_1mod4(m: int) -> list[int]:
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    out = []
-    rest = m
-    d = 2
-    while d * d <= rest:
-        if rest % d == 0:
-            rest //= d
-            out.append(d)
-            if rest % d == 0:
-                raise ValueError(f"m={m} is not squarefree")
-        else:
-            d += 1
-    if rest > 1:
-        out.append(rest)
-    bad = [p for p in out if p % 4 != 1]
+    factors = factor(m)
+    if any(e > 1 for e in factors.values()):
+        raise ValueError(f"m={m} is not squarefree")
+    bad = [p for p in factors if p % 4 != 1]
     if bad:
         raise ValueError(f"m={m} has prime factors {bad} not congruent to 1 mod 4")
-    return out
+    return list(factors)
 
 
 def _read_points(path: str) -> list[tuple[int, int]]:

@@ -3,15 +3,11 @@ decompositions, and factorization over fixed prime atoms."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from itertools import product
 
 from .numtheory import is_probable_prime
-
-# Crossover between the exhaustive two-squares search and Hermite-Serret
-# descent; below this the plain sweep is already fast.
-TWO_SQUARES_SEARCH_LIMIT = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -72,7 +68,7 @@ class GaussFactorization:
 
 
 def two_squares_prime(p: int) -> tuple[int, int]:
-    """Decompose a prime p = 2 or p = 1 (mod 4) as x^2 + y^2.
+    """Decompose a prime p = 2 or p = 1 (mod 4) as x^2 + y^2, by Hermite-Serret.
 
     Returns the canonical pair with 0 < x < y (x = y = 1 for p = 2).
     Primes p = 3 (mod 4) have no such decomposition and are rejected.
@@ -83,47 +79,47 @@ def two_squares_prime(p: int) -> tuple[int, int]:
         return (1, 1)
     if p % 4 == 3:
         raise ValueError(f"{p} = 3 (mod 4) is not a sum of two squares")
-    if p < TWO_SQUARES_SEARCH_LIMIT:
-        x = 1
-        while 2 * x * x < p:
-            rem = p - x * x
-            y = math.isqrt(rem)
-            if y * y == rem:
-                return (x, y)
-            x += 1
-        raise RuntimeError(f"no decomposition found for {p}")  # unreachable for valid p
-    return _two_squares_hermite_serret(p)
-
-
-def _two_squares_hermite_serret(p: int) -> tuple[int, int]:
     # square root of -1 mod p from a quadratic nonresidue, then Euclid until
     # the remainder drops under sqrt(p)
-    z = 0
     c = 2
-    while True:
-        z = pow(c, (p - 1) // 4, p)
-        if (z * z + 1) % p == 0:
-            break
+    while (z := pow(c, (p - 1) // 4, p)) * z % p != p - 1:
         c += 1
     a, b = p, z
     while b * b > p:
         a, b = b, a % b
-    x = b
-    rem = p - x * x
+    rem = p - b * b
     y = math.isqrt(rem)
     if y * y != rem:
         raise RuntimeError(f"descent failed for {p}")  # unreachable for prime input
-    return (min(x, y), max(x, y))
+    return (min(b, y), max(b, y))
 
 
-_two_squares_cache: dict[int, tuple[int, int]] = {}
+_two_squares_cached = functools.cache(two_squares_prime)
 
 
-def _two_squares_cached(p: int) -> tuple[int, int]:
-    got = _two_squares_cache.get(p)
-    if got is None:
-        got = _two_squares_cache[p] = two_squares_prime(p)
-    return got
+def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """Every (a, b) with a^2 + b^2 = prod p^e over the factorisation {p: e}.
+
+    Each one is a unit times (1+i)^a for 2^a, times q^(e/2) for q^e with
+    q = 3 (mod 4), and times (x+iy)^s (x-iy)^(e-s), 0 <= s <= e, for p^e with
+    p = x^2 + y^2 = 1 (mod 4).
+    A q = 3 (mod 4) to an odd power leaves no points.  Unique factorisation
+    in Z[i] makes the 4 * prod (e+1) points distinct.
+    """
+    points = {(1, 0)}
+    for p, e in factors.items():
+        if p == 2:
+            choices = [(1, 1)]
+        elif p % 4 == 3:
+            if e % 2:
+                return []
+            choices, e = [(p, 0)], e // 2
+        else:
+            x, y = _two_squares_cached(p)
+            choices = [(x, y), (x, -y)]
+        for _ in range(e):
+            points = {(a * c - b * d, a * d + b * c) for a, b in points for c, d in choices}
+    return [w for a, b in points for w in ((a, b), (-b, a), (-a, -b), (b, -a))]
 
 
 def representations(primes) -> set[GaussInt]:
@@ -137,18 +133,15 @@ def representations(primes) -> set[GaussInt]:
     if len(set(primes)) != len(primes):
         raise ValueError(f"primes must be distinct, got {primes}")
     for p in primes:
-        if p % 4 != 1 or not is_probable_prime(p):
+        try:
+            ok = p % 4 == 1 and _two_squares_cached(p)
+        except ValueError:
+            ok = False
+        if not ok:
             raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    t = len(primes)
-    base = [_two_squares_cached(p) for p in primes]
-    points: set[tuple[int, int]] = set()
-    for signs in product((1, -1), repeat=t):
-        a, b = 1, 0
-        for (x, y), s in zip(base, signs):
-            a, b = a * x - b * s * y, a * s * y + b * x
-        points.update(((a, b), (-a, -b), (-b, a), (b, -a)))
-    assert len(points) == 1 << (t + 2), (primes, len(points))
-    return {GaussInt(a, b) for a, b in points}
+    points = {GaussInt(a, b) for a, b in _lattice_points(dict.fromkeys(primes, 1))}
+    assert len(points) == 1 << (len(primes) + 2), (primes, len(points))
+    return points
 
 
 def _exact_div(g: GaussInt, d: GaussInt) -> GaussInt | None:

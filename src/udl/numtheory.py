@@ -10,7 +10,10 @@ from dataclasses import dataclass
 # than silently thrash.
 SIEVE_HARD_LIMIT = 10**8
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin on the first thirteen primes is exact below this bound
+# (Sorenson and Webster, Math. Comp. 2017); above it a pass is only probable.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ def _table(limit: int) -> PrimeTable:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a witness set deterministic below 3.3e24."""
+    """Miller-Rabin with a witness set deterministic below 3.3e24 (`_MR_EXACT_LIMIT`)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -107,22 +110,36 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def factor(m: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of m >= 1, in ascending p.
+
+    Trial division stops once the cofactor is prime, which Miller-Rabin
+    decides exactly below `_MR_EXACT_LIMIT`, so it costs about the square root
+    of the second-largest prime factor: two large prime factors are slow.
+    """
+    if m < 1:
+        raise ValueError(f"factor needs m >= 1, got {m}")
+    out: dict[int, int] = {}
+    p = 2
+    settled = m < _MR_EXACT_LIMIT and is_probable_prime(m)
+    while not settled and p * p <= m:
+        if m % p == 0:
+            out[p] = 0
+            while m % p == 0:
+                m //= p
+                out[p] += 1
+            settled = m < _MR_EXACT_LIMIT and is_probable_prime(m)
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out[m] = 1
+    return out
+
+
 def euler_phi(d: int) -> int:
-    """Euler totient by trial division."""
+    """Euler totient from the factorisation of d."""
     if d < 1:
         raise ValueError(f"totient needs d >= 1, got {d}")
-    result = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factor(d).items())
 
 
 def primes_in_ap(limit: int, cls: APClass) -> list[int]:

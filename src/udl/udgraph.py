@@ -3,23 +3,20 @@ edges found by displacement-vector probing rather than pair scans."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .gaussian import _lattice_points
+from .numtheory import factor
+
 
 def lattice_vectors(m: int) -> list[tuple[int, int]]:
-    """All integer displacements (dx, dy) with dx^2 + dy^2 = m, sorted."""
+    """All integer displacements (dx, dy) with dx^2 + dy^2 = m, sorted, as
+    Gaussian-prime products over the factorisation of m."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    out = set()
-    for dx in range(math.isqrt(m) + 1):
-        rem = m - dx * dx
-        dy = math.isqrt(rem)
-        if dy * dy == rem:
-            out.update({(dx, dy), (dx, -dy), (-dx, dy), (-dx, -dy)})
-    return sorted(out)
+    return sorted(_lattice_points(factor(m)))
 
 
 class UnitDistanceGraph:

@@ -197,3 +197,32 @@ def test_graph_n_1e6_finishes_without_building_the_adjacency():
     assert json.loads(out.stdout) == {
         "vertices": 10**6, "edges": twice // 2, "min_degree": 16, "max_degree": 64, "m": 32045
     }
+
+
+def _run_cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "udl.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+
+
+def test_graph_on_no_points_with_a_huge_m_finishes(tmp_path):
+    # m = 2^21 * 5^21: its 88 vectors come from the factorisation, not a sqrt(m) sweep
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    out = _run_cli("graph", "--points", str(empty), "--m", str(10**21))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"vertices": 0, "edges": 0, "min_degree": 0, "max_degree": 0, "m": 10**21}
+
+
+def test_reps_of_a_prime_near_1e18_finishes():
+    # a prime m = 1 (mod 4) is settled by Miller-Rabin, not trial division to 10^9
+    p = 10**18 + 9
+    out = _run_cli("reps", "--m", str(p))
+    assert out.returncode == 0, out.stderr
+    points = [tuple(map(int, line.split())) for line in out.stdout.splitlines()]
+    assert len(points) == len(set(points)) == 8
+    assert points == sorted(points)
+    assert all(x * x + y * y == p for x, y in points)
+    assert {(-y, x) for x, y in points} == set(points)

@@ -10,6 +10,7 @@ from udl.gaussian import (
     representations,
     two_squares_prime,
 )
+from udl.numtheory import is_probable_prime
 
 from oracles import gaussian_rational_mul, two_squares_set
 
@@ -70,7 +71,7 @@ def test_two_squares_prime_small_sweep():
 
 
 def test_two_squares_prime_descent_branch():
-    # primes above the exhaustive-search crossover hit Hermite-Serret
+    # Hermite-Serret descent on primes above 10^6 and up to 2^31
     for p in (1_000_033, 1_000_037, 2_147_483_629):
         x, y = two_squares_prime(p)
         assert 0 < x < y and x * x + y * y == p
@@ -86,6 +87,29 @@ def test_representations_cardinalities():
 def test_representations_match_bruteforce():
     for primes, m in [([], 1), ([5], 5), ([13], 13), ([5, 13], 65), ([5, 13, 17], 1105)]:
         assert as_tuples(representations(primes)) == two_squares_set(m)
+
+
+def test_representations_refuses_a_strong_pseudoprime():
+    # 399165290221 * 798330580441 = 1 (mod 4) passes Miller-Rabin on the bases 2..37
+    with pytest.raises(ValueError, match="not a prime congruent to 1 mod 4"):
+        representations([318665857834031151167461])
+
+
+def test_representations_checks_each_prime_once(monkeypatch):
+    import udl.gaussian
+
+    seen = []
+
+    def counted(n):
+        seen.append(n)
+        return is_probable_prime(n)
+
+    monkeypatch.setattr(udl.gaussian, "is_probable_prime", counted)
+    p = 1_000_000_009
+    udl.gaussian._two_squares_cached.cache_clear()
+    for _ in range(3):
+        assert len(representations([5, p])) == 16
+    assert seen.count(p) == 1
 
 
 def test_representations_rejects_bad_input():

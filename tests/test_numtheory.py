@@ -8,12 +8,13 @@ from udl.numtheory import (
     PrimeTable,
     chebyshev,
     euler_phi,
+    factor,
     is_probable_prime,
     kth_prime_in_ap,
     primes_in_ap,
 )
 
-from oracles import trial_division_primes
+from oracles import is_prime_slow, trial_division_primes
 
 
 def test_apclass_validation():
@@ -148,3 +149,54 @@ def test_is_probable_prime_against_trial_division():
     assert not is_probable_prime(1_373_653)
     assert is_probable_prime(2_147_483_647)
     assert is_probable_prime(1_000_033)
+
+
+def test_miller_rabin_rejects_the_strong_pseudoprime_to_the_first_twelve_primes():
+    # the least composite that passes the bases 2..37 (Sorenson and Webster)
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_probable_prime(n)
+
+
+def _factor_by_oracle_primes(m, primes):
+    out = {}
+    for p in primes:
+        while m % p == 0:
+            m //= p
+            out[p] = out.get(p, 0) + 1
+    assert m == 1
+    return out
+
+
+def test_factor_matches_trial_division_up_to_5000():
+    primes = trial_division_primes(5000)
+    assert factor(1) == {}
+    for m in range(1, 5001):
+        got = factor(m)
+        assert got == _factor_by_oracle_primes(m, primes)
+        assert list(got) == sorted(got)
+
+
+def test_factor_drawn_products_with_a_large_prime_cofactor():
+    big = [1_000_000_000_039, 1_000_000_000_063]
+    assert all(map(is_prime_slow, big))
+    small = trial_division_primes(100)[1:]
+    rng = random.Random(11)
+    for _ in range(200):
+        expect = {}
+        a = rng.randint(0, 40)
+        if a:
+            expect[2] = a
+        for p in rng.sample(small, rng.randint(0, 3)):
+            expect[p] = rng.randint(2, 5)
+        if rng.random() < 0.7:
+            expect[rng.choice(big)] = 1
+        m = math.prod(p**e for p, e in expect.items())
+        assert factor(m) == dict(sorted(expect.items())), m
+
+
+def test_factor_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        factor(0)
+    with pytest.raises(ValueError):
+        factor(-12)

@@ -3,6 +3,8 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udl.config import build_config, choose_params
 from udl.paths import count_irredundant_many, max_pair_count, total_irredundant_paths
@@ -32,6 +34,35 @@ def test_lattice_vectors_match_oracle():
     assert lattice_vectors(3) == []
     with pytest.raises(ValueError):
         lattice_vectors(0)
+
+
+_general_m = st.one_of(
+    st.integers(1, 10**6),
+    # 2^a times a q = 3 (mod 4) to any power times a free cofactor
+    st.builds(
+        lambda a, q, e, rest: 2**a * q**e * rest,
+        st.integers(0, 8),
+        st.sampled_from([3, 7, 11, 19, 23]),
+        st.integers(0, 3),
+        st.integers(1, 3000),
+    ),
+    # powers of primes 1 (mod 4) times a small prime power
+    st.builds(
+        lambda p, e, q, s: p**e * q**s,
+        st.sampled_from([5, 13, 17, 29, 37]),
+        st.integers(1, 5),
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 4),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_general_m)
+@example(7**3 * 5)  # q = 3 (mod 4) to an odd power: no points
+@example(2**11 * 3**2 * 5**3 * 13)
+def test_lattice_vectors_match_oracle_on_general_m(m):
+    assert lattice_vectors(m) == sorted(two_squares_set(m))
 
 
 def test_build_graph_frozen_examples():
