@@ -235,11 +235,13 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     """All tuples (z_1 .. z_k) of group elements with sum a_j z_j = 1 and no
     vanishing nonempty subsum of the left side.
 
-    Exhaustive over the torsion times the exponent box |e| <= height; the last
-    slot is resolved by lookup instead of enumeration.  Arithmetic is exact
-    cyclotomic-rational, so the zero tests in the subsum check are exact.
-    Every returned solution is re-verified posthoc against all 2^k - 1
-    subsums, independent of how the enumeration found it.
+    Exhaustive over the torsion times the exponent box |e| <= height.  Each
+    slot's terms a_j z are formed once; a prefix carries its residual
+    1 - sum a_j z_j, and the last slot is found by looking that residual up
+    among the terms a_k z.  Arithmetic is exact cyclotomic-rational, so the
+    zero tests are exact.  Every returned solution is re-verified posthoc
+    against all 2^k - 1 subsums of its terms, independent of how the
+    enumeration found it.
     """
     pairs = [_as_pair(a) for a in coeffs]
     k = len(pairs)
@@ -260,23 +262,20 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
             f"beyond the budget of {budget}"
         )
 
-    a_emb = [field.embed_pair(*p) for p in pairs]
-    inv_last = field.embed_pair(*_qinv(pairs[-1]))
-    by_key = {z.coeffs: z for z in values}
-    one = field.one
-
+    tables = [[(field.embed_pair(*p) * z, z) for z in values] for p in pairs]
+    last = {term.coeffs: (term, z) for term, z in tables.pop()}
     solutions = []
-    for prefix in product(values, repeat=k - 1):
-        partial = field.zero
-        for a, z in zip(a_emb, prefix):
-            partial = partial + a * z
-        needed = (one - partial) * inv_last
-        z_last = by_key.get(needed.coeffs)
-        if z_last is None:
-            continue
-        tup = (*prefix, z_last)
-        if _all_subsums_nonzero(a_emb, tup):
-            solutions.append(tup)
+
+    def extend(residual, terms, zs):
+        if len(zs) == k - 1:
+            hit = last.get(residual.coeffs)
+            if hit is not None and _all_subsums_nonzero((*terms, hit[0])):
+                solutions.append((*zs, hit[1]))
+            return
+        for term, z in tables[len(zs)]:
+            extend(residual - term, (*terms, term), (*zs, z))
+
+    extend(field.one, (), ())
     solutions.sort(key=lambda tup: tuple(z.coeffs for z in tup))
     return solutions
 
@@ -306,9 +305,8 @@ def _slot_values(group: GroupSpec, height: int, field: CyclotomicField) -> list[
     return [seen[key] for key in sorted(seen)]
 
 
-def _all_subsums_nonzero(a_emb, tup) -> bool:
-    k = len(tup)
-    terms = [a * z for a, z in zip(a_emb, tup)]
+def _all_subsums_nonzero(terms) -> bool:
+    k = len(terms)
     zero = terms[0].field.zero
     sums = [zero] * (1 << k)
     for mask in range(1, 1 << k):

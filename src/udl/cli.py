@@ -126,6 +126,29 @@ def _lambert_grid_stats() -> tuple[float, float]:
     return worst, bracketed / total
 
 
+def _path_stats(h, ks, min_degree: int, seed: int, workers: int, step_budget: int | None):
+    """One stat row per k over the same seeded sample of at most
+    SAMPLE_STARTS starts: sampled counts, the degree-product lower bound and
+    the total, which is None when the step budget refuses it."""
+    rng = random.Random(seed)
+    sample = sorted(rng.sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count)))
+    starts = [h.point(i) for i in sample]
+    for k in ks:
+        counts = count_irredundant_many(h, starts, k, workers=workers, step_budget=step_budget)
+        try:
+            total = total_irredundant_paths(h, k, workers=workers, step_budget=step_budget)
+        except StepBudgetExceeded:
+            total = None
+        yield {
+            "k": k,
+            "sample_size": len(starts),
+            "min_count": min(counts.values()),
+            "max_count": max(counts.values()),
+            "lower_bound": path_count_lower_bound(min_degree, k),
+            "total_paths": total,
+        }
+
+
 def verify_all(
     n: int,
     k_max: int = 3,
@@ -209,24 +232,10 @@ def verify_all(
 
     report = RunReport(params, g.edge_count, summary, peeled, rank_window)
 
-    rng = random.Random(seed)
-    sample = sorted(rng.sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count)))
-    starts = [h.point(i) for i in sample]
-    for k in range(2, k_max + 1):
-        counts = count_irredundant_many(h, starts, k, workers=workers, step_budget=step_budget)
-        lower = path_count_lower_bound(h_summary.min_degree, k)
-        stat = {
-            "k": k,
-            "sample_size": len(starts),
-            "min_count": min(counts.values()),
-            "max_count": max(counts.values()),
-            "lower_bound": lower,
-        }
-        checks.append(_check(f"path_count_lower_k{k}", lower, stat["min_count"]))
-        try:
-            stat["total_paths"] = total_irredundant_paths(h, k, workers=workers, step_budget=step_budget)
-        except StepBudgetExceeded:
-            stat["total_paths"] = None
+    for stat in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, workers, step_budget):
+        k = stat["k"]
+        checks.append(_check(f"path_count_lower_k{k}", stat["lower_bound"], stat["min_count"]))
+        if stat["total_paths"] is None:
             info.append({"name": f"total_paths_k{k}", "status": "skipped: step budget"})
         try:
             pv, pw, peak = max_pair_count(h, k, workers=workers, step_budget=step_budget)
@@ -321,29 +330,8 @@ def _cmd_graph(args) -> int:
 def _cmd_paths(args) -> int:
     params = choose_params(args.n)
     h = peel(grid_graph(params.side, params.m))
-    d = degree_summary(h)
-    rng = random.Random(args.seed)
-    sample = sorted(rng.sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count)))
-    counts = count_irredundant_many(
-        h, [h.point(i) for i in sample], args.k, workers=args.workers, step_budget=args.step_budget
-    )
-    try:
-        total = total_irredundant_paths(h, args.k, workers=args.workers, step_budget=args.step_budget)
-    except StepBudgetExceeded:
-        total = None
-    print(
-        json.dumps(
-            {
-                "k": args.k,
-                "sample_size": len(counts),
-                "min_count": min(counts.values()),
-                "max_count": max(counts.values()),
-                "lower_bound": path_count_lower_bound(d.min_degree, args.k),
-                "total_paths": total,
-            },
-            indent=2,
-        )
-    )
+    (stat,) = _path_stats(h, [args.k], degree_summary(h).min_degree, args.seed, args.workers, args.step_budget)
+    print(json.dumps(stat, indent=2))
     return 0
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, count
 
 # Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
 # than silently thrash.
@@ -14,6 +16,9 @@ SIEVE_HARD_LIMIT = 10**8
 # (Sorenson and Webster, Math. Comp. 2017); above it a pass is only probable.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# factor trial-divides by the primes up to this bound before Pollard-Brent rho
+_TRIAL_BOUND = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class PrimeTable:
             raise ValueError(f"sieve limit {limit} exceeds hard cap {SIEVE_HARD_LIMIT}")
         self.limit = limit
         self._flags = _sieve_flags(limit)
-        self.primes = [i for i in range(limit + 1) if self._flags[i]]
+        self.primes = list(compress(range(limit + 1), self._flags))
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
@@ -110,29 +115,76 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def factor(m: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of m >= 1, in ascending p.
-
-    Trial division stops once the cofactor is prime, which Miller-Rabin
-    decides exactly below `_MR_EXACT_LIMIT`, so it costs about the square root
-    of the second-largest prime factor: two large prime factors are slow.
-    """
-    if m < 1:
-        raise ValueError(f"factor needs m >= 1, got {m}")
-    out: dict[int, int] = {}
+def _trial_divide(m: int, out: Counter, bound: int) -> int:
+    """Move the primes p <= bound that divide m into out and return the
+    cofactor; stops early once the cofactor is provably prime."""
     p = 2
     settled = m < _MR_EXACT_LIMIT and is_probable_prime(m)
-    while not settled and p * p <= m:
+    while not settled and p <= bound and p * p <= m:
         if m % p == 0:
-            out[p] = 0
             while m % p == 0:
                 m //= p
                 out[p] += 1
             settled = m < _MR_EXACT_LIMIT and is_probable_prime(m)
         p += 1 if p == 2 else 2
-    if m > 1:
-        out[m] = 1
-    return out
+    return m
+
+
+def _rho_split(n: int) -> int:
+    """A nontrivial factor of the composite n by Pollard's rho with Brent's
+    cycle search and batched gcds (Brent 1980).  Deterministic: it iterates
+    x -> x^2 + c from x = 2 for c = 1, 2, ... until one c splits n."""
+    batch = 128
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(batch, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                done += batch
+            r *= 2
+        if g == n:  # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factor(m: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of m >= 1, in ascending p.
+
+    Trial division takes out the primes up to `_TRIAL_BOUND`.  A cofactor
+    that Miller-Rabin proves composite is split by Pollard-Brent rho and its
+    parts are factored in turn; one that passes is prime when it is below
+    `_MR_EXACT_LIMIT`, where the witness set is exact.  A part at or above
+    that limit that passes is trial-divided, so the result is always exact.
+    """
+    if m < 1:
+        raise ValueError(f"factor needs m >= 1, got {m}")
+    out: Counter = Counter()
+    pending = [_trial_divide(m, out, _TRIAL_BOUND)]
+    while pending:
+        c = pending.pop()
+        if c == 1:
+            continue
+        if not is_probable_prime(c):
+            d = _rho_split(c)
+            pending += [d, c // d]
+            continue
+        if c >= _MR_EXACT_LIMIT:
+            c = _trial_divide(c, out, c)
+        if c > 1:
+            out[c] += 1
+    return dict(sorted(out.items()))
 
 
 def euler_phi(d: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -119,3 +120,41 @@ def gaussian_rational_mul(u, v):
     a, b = Fraction(u[0]), Fraction(u[1])
     c, d = Fraction(v[0]), Fraction(v[1])
     return (a * c - b * d, a * d + b * c)
+
+
+def _gaussian_rational_power(g, e: int):
+    a, b = Fraction(g[0]), Fraction(g[1])
+    if e < 0:
+        norm = a * a + b * b
+        a, b, e = a / norm, -b / norm, -e
+    out = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        out = gaussian_rational_mul(out, (a, b))
+    return out
+
+
+def unit_equation_solutions(coeffs, torsion_order: int, generators, height: int):
+    """Every k-tuple (z_1 .. z_k) with sum a_j z_j = 1 and no vanishing
+    nonempty subsum of the terms, as sorted tuples of Gaussian-rational pairs.
+
+    The group is the torsion_order-th roots of unity (1, 2 or 4) times the
+    generators raised to exponents |e| <= height.  Walks all v^k tuples and
+    forms every term afresh; no slot is solved for.
+    """
+    if torsion_order not in (1, 2, 4):
+        raise ValueError("the oracle covers the roots of unity in Q(i) only")
+    roots = [(1, 0), (0, 1), (-1, 0), (0, -1)][:: 4 // torsion_order]
+    pairs = [a if isinstance(a, tuple) else (a, 0) for a in coeffs]
+    elements = set()
+    for root in roots:
+        for exps in product(range(-height, height + 1), repeat=len(generators)):
+            z = (Fraction(root[0]), Fraction(root[1]))
+            for g, e in zip(generators, exps):
+                z = gaussian_rational_mul(z, _gaussian_rational_power(g, e))
+            elements.add(z)
+    found = []
+    for tup in product(sorted(elements), repeat=len(pairs)):
+        terms = [gaussian_rational_mul(a, z) for a, z in zip(pairs, tup)]
+        if (sum(t[0] for t in terms), sum(t[1] for t in terms)) == (1, 0) and not has_vanishing_subsum(terms):
+            found.append(tup)
+    return found

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from udl.bounds import (
     optimal_k_window,
 )
 
-from oracles import lambert_w_bisect
+from oracles import lambert_w_bisect, unit_equation_solutions
 
 
 def test_log2_solution_bound_examples():
@@ -240,6 +241,30 @@ def test_enumerate_gaussian_group_and_degenerates_dropped():
             for sub in combinations(tup, size):
                 s = (sum(re for re, _ in sub), sum(im for _, im in sub))
                 assert s != (Fraction(0), Fraction(0))
+
+
+def test_enumerate_matches_the_exhaustive_oracle():
+    # every tuple walked in Gaussian-rational pairs against the last-slot lookup
+    rng = random.Random(2)
+    coeff_pool = [1, 1, -1, 2, Fraction(1, 2), (1, 1), (0, 1), (1, -1), (Fraction(-1, 2), 1)]
+    gen_pool = [(2, 0), (3, 0), (1, 1), (Fraction(1, 2), 0)]
+    cases = solutions = 0
+    seen_coeffs = set()
+    while cases < 40:
+        torsion = rng.choice((1, 2, 4))
+        gens = rng.sample(gen_pool, rng.randint(1, 2))
+        height = rng.randint(0, 2)
+        coeffs = [rng.choice(coeff_pool) for _ in range(rng.randint(1, 3))]
+        if (torsion * (2 * height + 1) ** len(gens)) ** len(coeffs) > 5000:
+            continue
+        cases += 1
+        seen_coeffs.update(coeffs)
+        expect = unit_equation_solutions(coeffs, torsion, gens, height)
+        got = enumerate_nondegenerate(coeffs, GroupSpec(torsion, tuple(gens)), height)
+        assert pair_solutions(got) == expect, (coeffs, torsion, gens, height)
+        solutions += len(expect)
+    assert {(1, 1), Fraction(1, 2)} <= seen_coeffs
+    assert solutions >= 50
 
 
 def test_enumerate_validation_and_budget():

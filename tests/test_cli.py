@@ -226,3 +226,39 @@ def test_reps_of_a_prime_near_1e18_finishes():
     assert points == sorted(points)
     assert all(x * x + y * y == p for x, y in points)
     assert {(-y, x) for x, y in points} == set(points)
+
+
+def test_reps_of_two_large_prime_factors_finishes():
+    # 399165290221 * 798330580441: Pollard-Brent rho splits it, not trial division to 4*10^11
+    m = 318665857834031151167461
+    out = _run_cli("reps", "--m", str(m))
+    assert out.returncode == 0, out.stderr
+    points = [tuple(map(int, line.split())) for line in out.stdout.splitlines()]
+    assert len(points) == len(set(points)) == 16
+    assert all(x * x + y * y == m for x, y in points)
+
+
+def test_reps_refuses_a_large_factor_3_mod_4_without_hanging():
+    # (10^9 + 7)(10^9 + 9): reps needs every prime factor 1 mod 4, and 10^9 + 7 is 3 mod 4
+    out = _run_cli("reps", "--m", "1000000016000000063")
+    assert out.returncode == 2
+    assert "prime factors [1000000007] not congruent to 1 mod 4" in out.stderr
+
+
+def test_a_total_beyond_the_step_budget_reads_null(monkeypatch, capsys):
+    # verify and paths share one stat row; a refused total is null in both, not an error
+    import udl.cli
+    from udl.paths import StepBudgetExceeded
+
+    def refuse(*args, **kwargs):
+        raise StepBudgetExceeded(2, 1)
+
+    monkeypatch.setattr(udl.cli, "total_irredundant_paths", refuse)
+    code, out, _ = run(capsys, ["paths", "--n", "100", "--k", "3"])
+    assert code == 0
+    assert json.loads(out) == {
+        "k": 3, "sample_size": 50, "min_count": 48, "max_count": 264, "lower_bound": 0, "total_paths": None,
+    }
+    report = verify_all(100, 3).to_dict()
+    assert [s["total_paths"] for s in report["path_stats"]] == [None, None]
+    assert [c["name"] for c in report["info_checks"]] == ["total_paths_k2", "total_paths_k3", "absorption_sides"]

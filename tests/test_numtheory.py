@@ -195,6 +195,24 @@ def test_factor_drawn_products_with_a_large_prime_cofactor():
         assert factor(m) == dict(sorted(expect.items())), m
 
 
+def test_factor_drawn_products_of_two_large_primes():
+    # trial division to the smaller prime would take up to 5*10^11 steps; rho needs about its square root
+    rng = random.Random(13)
+    for _ in range(4):
+        primes = []
+        for _ in range(2):
+            p = round(10 ** rng.uniform(9, 12))
+            while not is_prime_slow(p):
+                p += 1
+            primes.append(p)
+        p, q = sorted(primes)
+        expect = [(p, 2)] if p == q else [(p, 1), (q, 1)]
+        assert list(factor(p * q).items()) == expect, (p, q)
+    p, q = 10**9 + 7, 10**9 + 9
+    assert is_prime_slow(p) and is_prime_slow(q)
+    assert list(factor(7 * q**2 * p**3).items()) == [(7, 1), (p, 3), (q, 2)]
+
+
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor(0)
