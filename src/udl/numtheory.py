@@ -115,12 +115,12 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _trial_divide(m: int, out: Counter, bound: int) -> int:
-    """Move the primes p <= bound that divide m into out and return the
-    cofactor; stops early once the cofactor is provably prime."""
+def _trial_divide(m: int, out: Counter) -> int:
+    """Move the primes p <= _TRIAL_BOUND that divide m into out and return
+    the cofactor; stops early once the cofactor is provably prime."""
     p = 2
     settled = m < _MR_EXACT_LIMIT and is_probable_prime(m)
-    while not settled and p <= bound and p * p <= m:
+    while not settled and p <= _TRIAL_BOUND and p * p <= m:
         if m % p == 0:
             while m % p == 0:
                 m //= p
@@ -166,12 +166,13 @@ def factor(m: int) -> dict[int, int]:
     that Miller-Rabin proves composite is split by Pollard-Brent rho and its
     parts are factored in turn; one that passes is prime when it is below
     `_MR_EXACT_LIMIT`, where the witness set is exact.  A part at or above
-    that limit that passes is trial-divided, so the result is always exact.
+    that limit that passes cannot be certified and raises ValueError, so the
+    result is always exact.
     """
     if m < 1:
         raise ValueError(f"factor needs m >= 1, got {m}")
     out: Counter = Counter()
-    pending = [_trial_divide(m, out, _TRIAL_BOUND)]
+    pending = [_trial_divide(m, out)]
     while pending:
         c = pending.pop()
         if c == 1:
@@ -181,9 +182,10 @@ def factor(m: int) -> dict[int, int]:
             pending += [d, c // d]
             continue
         if c >= _MR_EXACT_LIMIT:
-            c = _trial_divide(c, out, c)
-        if c > 1:
-            out[c] += 1
+            raise ValueError(
+                f"cannot certify the factor {c} of {m}: it passes Miller-Rabin at or above {_MR_EXACT_LIMIT}"
+            )
+        out[c] += 1
     return dict(sorted(out.items()))
 
 

@@ -195,17 +195,32 @@ def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | Non
 def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
-    """Counts for several start vertices: on a full grid read from one field
-    built from the irredundant k-tuples of vectors (see `_grid_paths`), on
-    other point sets from the tuples placed there (see `_place`).  `workers`
-    is kept for callers that pass it and selects nothing."""
+    """Counts for several start vertices: on a full grid the start rectangles
+    of `_grid_paths` covering each start, on other point sets the tuples placed
+    there (see `_place`).  `workers` is kept for callers that pass it and
+    selects nothing."""
+    import numpy as np
+
     _validate_k(k)
     starts = _checked_starts(g, starts, k, step_budget)
     dims = g.grid
     if dims is not None:
-        x0, y0, _, _ = dims
-        _, field = _grid_paths(g, k, dims)
-        return {s: int(field[s[0] - x0, s[1] - y0]) for s in starts}
+        x0, y0, w, h = dims
+        _, _, ax, bx, ay, by = _grid_paths(g, k, dims)
+        ux, ix = np.unique([s[0] - x0 for s in starts], return_inverse=True)
+        uy, iy = np.unique([s[1] - y0 for s in starts], return_inverse=True)
+        # rectangle [ax, bx] x [ay, by] covers the sampled offsets of ranks
+        # [xlo, xhi) x [ylo, yhi): a difference array over those ranks only
+        xlo, xhi = np.searchsorted(ux, np.arange(w))[ax], np.searchsorted(ux, np.arange(w), "right")[bx]
+        ylo, yhi = np.searchsorted(uy, np.arange(h))[ay], np.searchsorted(uy, np.arange(h), "right")[by]
+        cols = len(uy) + 1
+
+        def corners(x, y):
+            return np.bincount(x * cols + y, minlength=(len(ux) + 1) * cols)
+
+        diff = corners(xlo, ylo) - corners(xhi, ylo) - corners(xlo, yhi) + corners(xhi, yhi)
+        field = diff.reshape(-1, cols).cumsum(axis=0).cumsum(axis=1)
+        return dict(zip(starts, field[ix, iy].tolist()))
     counts, _ = _place(g, k, list(starts.values()))
     return dict(zip(starts, counts.tolist()))
 
@@ -339,34 +354,19 @@ def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None)
 
 
 def _grid_paths(g: UnitDistanceGraph, k: int, dims):
-    """(rects, field) for the full grid g, built once per k and cached on g.
-
-    rects = (sx, sy, ax, bx, ay, by) covers each irredundant k-tuple that fits
-    the grid: its total displacement and the rectangle [ax, bx] x [ay, by] of
-    start offsets v - (x0, y0) whose prefix bounding box stays inside.
-    field[ox, oy] is the number of irredundant k-paths leaving (x0+ox, y0+oy):
-    the rectangles summed through a 2D difference array and two cumsums.
+    """rects = (sx, sy, ax, bx, ay, by) for the full grid g, built once per k
+    and cached on g: for each irredundant k-tuple that fits the grid, its total
+    displacement and the rectangle [ax, bx] x [ay, by] of start offsets
+    v - (x0, y0) whose prefix bounding box stays inside.  Every grid statistic
+    reads these rows alone, so memory is O(T + side) for T tuples.
     """
-    import numpy as np
-
-    cache = getattr(g, "_grid_paths", None)
-    if cache is None:
-        cache = g._grid_paths = {}
+    cache = vars(g).setdefault("_grid_paths", {})
     if k not in cache:
         _, _, w, h = dims
         sx, sy, mnx, mxx, mny, mxy = _tuple_stats(g.vectors, k)
         ax, bx, ay, by = -mnx, w - 1 - mxx, -mny, h - 1 - mxy
         keep = (ax <= bx) & (ay <= by)
-        rects = tuple(col[keep] for col in (sx, sy, ax, bx, ay, by))
-        _, _, ax, bx, ay, by = rects
-        cells = (w + 1) * (h + 1)
-
-        def corners(x, y):
-            return np.bincount(x * (h + 1) + y, minlength=cells)
-
-        diff = corners(ax, ay) - corners(bx + 1, ay) - corners(ax, by + 1) + corners(bx + 1, by + 1)
-        field = diff.reshape(w + 1, h + 1).cumsum(axis=0).cumsum(axis=1)[:w, :h]
-        cache[k] = (rects, field)
+        cache[k] = tuple(col[keep] for col in (sx, sy, ax, bx, ay, by))
     return cache[k]
 
 
@@ -379,9 +379,9 @@ def total_irredundant_paths(
 ) -> int:
     """Total irredundant k-edge paths over all start vertices.
 
-    On a full grid this is the sum of the per-start count field (see
-    `count_irredundant_many`); otherwise it sums the placed tuples of every
-    start (see `_place`).
+    On a full grid this is the summed area of the start rectangles (see
+    `_grid_paths`); otherwise it sums the placed tuples of every start (see
+    `_place`).
     """
     _validate_k(k)
     dims = g.grid
@@ -390,11 +390,11 @@ def total_irredundant_paths(
         return int(_place(g, k)[0].sum())
     _check_budget(_grid_effort(len(g.vectors), k), step_budget)
     _, _, w, h = dims
-    rects, field = _grid_paths(g, k, dims)
-    if len(rects[0]) * w * h < 2**63:
-        return int(field.sum())
+    _, _, ax, bx, ay, by = _grid_paths(g, k, dims)
+    if len(ax) * w * h < 2**63:
+        return int(((bx - ax + 1) * (by - ay + 1)).sum())
     # every start may carry every tuple: an int64 sum could wrap
-    return sum(field.ravel().tolist())
+    return sum((b - a + 1) * (d - c + 1) for a, b, c, d in zip(*(col.tolist() for col in (ax, bx, ay, by))))
 
 
 def max_pair_count(
@@ -423,7 +423,7 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     import numpy as np
 
     x0, y0, _, _ = dims
-    rects, _ = _grid_paths(g, k, dims)
+    rects = _grid_paths(g, k, dims)
     if len(rects[0]) == 0:
         return (None, None, 0)
     order = np.lexsort((rects[1], rects[0]))

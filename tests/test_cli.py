@@ -245,6 +245,15 @@ def test_reps_refuses_a_large_factor_3_mod_4_without_hanging():
     assert "prime factors [1000000007] not congruent to 1 mod 4" in out.stderr
 
 
+def test_reps_refuses_a_factor_that_cannot_be_certified():
+    # 1287836182261 * 2575672364521 passes all 13 Miller-Rabin witnesses and is
+    # the exactness bound itself: refused, not trial-divided to 1.3*10^12
+    m = "3317044064679887385961981"
+    out = _run_cli("reps", "--m", m)
+    assert out.returncode == 2
+    assert f"cannot certify the factor {m}" in out.stderr
+
+
 def test_a_total_beyond_the_step_budget_reads_null(monkeypatch, capsys):
     # verify and paths share one stat row; a refused total is null in both, not an error
     import udl.cli

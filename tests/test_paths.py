@@ -1,5 +1,10 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +251,11 @@ def test_grid_route_matches_dfs_on_random_offset_grids():
         best = max_pair_count(g, k)
         assert best == _lex_min_best(pairs), (w, h, m, k)
         assert all(type(c) is int for c in (*counts.values(), total, best[2]))
+        # every offset as a start: repeated x and y values, boundary rows and columns
+        per_start = dict.fromkeys(g.points, 0)
+        for (v, _), c in pairs.items():
+            per_start[v] += c
+        assert count_irredundant_many(g, g.points, k) == per_start, (w, h, m, k)
         if (w, h, m, k) == (14, 14, 5, 2):
             assert sum(1 for c in pairs.values() if c == best[2]) > 1  # the tie-break decides
 
@@ -378,3 +388,39 @@ def test_path_statistics_start_no_process(monkeypatch):
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
     assert stats(holed(), 2) == serial
+
+
+def test_grid_statistics_allocate_nothing_of_side_squared():
+    # a 100000 x 100000 grid: any (side+1)^2 int64 array needs 74.5 GiB, so the
+    # child, capped at 1 GiB of address space, fails if one is allocated
+    side, (x0, y0), k = 100_000, (-7, 3), 3
+    starts = [(x0, y0), (x0 + side - 1, y0), (x0, y0 + side - 1), (x0 + side - 1, y0 + side - 1), (x0 + 2, y0 + 1)]
+    code = (
+        "import json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from udl.paths import count_irredundant_many, total_irredundant_paths\n"
+        "from udl.udgraph import grid_graph\n"
+        f"g = grid_graph({side}, 5, corner={(x0, y0)})\n"
+        f"counts = count_irredundant_many(g, {starts}, {k})\n"
+        f"json.dump([[list(s), c] for s, c in counts.items()] + [total_irredundant_paths(g, {k})], sys.stdout)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # one BLAS thread: each extra thread reserves address space under the cap
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    *counts, total = json.loads(out.stdout)
+    tuples = [t for t in product(sorted(two_squares_set(5)), repeat=k) if is_irredundant(t)]
+    boxes = []
+    for t in tuples:
+        pre = [(0, 0), *accumulate(t, lambda p, v: (p[0] + v[0], p[1] + v[1]))]
+        xs, ys = [p[0] for p in pre], [p[1] for p in pre]
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+
+    def fits(s, box):
+        lx, hx, ly, hy = box
+        return x0 <= s[0] + lx and s[0] + hx < x0 + side and y0 <= s[1] + ly and s[1] + hy < y0 + side
+
+    assert counts == [[list(s), sum(fits(s, b) for b in boxes)] for s in starts]
+    assert total == sum((side - (hx - lx)) * (side - (hy - ly)) for lx, hx, ly, hy in boxes)
