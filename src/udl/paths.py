@@ -3,23 +3,30 @@
 A k-edge path is irredundant when no nonempty subset of its displacement
 vectors sums to zero (which also rules out repeated vertices).  One pruned
 DFS, `_walks`, keeps the running set S of all nonempty prefix-subset sums; a
-continuation z is admissible exactly when -z is absent from S.  Walked over
-the vectors it lists the irredundant k-tuples; a k-path is one placed at a
-start whose prefix points all lie in the point set, found by a box test on a
-full grid and a neighbour table elsewhere.  The per-start DFS over the
-adjacency (`count_irredundant_from`) is the reference route.
+continuation z is admissible exactly when -z is absent from S.  Irredundancy
+does not depend on the order of the vectors, so walked over the vectors in
+ascending index order it lists the irredundant k-multisets, sorted by total
+displacement (`_multisets`); each stands for its distinct orderings
+(`_orderings`), the irredundant k-tuples of that displacement.  A k-path is
+a tuple placed at a start whose prefix points all lie in the point set,
+found by a box test on a full grid and a neighbour table elsewhere.  The
+per-start DFS over the adjacency (`count_irredundant_from`) is the
+reference route.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .gaussian import GaussInt
 from .udgraph import UnitDistanceGraph, _probe
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
+# tuples whose prefix boxes `_grid_paths` builds at once
+_GRID_CHUNK = 1 << 18
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -210,15 +217,17 @@ def count_irredundant_many(
         ux, ix = np.unique([s[0] - x0 for s in starts], return_inverse=True)
         uy, iy = np.unique([s[1] - y0 for s in starts], return_inverse=True)
         # rectangle [ax, bx] x [ay, by] covers the sampled offsets of ranks
-        # [xlo, xhi) x [ylo, yhi): a difference array over those ranks only
-        xlo, xhi = np.searchsorted(ux, np.arange(w))[ax], np.searchsorted(ux, np.arange(w), "right")[bx]
-        ylo, yhi = np.searchsorted(uy, np.arange(h))[ay], np.searchsorted(uy, np.arange(h), "right")[by]
+        # [xlo[ax], xhi[bx]) x [ylo[ay], yhi[by]): a difference array over those ranks only
         cols = len(uy) + 1
+        xlo, xhi = (np.searchsorted(ux, np.arange(w), side) * cols for side in ("left", "right"))
+        ylo, yhi = (np.searchsorted(uy, np.arange(h), side) for side in ("left", "right"))
 
-        def corners(x, y):
-            return np.bincount(x * cols + y, minlength=(len(ux) + 1) * cols)
+        def corners(xrank, x, yrank, y):
+            cell = xrank[x]
+            cell += yrank[y]
+            return np.bincount(cell, minlength=(len(ux) + 1) * cols)
 
-        diff = corners(xlo, ylo) - corners(xhi, ylo) - corners(xlo, yhi) + corners(xhi, yhi)
+        diff = corners(xlo, ax, ylo, ay) - corners(xhi, bx, ylo, ay) - corners(xlo, ax, yhi, by) + corners(xhi, bx, yhi, by)
         field = diff.reshape(-1, cols).cumsum(axis=0).cumsum(axis=1)
         return dict(zip(starts, field[ix, iy].tolist()))
     counts, _ = _place(g, k, list(starts.values()))
@@ -251,12 +260,16 @@ def path_count_lower_bound(delta: int, k: int) -> int:
     return out
 
 
-def _irredundant_tuples(vectors, k: int):
-    """(heads, rows, cols): the irredundant k-tuples of vector indices in DFS
-    order, lexicographic in the vector order; tuple t is heads[rows[t]] then
-    cols[t].  `_walks` takes every vector as a move from anywhere and stops
-    at depth k - 1; the last vector is broadcast over every head, minus the
-    blocked ones (z is blocked when -z is a prefix-subset sum).
+def _multisets(vectors, k: int):
+    """(idx, sx, sy, kind): the irredundant k-multisets of vector indices,
+    each row of idx ascending, sorted by total displacement (sx, sy) so that
+    a displacement occupies one run of rows.  Bit p of kind is set when
+    idx[:, p] == idx[:, p + 1]; `_orderings(k, kind)` lists the distinct
+    orderings, each an irredundant k-tuple of the same displacement.
+    `_walks` steps only to indices at or above the last one and stops at
+    depth k - 1; the last index is broadcast over those at or above the
+    head's last, minus the blocked ones (z is blocked when -z is a
+    prefix-subset sum).
     """
     import numpy as np
 
@@ -264,49 +277,79 @@ def _irredundant_tuples(vectors, k: int):
     blocker = {-z: j for j, z in enumerate(zs)}
     blocks = frozenset(blocker)
     moves = [(j, -z) for j, z in enumerate(zs)]
+    tails = [moves[j:] for j in range(len(moves) + 1)]
     heads: list[list[int]] = []
     blocked_rows: list[int] = []
     blocked_cols: list[int] = []
-    trail, walks = _walks(lambda _: moves, None, k - 1)
+    trail, walks = _walks(tails.__getitem__, 0, k - 1)
     for row, S in enumerate(walks):
         heads.append(trail[1:])
         for s in S & blocks:
             blocked_rows.append(row)
             blocked_cols.append(blocker[s])
-    allowed = np.ones((len(heads), len(zs)), dtype=bool)
+    heads = np.array(heads, dtype=np.intp).reshape(len(heads), k - 1)
+    last = heads[:, -1:] if k > 1 else np.zeros((len(heads), 1), dtype=np.intp)
+    allowed = np.arange(len(zs)) >= last
     allowed[blocked_rows, blocked_cols] = False
     rows, cols = np.nonzero(allowed)
-    return np.array(heads, dtype=np.intp).reshape(len(heads), k - 1), rows, cols
+    idx = np.concatenate([heads[rows], cols[:, None]], axis=1)
+    step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
+    sx, sy = step[idx, 0].sum(axis=1), step[idx, 1].sum(axis=1)
+    order = np.lexsort((sy, sx))
+    idx, sx, sy = idx[order], sx[order], sy[order]
+    kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
+    return idx, sx, sy, kind
 
 
-def _tuple_stats(vectors, k: int):
-    """Six int64 arrays over the irredundant k-tuples, in the order of
-    `_irredundant_tuples`: sum_x, sum_y, and min/max prefix x and y, extremes
-    taken over all prefix sums including the empty one."""
+@lru_cache(maxsize=None)
+def _orderings(k: int, kind: int):
+    """(orderings, k) array: the position orders of the distinct orderings of
+    an ascending k-multiset with repetition pattern `kind` (see `_multisets`),
+    in lexicographic order of the orderings."""
     import numpy as np
 
-    heads, rows, cols = _irredundant_tuples(vectors, k)
-    step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
-    # prefix sums of every head, the empty prefix first: (heads, k, 2)
-    pre = np.concatenate([np.zeros((len(heads), 1, 2), dtype=np.int64), step[heads]], axis=1).cumsum(axis=1)
-    lo, hi = pre.min(axis=1), pre.max(axis=1)
-    sx = pre[rows, -1, 0] + step[cols, 0]
-    sy = pre[rows, -1, 1] + step[cols, 1]
-    return (
-        sx,
-        sy,
-        np.minimum(lo[rows, 0], sx),
-        np.maximum(hi[rows, 0], sx),
-        np.minimum(lo[rows, 1], sy),
-        np.maximum(hi[rows, 1], sy),
-    )
+    # runs of equal entries, as the positions each run holds
+    runs = [[0]]
+    for p in range(1, k):
+        if kind >> (p - 1) & 1:
+            runs[-1].append(p)
+        else:
+            runs.append([p])
+    left = [len(run) for run in runs]
+    rows: list[tuple[int, ...]] = []
+    row: list[int] = []
+
+    def extend():
+        if len(row) == k:
+            rows.append(tuple(row))
+            return
+        for r, run in enumerate(runs):
+            if left[r]:
+                row.append(run[len(run) - left[r]])
+                left[r] -= 1
+                extend()
+                left[r] += 1
+                row.pop()
+
+    extend()
+    table = np.array(rows, dtype=np.intp).reshape(-1, k)
+    table.setflags(write=False)  # cached: every caller shares it
+    return table
+
+
+def _group_heads(sx, sy) -> list[int]:
+    """First row of each run of equal (sx, sy)."""
+    import numpy as np
+
+    return np.flatnonzero(np.r_[True, (np.diff(sx) != 0) | (np.diff(sy) != 0)]).tolist()
 
 
 def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None):
     """(counts, best) in one pass over the irredundant k-tuples placed at the
     vertex indices `starts`, every vertex when None (then cached on g per k).
-    Grouped by total displacement d, a group's depth at v is |P_vw| for
-    w = v + d.  counts[i] is the number of paths from starts[i]; best is the
+    The tuples are expanded from `_multisets` one displacement group d at a
+    time; a group's depth at v is |P_vw| for w = v + d.  counts[i] is the
+    number of paths from starts[i]; best is the
     (v, w, |P_vw|) of largest count, ties going to the smallest (v, w) when
     `starts` ascend.  `pairs`, when given, gets every nonzero |P_vw|.
     """
@@ -327,14 +370,14 @@ def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None)
     starts = np.array(starts, dtype=np.intp)
     counts = np.zeros(len(starts), dtype=np.int64)
     best = (None, None, 0)
-    heads, rows, cols = _irredundant_tuples(g.vectors, k)
-    if not len(starts) or not len(rows):
+    idx, sx, sy, kind = _multisets(g.vectors, k)
+    if not len(starts) or not len(idx):
         return counts, best
-    tuples = np.concatenate([heads[rows], cols[:, None]], axis=1)
-    disp = np.array(g.vectors, dtype=np.int64)[tuples].sum(axis=1)
-    order = np.lexsort((disp[:, 1], disp[:, 0]))
-    cuts = np.flatnonzero((np.diff(disp[order], axis=0) != 0).any(axis=1)) + 1
-    for group, (dx, dy) in zip(np.split(tuples[order], cuts), disp[order[np.r_[0, cuts]]].tolist()):
+    heads = _group_heads(sx, sy)
+    for lo, hi in zip(heads, heads[1:] + [len(idx)]):
+        dx, dy = int(sx[lo]), int(sy[lo])
+        # the group's tuples: every ordering of every multiset of displacement (dx, dy)
+        group = np.concatenate([idx[i][_orderings(k, c)] for i, c in enumerate(kind[lo:hi].tolist(), lo)])
         depth = np.zeros(len(starts), dtype=np.int64)
         for tup in group.tolist():
             at = starts
@@ -357,16 +400,52 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
     """rects = (sx, sy, ax, bx, ay, by) for the full grid g, built once per k
     and cached on g: for each irredundant k-tuple that fits the grid, its total
     displacement and the rectangle [ax, bx] x [ay, by] of start offsets
-    v - (x0, y0) whose prefix bounding box stays inside.  Every grid statistic
-    reads these rows alone, so memory is O(T + side) for T tuples.
+    v - (x0, y0) whose prefix bounding box stays inside.  The rows come from
+    `_multisets`: each repetition-pattern class takes the prefix boxes of all
+    its orderings at once, chunk by chunk, and scatters them to its
+    multisets' rows, so each displacement is one run of rows and no T-row
+    array is sorted or reordered.  Every grid statistic reads these rows
+    alone, so memory is O(T + side) for T tuples.
     """
+    import numpy as np
+
     cache = vars(g).setdefault("_grid_paths", {})
     if k not in cache:
         _, _, w, h = dims
-        sx, sy, mnx, mxx, mny, mxy = _tuple_stats(g.vectors, k)
-        ax, bx, ay, by = -mnx, w - 1 - mxx, -mny, h - 1 - mxy
-        keep = (ax <= bx) & (ay <= by)
-        cache[k] = tuple(col[keep] for col in (sx, sy, ax, bx, ay, by))
+        idx, sx, sy, kind = _multisets(g.vectors, k)
+        step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
+        classes = np.unique(kind).tolist()
+        size = np.zeros(len(idx), dtype=np.intp)
+        for c in classes:
+            size[kind == c] = len(_orderings(k, c))
+        offset = np.cumsum(size) - size
+        rect = [np.empty(int(size.sum()), dtype=np.int64) for _ in range(4)]  # ax, bx, ay, by
+        keep = np.empty(len(rect[0]), dtype=bool)
+        kept = np.zeros(len(idx), dtype=np.intp)
+        for c in classes:
+            orders = _orderings(k, c)
+            members = np.flatnonzero(kind == c)
+            chunk = max(1, _GRID_CHUNK // len(orders))
+            for i in range(0, len(members), chunk):
+                ms = members[i : i + chunk]
+                at = offset[ms, None] + np.arange(len(orders))
+                fits = np.ones(at.shape, dtype=bool)
+                for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
+                    # prefix boxes of every ordering: running sum, min and max over the k positions
+                    pre = np.zeros(at.shape, dtype=np.int64)
+                    lo, hi = pre.copy(), pre.copy()
+                    for j in range(k):
+                        pre += coord[:, orders[:, j]]
+                        np.minimum(lo, pre, out=lo)
+                        np.maximum(hi, pre, out=hi)
+                    first[at], last[at] = -lo, side - 1 - hi
+                    fits &= hi - lo < side
+                keep[at] = fits
+                kept[ms] = fits.sum(axis=1)
+        if not keep.all():
+            for i in range(4):  # one column at a time, so one full column is freed as each is cut
+                rect[i] = rect[i][keep]
+        cache[k] = (np.repeat(sx, kept), np.repeat(sy, kept), *rect)
     return cache[k]
 
 
@@ -403,12 +482,13 @@ def max_pair_count(
     """The ordered pair (v, w) maximizing the irredundant path count |P_vw|.
 
     Ties break toward the lexicographically smallest (v, w).  On a full grid
-    the tuples that fit are grouped by total displacement w - v; inside one
-    group |P_vw| is the depth of v in the group's start rectangles.  Groups
-    are visited largest first, stopping once a group has fewer rectangles
-    than the best depth found, and each is evaluated only at its compressed
-    corners.  Any other point set reads the pass of `_place` over every
-    start.
+    the tuples that fit come grouped by total displacement w - v, one run of
+    `_grid_paths` rows per group, since the multisets they expand from are
+    sorted by it; inside one group |P_vw| is the depth of v in the group's
+    start rectangles.  Groups are visited largest first, stopping once a
+    group has fewer rectangles than the best depth found, and each is
+    evaluated only at its compressed corners.  Any other point set reads the
+    pass of `_place` over every start.
     """
     _validate_k(k)
     dims = g.grid
@@ -423,15 +503,12 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     import numpy as np
 
     x0, y0, _, _ = dims
-    rects = _grid_paths(g, k, dims)
-    if len(rects[0]) == 0:
+    sx, sy, ax, bx, ay, by = _grid_paths(g, k, dims)
+    if len(sx) == 0:
         return (None, None, 0)
-    order = np.lexsort((rects[1], rects[0]))
-    sx, sy, ax, bx, ay, by = (col[order] for col in rects)
-    heads = np.flatnonzero(np.r_[True, (np.diff(sx) != 0) | (np.diff(sy) != 0)])
-    ends = np.r_[heads[1:], len(sx)]
-    visit = np.argsort(heads - ends, kind="stable").tolist()  # largest group first
-    heads, ends = heads.tolist(), ends.tolist()
+    heads = _group_heads(sx, sy)
+    ends = heads[1:] + [len(sx)]
+    visit = np.argsort(np.subtract(heads, ends), kind="stable").tolist()  # largest group first
     best_count = 0
     best_vw = None
     for gi in visit:

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import accumulate, product
+from itertools import accumulate, combinations_with_replacement, permutations, product
 from pathlib import Path
 
 import pytest
@@ -21,8 +21,10 @@ from udl.paths import (
     max_pair_count,
     path_count_lower_bound,
     per_pair_counts,
-    _tuple_stats,
     total_irredundant_paths,
+    _grid_paths,
+    _multisets,
+    _orderings,
 )
 from udl.udgraph import build_graph
 
@@ -272,19 +274,97 @@ def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     assert len({(w[0] - v[0], w[1] - v[1]) for (v, w), c in pairs.items() if c == 2}) == 480
 
 
-def test_tuple_stats_match_filtered_product_oracle():
-    for m, k_top in [(1, 4), (2, 3), (5, 4), (25, 3)]:
+def _expand(idx, kind, k):
+    """The index tuples the multisets stand for: each ordering of each row."""
+    return [tuple(row[p] for p in order) for row, c in zip(idx.tolist(), kind.tolist()) for order in _orderings(k, c).tolist()]
+
+
+def _one_run_each(keys):
+    runs = [key for i, key in enumerate(keys) if i == 0 or key != keys[i - 1]]
+    return len(runs) == len(set(runs))
+
+
+def test_multisets_match_filtered_product_oracle():
+    for m, k_top in [(1, 4), (2, 3), (5, 5), (25, 3)]:
         vecs = sorted(two_squares_set(m))
         for k in range(1, k_top + 1):
-            expected = []
+            idx, sx, sy, kind = _multisets(vecs, k)
+            got = sorted(tuple(vecs[j] for j in tup) for tup in _expand(idx, kind, k))
+            assert got == sorted(t for t in product(vecs, repeat=k) if not has_vanishing_subsum(t)), (m, k)
+            disp = list(zip(sx.tolist(), sy.tolist()))
+            assert disp == [tuple(map(sum, zip(*(vecs[j] for j in row)))) for row in idx.tolist()], (m, k)
+            assert _one_run_each(disp), (m, k)
+    # m = 5 has four antipodal pairs, so no five distinct vectors; m = 25 has
+    # six, and every one of the 16 repetition patterns occurs at k = 5
+    vecs = sorted(two_squares_set(25))
+    idx, _, _, kind = _multisets(vecs, 5)
+    assert set(kind.tolist()) == set(range(16))
+    rows = [ms for ms in combinations_with_replacement(range(len(vecs)), 5) if not has_vanishing_subsum([vecs[j] for j in ms])]
+    assert sorted(map(tuple, idx.tolist())) == rows
+    for row, c in zip(idx.tolist(), kind.tolist()):
+        assert [tuple(row[p] for p in order) for order in _orderings(5, c).tolist()] == sorted(set(permutations(row)))
+
+
+def test_grid_rects_match_clipped_prefix_box_oracle():
+    rng = random.Random(11)
+    boxes = {}  # (m, k) -> (sum x, sum y, min x, max x, min y, max y) per irredundant tuple
+    for m in (1, 5, 25, 65):
+        vecs = sorted(two_squares_set(m))
+        for k in range(1, 6):
+            if len(vecs) ** k > 50_000:
+                break
+            boxes[m, k] = []
             for tup in product(vecs, repeat=k):
-                if has_vanishing_subsum(tup):
+                if not has_vanishing_subsum(tup):
+                    xs = list(accumulate((v[0] for v in tup), initial=0))
+                    ys = list(accumulate((v[1] for v in tup), initial=0))
+                    boxes[m, k].append((xs[-1], ys[-1], min(xs), max(xs), min(ys), max(ys)))
+    for m in (1, 5, 25, 65):
+        for _ in range(6):
+            w, h, x0, y0 = rng.randint(1, 9), rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)
+            g = build_graph([(x0 + x, y0 + y) for x in range(w) for y in range(h)], m)
+            for (bm, k), rows in boxes.items():
+                if bm != m:
                     continue
-                xs = list(accumulate((v[0] for v in tup), initial=0))
-                ys = list(accumulate((v[1] for v in tup), initial=0))
-                expected.append((xs[-1], ys[-1], min(xs), max(xs), min(ys), max(ys)))
-            got = list(zip(*(col.tolist() for col in _tuple_stats(vecs, k))))
-            assert got == expected, (m, k)
+                clipped = [(sx, sy, -lx, w - 1 - hx, -ly, h - 1 - hy) for sx, sy, lx, hx, ly, hy in rows]
+                expected = sorted(r for r in clipped if r[2] <= r[3] and r[4] <= r[5])
+                got = list(zip(*(col.tolist() for col in _grid_paths(g, k, g.grid))))
+                assert sorted(got) == expected, (w, h, m, k)
+                assert _one_run_each([r[:2] for r in got]), (w, h, m, k)
+    for side, m in [(6, 5), (5, 1)]:
+        g = build_graph(grid(side), m)
+        pairs = per_pair_counts(g, 5)
+        assert max_pair_count(g, 5) == _lex_min_best(pairs), (side, m)
+        assert total_irredundant_paths(g, 5) == sum(pairs.values()), (side, m)
+
+
+def test_grid_statistics_sort_no_array_of_rects(monkeypatch):
+    import numpy as np
+
+    side, m, k = 67, 1105, 3
+    g = build_graph(grid(side), m)
+    vecs = sorted(two_squares_set(m))
+    fit = 0  # irredundant k-tuples whose prefix box fits the grid: the rows of the grid route
+    for tup in product(vecs, repeat=k):
+        xs = list(accumulate((v[0] for v in tup), initial=0))
+        ys = list(accumulate((v[1] for v in tup), initial=0))
+        fit += max(xs) - min(xs) < side and max(ys) - min(ys) < side and is_irredundant(tup)
+    sorted_rows = []
+
+    def recording(original, rows):
+        def sort(a, *args, **kwargs):
+            sorted_rows.append(rows(a))
+            return original(a, *args, **kwargs)
+
+        return sort
+
+    monkeypatch.setattr(np, "lexsort", recording(np.lexsort, lambda keys: np.shape(keys)[-1]))
+    monkeypatch.setattr(np, "argsort", recording(np.argsort, np.size))
+    monkeypatch.setattr(np, "sort", recording(np.sort, np.size))
+    count_irredundant_many(g, [(0, 0), (33, 33), (66, 5)], k)
+    total_irredundant_paths(g, k)
+    max_pair_count(g, k)
+    assert sorted_rows and max(sorted_rows) < fit, (sorted_rows, fit)
 
 
 def test_count_many_workers_agree_on_a_holed_grid():
