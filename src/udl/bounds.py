@@ -28,11 +28,11 @@ def _resolve_log_n(n=None, log_n=None) -> float:
     if (n is None) == (log_n is None):
         raise ValueError("give exactly one of n and log_n")
     if log_n is not None:
-        if log_n <= 0:
-            raise ValueError(f"log n must be positive, got {log_n}")
+        if not 0 < log_n < math.inf:
+            raise ValueError(f"log n must be finite and positive, got {log_n}")
         return float(log_n)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    if not 3 <= n < math.inf:
+        raise ValueError(f"need a finite n >= 3, got {n}")
     return math.log(n)
 
 

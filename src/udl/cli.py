@@ -438,7 +438,7 @@ def dispatch(argv) -> int:
     except StepBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -213,8 +213,8 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     power itself, not on p: 9 = 3^2 contributes log 3 to psi for the class
     1 mod 4 even though 3 = 3 (mod 4).
     """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"x must be finite and nonnegative, got {x}")
     xf = math.floor(x)
     d, a = cls.d, cls.a
     if kind == "pi":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gaussian import GaussInt
-from .udgraph import UnitDistanceGraph, _probe
+from .udgraph import UnitDistanceGraph, _corner_depth, _probe
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
@@ -519,11 +519,8 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
         # the lexicographically smallest deepest point has some ax as its x
         # and some ay as its y: moving left or down from anywhere else keeps
         # every rectangle that covered it
-        ux = np.unique(gax)
-        uy = np.unique(gay)
-        inx = ((gax[:, None] <= ux) & (ux <= gbx[:, None])).astype(np.int64)
-        iny = ((gay[:, None] <= uy) & (uy <= gby[:, None])).astype(np.int64)
-        depth = inx.T @ iny
+        ux, uy = np.unique(gax), np.unique(gay)
+        depth = _corner_depth(gax, gbx, ux, gay, gby, uy)
         flat = int(depth.argmax())
         peak = int(depth.flat[flat])
         i, j = divmod(flat, len(uy))

@@ -182,27 +182,30 @@ def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
     return UnitDistanceGraph(pts, m, adj, edge_count, vectors)
 
 
+def _corner_depth(lo_x, hi_x, ux, lo_y, hi_y, uy):
+    """depth[i, j]: how many rectangles [lo_x, hi_x] x [lo_y, hi_y] (one per row) cover (ux[i], uy[j]),
+    as a float64 product of 0/1 indicators that BLAS runs, exact as no entry exceeds the row count (far below 2^53)."""
+    import numpy as np
+
+    inx = ((lo_x[:, None] <= ux) & (ux <= hi_x[:, None])).astype(np.float64)
+    iny = ((lo_y[:, None] <= uy) & (uy <= hi_y[:, None])).astype(np.float64)
+    return (inx.T @ iny).astype(np.int64)
+
+
 def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
     """(min, max) degree on the w x h grid without touching its vertices.
 
     The degree at offset (ox, oy) counts the vectors with 0 <= ox + dx < w
     and 0 <= oy + dy < h.  Along x it can change only where some ox + dx
-    enters or leaves [0, w), so the degrees at those cuts times the cuts
-    along y are every degree the grid has.
+    enters or leaves [0, w), so the degrees at those cuts, clipped into the
+    grid, times the cuts along y are every degree the grid has.
     """
     import numpy as np
 
-    if not vectors:
-        return (0, 0)
-    steps = np.array(vectors, dtype=np.int64)
-
-    def inside(d, size):
-        cuts = np.unique(np.r_[0, -d, size - d])
-        cuts = cuts[(cuts >= 0) & (cuts < size)]
-        lands = cuts + d[:, None]
-        return ((lands >= 0) & (lands < size)).astype(np.int64)
-
-    degree = inside(steps[:, 0], w).T @ inside(steps[:, 1], h)
+    dx, dy = np.array(vectors, dtype=np.int64).reshape(-1, 2).T
+    ux = np.unique(np.clip(np.r_[0, -dx, w - dx], 0, w - 1))
+    uy = np.unique(np.clip(np.r_[0, -dy, h - dy], 0, h - 1))
+    degree = _corner_depth(-dx, w - 1 - dx, ux, -dy, h - 1 - dy, uy)
     return int(degree.min()), int(degree.max())
 
 

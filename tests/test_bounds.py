@@ -68,6 +68,18 @@ def test_epsilon_rhs_limits_and_validation():
         epsilon_rhs(2, 1, log_n=0)
 
 
+def test_non_finite_n_and_log_n_are_rejected():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            bound_row(BoundParams(k=2, r=1, n=bad))
+        with pytest.raises(ValueError, match="finite"):
+            bound_row(BoundParams(k=2, r=1, log_n=bad))
+        with pytest.raises(ValueError, match="finite"):
+            k_feasible(2, 0.5, log_n=bad)
+    # an integer n beyond the float range is finite and keeps working
+    assert bound_row(BoundParams(k=2, r=1, n=10**400))["log_n"] == pytest.approx(400 * math.log(10))
+
+
 def test_lambert_w_reference_points():
     assert lambert_w(0.0) == 0.0
     assert abs(lambert_w(math.e) - 1.0) <= 1e-12

@@ -271,3 +271,29 @@ def test_a_total_beyond_the_step_budget_reads_null(monkeypatch, capsys):
     report = verify_all(100, 3).to_dict()
     assert [s["total_paths"] for s in report["path_stats"]] == [None, None]
     assert [c["name"] for c in report["info_checks"]] == ["total_paths_k2", "total_paths_k3", "absorption_sides"]
+
+
+def test_graph_file_errors_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["graph", "--points", str(tmp_path / "absent.txt"), "--m", "5"])
+    assert (code, out) == (2, "") and err.startswith("error:") and "absent.txt" in err
+    code, out, err = run(capsys, ["graph", "--n", "100", "--emit", str(tmp_path / "no" / "dir" / "e.txt")])
+    assert (code, out) == (2, "") and err.startswith("error:") and "e.txt" in err
+
+
+def test_verify_emit_file_error_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["verify", "--n", "100", "--emit", str(tmp_path / "no" / "dir" / "r.json")])
+    assert (code, out) == (2, "") and err.startswith("error:") and "r.json" in err
+
+
+def test_non_finite_numbers_exit_2(capsys):
+    for argv in (
+        ["chebyshev", "--x", "inf"],
+        ["chebyshev", "--x", "nan"],
+        ["bounds", "--k", "2", "--r", "1", "--log-n", "nan"],
+        ["bounds", "--k", "2", "--r", "1", "--log-n", "inf"],
+        ["bounds", "--k", "2", "--r", "1", "--n", "inf"],
+        ["bounds", "--k", "2", "--r", "1", "--n", "nan"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and "finite" in err, argv

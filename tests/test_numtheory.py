@@ -89,6 +89,13 @@ def test_chebyshev_rejects_bad_kind_and_negative_x():
         chebyshev("pi", -1, APClass(4, 1))
 
 
+def test_chebyshev_rejects_non_finite_x():
+    for kind in ("pi", "theta", "psi"):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                chebyshev(kind, x, APClass(4, 1))
+
+
 def test_chebyshev_monotone_in_x():
     cls = APClass(4, 3)
     for kind in ("pi", "theta", "psi"):

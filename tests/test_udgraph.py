@@ -11,6 +11,7 @@ from udl.paths import count_irredundant_many, max_pair_count, total_irredundant_
 from udl.udgraph import (
     DegreeSummary,
     UnitDistanceGraph,
+    _corner_depth,
     build_graph,
     degree_summary,
     grid_graph,
@@ -296,3 +297,42 @@ def test_vectors_are_computed_once_per_graph(monkeypatch):
     assert build_graph([], 10**6).vectors == original(10**6)
     grid_graph(6, 25).adj
     assert calls == [5, 10**6, 25]
+
+
+def test_corner_depth_matches_a_bruteforce_count():
+    import numpy as np
+
+    rng = random.Random(41)
+    for trial in range(60):
+        rows = 0 if trial == 0 else 1 if trial == 1 else rng.randint(1, 40)
+        lo_x = [rng.randint(-5, 25) for _ in range(rows)]
+        lo_y = [rng.randint(-5, 25) for _ in range(rows)]
+        # every third rectangle is one offset thick along x or y
+        hi_x = [a + (0 if i % 3 == 0 else rng.randint(0, 12)) for i, a in enumerate(lo_x)]
+        hi_y = [a + (0 if i % 3 == 1 else rng.randint(0, 12)) for i, a in enumerate(lo_y)]
+        # corners -10 and 40 lie outside every rectangle
+        ux = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
+        uy = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
+        got = _corner_depth(*(np.array(c, dtype=np.int64) for c in (lo_x, hi_x, ux, lo_y, hi_y, uy)))
+        expect = [
+            [sum(a <= x <= b and c <= y <= d for a, b, c, d in zip(lo_x, hi_x, lo_y, hi_y)) for y in uy]
+            for x in ux
+        ]
+        assert got.dtype == np.int64 and got.tolist() == expect, trial
+
+
+def test_grid_degree_range_matches_per_point_counts_on_wide_boxes():
+    # boxes wide enough that the vectors of 1105 (|d| <= 33) and 5525 (|d| <= 74)
+    # land inside for many offsets, not almost nowhere
+    rng = random.Random(43)
+    for m in (1105, 5525):
+        vectors = lattice_vectors(m)
+        for _ in range(3):
+            w, h = rng.randint(34, 80), rng.randint(34, 80)
+            degs = [
+                sum(0 <= x + dx < w and 0 <= y + dy < h for dx, dy in vectors)
+                for x in range(w)
+                for y in range(h)
+            ]
+            expect = DegreeSummary(min(degs), max(degs), w * h, sum(degs) // 2)
+            assert degree_summary(grid_graph(w, m, height=h)) == expect, (w, h, m)
