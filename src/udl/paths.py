@@ -213,7 +213,7 @@ def count_irredundant_many(
     dims = g.grid
     if dims is not None:
         x0, y0, w, h = dims
-        _, _, ax, bx, ay, by = _grid_paths(g, k, dims)
+        *_, ax, bx, ay, by = _grid_paths(g, k, dims)
         ux, ix = np.unique([s[0] - x0 for s in starts], return_inverse=True)
         uy, iy = np.unique([s[1] - y0 for s in starts], return_inverse=True)
         # rectangle [ax, bx] x [ay, by] covers the sampled offsets of ranks
@@ -341,7 +341,7 @@ def _group_heads(sx, sy) -> list[int]:
     """First row of each run of equal (sx, sy)."""
     import numpy as np
 
-    return np.flatnonzero(np.r_[True, (np.diff(sx) != 0) | (np.diff(sy) != 0)]).tolist()
+    return np.flatnonzero(np.r_[len(sx) > 0, (np.diff(sx) != 0) | (np.diff(sy) != 0)]).tolist()
 
 
 def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None):
@@ -397,15 +397,18 @@ def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None)
 
 
 def _grid_paths(g: UnitDistanceGraph, k: int, dims):
-    """rects = (sx, sy, ax, bx, ay, by) for the full grid g, built once per k
-    and cached on g: for each irredundant k-tuple that fits the grid, its total
-    displacement and the rectangle [ax, bx] x [ay, by] of start offsets
-    v - (x0, y0) whose prefix bounding box stays inside.  The rows come from
+    """(dx, dy, count, ax, bx, ay, by) for the full grid g, built once per k
+    and cached on g.  Each irredundant k-tuple that fits the grid is one row
+    of the rectangle columns: the start offsets v - (x0, y0) in
+    [ax, bx] x [ay, by] keep its prefix bounding box inside, and the tuple
+    fits exactly when that rectangle is not empty.  The rows come from
     `_multisets`: each repetition-pattern class takes the prefix boxes of all
     its orderings at once, chunk by chunk, and scatters them to its
-    multisets' rows, so each displacement is one run of rows and no T-row
-    array is sorted or reordered.  Every grid statistic reads these rows
-    alone, so memory is O(T + side) for T tuples.
+    multisets' rows, so no T-row array is sorted or reordered and each
+    displacement group is one run of rows.  Group i has displacement
+    (dx[i], dy[i]) and the next count[i] rows, which may be none.  Every
+    grid statistic reads these columns alone, so memory is O(T + side) for
+    T tuples.
     """
     import numpy as np
 
@@ -420,8 +423,6 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
             size[kind == c] = len(_orderings(k, c))
         offset = np.cumsum(size) - size
         rect = [np.empty(int(size.sum()), dtype=np.int64) for _ in range(4)]  # ax, bx, ay, by
-        keep = np.empty(len(rect[0]), dtype=bool)
-        kept = np.zeros(len(idx), dtype=np.intp)
         for c in classes:
             orders = _orderings(k, c)
             members = np.flatnonzero(kind == c)
@@ -429,7 +430,6 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
             for i in range(0, len(members), chunk):
                 ms = members[i : i + chunk]
                 at = offset[ms, None] + np.arange(len(orders))
-                fits = np.ones(at.shape, dtype=bool)
                 for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
                     # prefix boxes of every ordering: running sum, min and max over the k positions
                     pre = np.zeros(at.shape, dtype=np.int64)
@@ -439,13 +439,14 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
                         np.minimum(lo, pre, out=lo)
                         np.maximum(hi, pre, out=hi)
                     first[at], last[at] = -lo, side - 1 - hi
-                    fits &= hi - lo < side
-                keep[at] = fits
-                kept[ms] = fits.sum(axis=1)
+        keep = rect[0] <= rect[1]
+        keep &= rect[2] <= rect[3]
+        heads = _group_heads(sx, sy)
+        count = np.add.reduceat(keep, offset[heads], dtype=np.intp)
         if not keep.all():
             for i in range(4):  # one column at a time, so one full column is freed as each is cut
                 rect[i] = rect[i][keep]
-        cache[k] = (np.repeat(sx, kept), np.repeat(sy, kept), *rect)
+        cache[k] = (sx[heads], sy[heads], count, *rect)
     return cache[k]
 
 
@@ -469,7 +470,7 @@ def total_irredundant_paths(
         return int(_place(g, k)[0].sum())
     _check_budget(_grid_effort(len(g.vectors), k), step_budget)
     _, _, w, h = dims
-    _, _, ax, bx, ay, by = _grid_paths(g, k, dims)
+    *_, ax, bx, ay, by = _grid_paths(g, k, dims)
     if len(ax) * w * h < 2**63:
         return int(((bx - ax + 1) * (by - ay + 1)).sum())
     # every start may carry every tuple: an int64 sum could wrap
@@ -482,9 +483,8 @@ def max_pair_count(
     """The ordered pair (v, w) maximizing the irredundant path count |P_vw|.
 
     Ties break toward the lexicographically smallest (v, w).  On a full grid
-    the tuples that fit come grouped by total displacement w - v, one run of
-    `_grid_paths` rows per group, since the multisets they expand from are
-    sorted by it; inside one group |P_vw| is the depth of v in the group's
+    the tuples that fit come grouped by total displacement w - v (see
+    `_grid_paths`); inside one group |P_vw| is the depth of v in the group's
     start rectangles.  Groups are visited largest first, stopping once a
     group has fewer rectangles than the best depth found, and each is
     evaluated only at its compressed corners.  Any other point set reads the
@@ -492,7 +492,7 @@ def max_pair_count(
     """
     _validate_k(k)
     dims = g.grid
-    if dims is not None and g.vertex_count > 1:
+    if dims is not None:
         _check_budget(_grid_effort(len(g.vectors), k), step_budget)
         return _max_pair_grid(g, k, dims)
     _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
@@ -503,18 +503,13 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     import numpy as np
 
     x0, y0, _, _ = dims
-    sx, sy, ax, bx, ay, by = _grid_paths(g, k, dims)
-    if len(sx) == 0:
-        return (None, None, 0)
-    heads = _group_heads(sx, sy)
-    ends = heads[1:] + [len(sx)]
-    visit = np.argsort(np.subtract(heads, ends), kind="stable").tolist()  # largest group first
-    best_count = 0
-    best_vw = None
-    for gi in visit:
-        lo, hi = heads[gi], ends[gi]
-        if hi - lo < best_count:
-            break  # depth never exceeds a group's rectangle count
+    dx, dy, count, ax, bx, ay, by = _grid_paths(g, k, dims)
+    ends = np.cumsum(count).tolist()
+    best = (None, None, 0)
+    for gi in np.argsort(-count, kind="stable").tolist():  # largest group first
+        lo, hi = ends[gi] - int(count[gi]), ends[gi]
+        if hi - lo < max(best[2], 1):
+            break  # depth never exceeds a group's rectangle count, and an empty group has no pair
         gax, gbx, gay, gby = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
         # the lexicographically smallest deepest point has some ax as its x
         # and some ay as its y: moving left or down from anywhere else keeps
@@ -525,8 +520,7 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
         peak = int(depth.flat[flat])
         i, j = divmod(flat, len(uy))
         v = (x0 + int(ux[i]), y0 + int(uy[j]))
-        wpt = (v[0] + int(sx[lo]), v[1] + int(sy[lo]))
-        if peak > best_count or (peak == best_count and (v, wpt) < best_vw):
-            best_count = peak
-            best_vw = (v, wpt)
-    return (best_vw[0], best_vw[1], best_count)
+        w = (v[0] + int(dx[gi]), v[1] + int(dy[gi]))
+        if peak > best[2] or (peak == best[2] and (v, w) < best[:2]):
+            best = (v, w, peak)
+    return best

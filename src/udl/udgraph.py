@@ -210,10 +210,14 @@ def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
 
 
 def _degree_range(g: UnitDistanceGraph) -> tuple[int, int]:
-    if g.grid is not None:
-        return _grid_degree_range(g.grid[2], g.grid[3], g.vectors)
-    degs = list(map(len, g.adj))
-    return min(degs, default=0), max(degs, default=0)
+    """(min, max) degree of g, cached on g."""
+    if getattr(g, "_degrees", None) is None:
+        if g.grid is not None:
+            g._degrees = _grid_degree_range(g.grid[2], g.grid[3], g.vectors)
+        else:
+            degs = list(map(len, g.adj))
+            g._degrees = min(degs, default=0), max(degs, default=0)
+    return g._degrees
 
 
 def degree_summary(g: UnitDistanceGraph) -> DegreeSummary:

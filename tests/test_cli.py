@@ -297,3 +297,18 @@ def test_non_finite_numbers_exit_2(capsys):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:") and "finite" in err, argv
+
+
+def test_verify_takes_the_degree_range_once(monkeypatch):
+    import udl.udgraph
+
+    calls = []
+    original = udl.udgraph._grid_degree_range
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(udl.udgraph, "_grid_degree_range", counted)
+    verify_all(100, 2)
+    assert len(calls) == 1, calls

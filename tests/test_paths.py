@@ -306,6 +306,8 @@ def test_multisets_match_filtered_product_oracle():
 
 
 def test_grid_rects_match_clipped_prefix_box_oracle():
+    import numpy as np
+
     rng = random.Random(11)
     boxes = {}  # (m, k) -> (sum x, sum y, min x, max x, min y, max y) per irredundant tuple
     for m in (1, 5, 25, 65):
@@ -328,14 +330,32 @@ def test_grid_rects_match_clipped_prefix_box_oracle():
                     continue
                 clipped = [(sx, sy, -lx, w - 1 - hx, -ly, h - 1 - hy) for sx, sy, lx, hx, ly, hy in rows]
                 expected = sorted(r for r in clipped if r[2] <= r[3] and r[4] <= r[5])
-                got = list(zip(*(col.tolist() for col in _grid_paths(g, k, g.grid))))
+                dx, dy, count, *rect = _grid_paths(g, k, g.grid)
+                cols = (np.repeat(dx, count), np.repeat(dy, count), *rect)
+                got = list(zip(*(col.tolist() for col in cols)))
                 assert sorted(got) == expected, (w, h, m, k)
-                assert _one_run_each([r[:2] for r in got]), (w, h, m, k)
+                assert len(set(zip(dx.tolist(), dy.tolist()))) == len(dx), (w, h, m, k)
+                assert count.sum() == len(rect[0]), (w, h, m, k)
     for side, m in [(6, 5), (5, 1)]:
         g = build_graph(grid(side), m)
         pairs = per_pair_counts(g, 5)
         assert max_pair_count(g, 5) == _lex_min_best(pairs), (side, m)
         assert total_irredundant_paths(g, 5) == sum(pairs.values()), (side, m)
+
+
+def test_grid_route_on_grids_with_no_path_and_with_empty_groups():
+    # a 1 x 1 grid holds no edge, and m = 3 has no vectors at all
+    for g in (build_graph([(2, -1)], 5), build_graph([(0, 0)], 1), build_graph(grid(4), 3)):
+        for k in (1, 2, 3):
+            assert max_pair_count(g, k) == (None, None, 0), (g.grid, g.m, k)
+            assert total_irredundant_paths(g, k) == 0, (g.grid, g.m, k)
+            assert set(count_irredundant_many(g, g.points[:5], k).values()) == {0}, (g.grid, g.m, k)
+    # (1, 2) twice moves 4 along y, more than a 3 x 3 grid holds: a group of no rows
+    g = build_graph(grid(3), 5)
+    dx, dy, count, *_ = _grid_paths(g, 2, g.grid)
+    assert (count == 0).any() and (count > 0).any()
+    assert (2, 4) in set(zip(dx[count == 0].tolist(), dy[count == 0].tolist()))
+    assert max_pair_count(g, 2) == _lex_min_best(per_pair_counts(g, 2))
 
 
 def test_grid_statistics_sort_no_array_of_rects(monkeypatch):
