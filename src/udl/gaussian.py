@@ -6,13 +6,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import is_probable_prime
 
 
-@dataclass(frozen=True, order=True)
-class GaussInt:
-    """Gaussian integer a + bi."""
+class GaussInt(NamedTuple):
+    """Gaussian integer a + bi.
+
+    A named pair, so it hashes and orders as the tuple (a, b), and
+    GaussInt(a, b) == (a, b) is True.
+    """
 
     a: int
     b: int
@@ -139,7 +143,7 @@ def representations(primes) -> set[GaussInt]:
             ok = False
         if not ok:
             raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    points = {GaussInt(a, b) for a, b in _lattice_points(dict.fromkeys(primes, 1))}
+    points = set(map(GaussInt._make, _lattice_points(dict.fromkeys(primes, 1))))
     assert len(points) == 1 << (len(primes) + 2), (primes, len(points))
     return points
 

@@ -6,16 +6,33 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count, islice
 
 # Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
 # than silently thrash.
 SIEVE_HARD_LIMIT = 10**8
 
-# Miller-Rabin on the first thirteen primes is exact below this bound
-# (Sorenson and Webster, Math. Comp. 2017); above it a pass is only probable.
+# Miller-Rabin on the first j primes is exact below psi_j, the least strong
+# pseudoprime to all of them (Jaeschke 1993; Sorenson and Webster, Math. Comp.
+# 2017; OEIS A014233).  _MR_BOUNDS[j - 1] is psi_j; at and above psi_13 a pass
+# is only probable.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_BOUNDS = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+_MR_EXACT_LIMIT = _MR_BOUNDS[-1]
 
 # factor trial-divides by the primes up to this bound before Pollard-Brent rho
 _TRIAL_BOUND = 1 << 10
@@ -40,18 +57,21 @@ class APClass:
 AP_1_MOD_4 = APClass(4, 1)
 
 
-def _sieve_flags(limit: int) -> bytearray:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"[: min(2, limit + 1)]
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            step = len(range(p * p, limit + 1, p))
-            flags[p * p :: p] = bytearray(step)
+def _odd_sieve_flags(limit: int) -> bytearray:
+    """Primality flags of the odd numbers <= limit; index i stands for 2i + 1."""
+    size = (limit + 1) // 2
+    flags = bytearray([1]) * size
+    flags[:1] = bytes(min(size, 1))  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p >> 1
+            flags[start::p] = bytes(len(range(start, size, p)))
     return flags
 
 
 class PrimeTable:
-    """Primes up to a fixed limit via a flat sieve of Eratosthenes.
+    """Primes up to a fixed limit via a sieve of Eratosthenes over odd numbers.
 
     Attributes:
         limit: inclusive sieve bound.
@@ -64,13 +84,13 @@ class PrimeTable:
         if limit > SIEVE_HARD_LIMIT:
             raise ValueError(f"sieve limit {limit} exceeds hard cap {SIEVE_HARD_LIMIT}")
         self.limit = limit
-        self._flags = _sieve_flags(limit)
-        self.primes = list(compress(range(limit + 1), self._flags))
+        self._flags = _odd_sieve_flags(limit)
+        self.primes = ([2] if limit >= 2 else []) + list(compress(range(1, limit + 1, 2), self._flags))
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
             raise ValueError(f"{n} is outside the sieved range [0, {self.limit}]")
-        return bool(self._flags[n])
+        return n == 2 or bool(n & 1 and self._flags[n >> 1])
 
     def primes_up_to(self, x: int) -> list[int]:
         if x > self.limit:
@@ -93,7 +113,12 @@ def _table(limit: int) -> PrimeTable:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with a witness set deterministic below 3.3e24 (`_MR_EXACT_LIMIT`)."""
+    """Miller-Rabin, deterministic below 3.3e24 (`_MR_EXACT_LIMIT`).
+
+    It runs the first j witnesses for the least j with n < psi_j, which
+    decides exactly what all thirteen decide; at and above the limit it runs
+    all thirteen.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -102,7 +127,7 @@ def is_probable_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[: bisect_right(_MR_BOUNDS, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -196,12 +221,40 @@ def euler_phi(d: int) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in factor(d).items())
 
 
+def two_squares_count(m: int) -> int:
+    """r_2(m), the number of integer pairs (x, y) with x^2 + y^2 = m >= 1.
+
+    By Jacobi's two-square theorem r_2(m) = 4 (d_1(m) - d_3(m)), with d_j(m)
+    the number of divisors of m that are j mod 4; from the factorisation that
+    is 4 * prod (e + 1) over p^e with p = 1 (mod 4), or 0 when some
+    q = 3 (mod 4) divides m to an odd power.
+    """
+    count = 4
+    for p, e in factor(m).items():
+        if p % 4 == 1:
+            count *= e + 1
+        elif p % 4 == 3 and e % 2:
+            return 0
+    return count
+
+
 def primes_in_ap(limit: int, cls: APClass) -> list[int]:
     """All primes p <= limit with p = a (mod d), ascending."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
     d, a = cls.d, cls.a
     return [p for p in _table(max(limit, 2)).primes_up_to(limit) if p % d == a]
+
+
+def _prime_power_logs(primes, x: int, d: int, a: int):
+    """log p once for each power p^l <= x of the given primes with p^l = a (mod d)."""
+    for p in primes:
+        logp = math.log(p)
+        power = p
+        while power <= x:
+            if power % d == a:
+                yield logp
+            power *= p
 
 
 def chebyshev(kind: str, x: float, cls: APClass) -> float:
@@ -220,17 +273,19 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     if kind == "pi":
         return len(primes_in_ap(xf, cls))
     if kind == "theta":
-        return math.fsum(math.log(p) for p in primes_in_ap(xf, cls))
+        return math.fsum(map(math.log, primes_in_ap(xf, cls)))
     if kind == "psi":
-        total = []
-        for p in _table(max(xf, 2)).primes_up_to(max(xf, 0)):
-            logp = math.log(p)
-            power = p
-            while power <= xf:
-                if power % d == a:
-                    total.append(logp)
-                power *= p
-        return math.fsum(total)
+        # only a prime p <= sqrt(x) has a higher power <= x; above that the
+        # terms are the theta terms.  fsum rounds the exact sum, so the order
+        # of the terms does not change a bit of the result.
+        root = math.isqrt(xf)
+        large = primes_in_ap(xf, cls)
+        return math.fsum(
+            chain(
+                _prime_power_logs(_table(max(xf, 2)).primes_up_to(root), xf, d, a),
+                map(math.log, islice(large, bisect_right(large, root), None)),
+            )
+        )
     raise ValueError(f"kind must be one of pi, theta, psi; got {kind!r}")
 
 

@@ -7,6 +7,7 @@ against these.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,62 @@ def is_prime_slow(n: int) -> bool:
     if n < 2:
         return False
     return all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def strong_probable_prime(n: int, bases) -> bool:
+    """Trial division by the bases, then a strong probable-prime test to each."""
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=4)
+def _sieve_all(limit: int) -> tuple[int, ...]:
+    flags = bytearray([1]) * (limit + 1)
+    flags[: min(2, limit + 1)] = bytes(min(2, limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            for q in range(p * p, limit + 1, p):
+                flags[q] = 0
+    return tuple(n for n in range(limit + 1) if flags[n])
+
+
+def chebyshev_sum(kind: str, x: float, d: int, a: int):
+    """pi, theta or psi over the class a mod d: every term listed, then summed.
+
+    psi takes log p once for each prime power p^l <= x with p^l = a (mod d).
+    """
+    xf = math.floor(x)
+    primes = _sieve_all(max(xf, 0))
+    if kind == "pi":
+        return len([p for p in primes if p % d == a])
+    if kind == "theta":
+        return math.fsum([math.log(p) for p in primes if p % d == a])
+    total = []
+    for p in primes:
+        logp = math.log(p)
+        power = p
+        while power <= xf:
+            if power % d == a:
+                total.append(logp)
+            power *= p
+    return math.fsum(total)
 
 
 def two_squares_set(m: int) -> set[tuple[int, int]]:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from udl.cli import dispatch, verify_all
+from udl.cli import _representation_defect, dispatch, verify_all
 from udl.gaussian import representations
 
 from oracles import two_squares_set
@@ -312,3 +312,16 @@ def test_verify_takes_the_degree_range_once(monkeypatch):
     monkeypatch.setattr(udl.udgraph, "_grid_degree_range", counted)
     verify_all(100, 2)
     assert len(calls) == 1, calls
+
+
+def test_representation_defect_is_zero_only_on_the_norm_m_points():
+    for m in range(1, 2001):
+        assert _representation_defect(sorted(two_squares_set(m)), m) == 0, m
+    vectors = sorted(two_squares_set(5 * 13 * 17))
+    assert len(vectors) == 32
+    missing = vectors[1:]
+    duplicate = vectors + vectors[:1]
+    wrong_norm = vectors[1:] + [(vectors[0][0], vectors[0][1] + 1)]
+    extra = vectors + [(0, 0)]
+    for bad in (missing, duplicate, wrong_norm, extra):
+        assert _representation_defect(bad, 5 * 13 * 17) > 0

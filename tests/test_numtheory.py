@@ -4,6 +4,9 @@ import random
 import pytest
 
 from udl.numtheory import (
+    _MR_BOUNDS,
+    _MR_EXACT_LIMIT,
+    _MR_WITNESSES,
     APClass,
     PrimeTable,
     chebyshev,
@@ -12,9 +15,16 @@ from udl.numtheory import (
     is_probable_prime,
     kth_prime_in_ap,
     primes_in_ap,
+    two_squares_count,
 )
 
-from oracles import is_prime_slow, trial_division_primes
+from oracles import (
+    chebyshev_sum,
+    is_prime_slow,
+    strong_probable_prime,
+    trial_division_primes,
+    two_squares_set,
+)
 
 
 def test_apclass_validation():
@@ -225,3 +235,54 @@ def test_factor_rejects_nonpositive():
         factor(0)
     with pytest.raises(ValueError):
         factor(-12)
+
+
+def test_prime_table_at_every_small_limit():
+    # index i of the odd-only sieve stands for 2i + 1: limits 0..3 sit on its edges
+    for limit in range(301):
+        table = PrimeTable(limit)
+        assert table.primes == trial_division_primes(limit), limit
+        assert [n for n in range(limit + 1) if table.is_prime(n)] == table.primes, limit
+        assert all(table.is_prime(n) == is_prime_slow(n) for n in range(limit + 1)), limit
+
+
+def test_witness_table_is_the_strong_pseudoprime_bounds():
+    # psi_j passes the first j witnesses, so the j-witness test is not exact
+    # there; is_probable_prime must still reject it.  psi_13 passes all
+    # thirteen, which is why factor refuses it.
+    assert len(_MR_BOUNDS) == len(_MR_WITNESSES)
+    assert _MR_BOUNDS[-1] == _MR_EXACT_LIMIT
+    assert list(_MR_BOUNDS) == sorted(_MR_BOUNDS)
+    for j, n in enumerate(_MR_BOUNDS, 1):
+        assert strong_probable_prime(n, _MR_WITNESSES[:j]), (j, n)
+        assert is_probable_prime(n) == (j == len(_MR_BOUNDS)), (j, n)
+
+
+def test_witnesses_by_size_agree_with_all_thirteen_below_1e5():
+    for n in range(10**5):
+        assert is_probable_prime(n) == strong_probable_prime(n, _MR_WITNESSES), n
+
+
+def test_witnesses_by_size_agree_with_all_thirteen_in_each_band():
+    rng = random.Random(17)
+    for lo, hi in zip(_MR_BOUNDS, _MR_BOUNDS[1:]):
+        if lo == hi:
+            continue
+        for _ in range(2000):
+            n = rng.randrange(lo, hi)
+            assert is_probable_prime(n) == strong_probable_prime(n, _MR_WITNESSES), n
+
+
+@pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7)])
+def test_chebyshev_is_bit_identical_to_the_listed_sums(d, a):
+    cls = APClass(d, a)
+    for x in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 10**4, 99991, 10**6):
+        for kind in ("pi", "theta", "psi"):
+            assert chebyshev(kind, x, cls) == chebyshev_sum(kind, x, d, a), (kind, x)
+
+
+def test_two_squares_count_matches_the_sweep():
+    for m in range(1, 30_001):
+        assert two_squares_count(m) == len(two_squares_set(m)), m
+    with pytest.raises(ValueError):
+        two_squares_count(0)
