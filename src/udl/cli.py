@@ -130,11 +130,15 @@ def _lambert_grid_stats() -> tuple[float, float]:
 def _path_stats(h, ks, min_degree: int, seed: int, workers: int, step_budget: int | None):
     """One stat row per k over the same seeded sample of at most
     SAMPLE_STARTS starts: sampled counts, the degree-product lower bound and
-    the total, which is None when the step budget refuses it."""
-    rng = random.Random(seed)
-    sample = sorted(rng.sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count)))
-    starts = [h.point(i) for i in sample]
+    the total, which is None when the step budget refuses it.  The sample
+    is drawn when the first k arrives, so no k draws none."""
+    starts = None
     for k in ks:
+        if starts is None:
+            if h.vertex_count > sys.maxsize:  # the largest population `random.sample` takes
+                raise ValueError(f"cannot sample starts among {h.vertex_count} vertices, more than {sys.maxsize}")
+            sample = random.Random(seed).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
+            starts = [h.point(i) for i in sorted(sample)]
         counts = count_irredundant_many(h, starts, k, workers=workers, step_budget=step_budget)
         try:
             total = total_irredundant_paths(h, k, workers=workers, step_budget=step_budget)

@@ -10,7 +10,7 @@ displacement (`_multisets`); each stands for its distinct orderings
 (`_orderings`), the irredundant k-tuples of that displacement.  A k-path is
 a tuple placed at a start whose prefix points all lie in the point set,
 found by a box test on a full grid and a neighbour table elsewhere.  The
-per-start DFS over the adjacency (`count_irredundant_from`) is the
+per-start DFS over the neighbour table (`count_irredundant_from`) is the
 reference route.
 """
 
@@ -20,8 +20,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .gaussian import GaussInt
-from .udgraph import UnitDistanceGraph, _corner_depth, _probe
+from .udgraph import UnitDistanceGraph, _corner_depth
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
@@ -54,23 +53,23 @@ def _check_budget(projected: int, budget: int | None) -> None:
 
 @dataclass(frozen=True)
 class PathRecord:
-    """Vertex sequence p_0 .. p_k plus the k displacement vectors."""
+    """Vertex sequence p_0 .. p_k plus the k displacement vectors (dx, dy)."""
 
     vertices: tuple[tuple[int, int], ...]
-    vectors: tuple[GaussInt, ...]
+    vectors: tuple[tuple[int, int], ...]
 
     @classmethod
     def from_vertices(cls, vertices) -> "PathRecord":
         verts = tuple((int(x), int(y)) for x, y in vertices)
         if not verts:
             raise ValueError("a path needs at least one vertex")
-        vecs = tuple(GaussInt(b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:]))
+        vecs = tuple((b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:]))
         return cls(vertices=verts, vectors=vecs)
 
 
 def _vector_list(path) -> list[tuple[int, int]]:
     vecs = getattr(path, "vectors", path)
-    return [(v.a, v.b) if isinstance(v, GaussInt) else (int(v[0]), int(v[1])) for v in vecs]
+    return [(int(v[0]), int(v[1])) for v in vecs]
 
 
 def is_irredundant(path) -> bool:
@@ -95,14 +94,13 @@ def is_irredundant(path) -> bool:
 
 
 def _adjvec(g: UnitDistanceGraph):
-    """Per-vertex tuples (neighbor index, u - w as complex), cached on g."""
+    """Per-vertex tuples (neighbor index, u - w as complex), read from the
+    neighbour table in vector order and cached on g."""
     cached = getattr(g, "_adjvec", None)
     if cached is None:
-        pts = g.points
-        cached = []
-        for i, row in enumerate(g.adj):
-            x, y = pts[i]
-            cached.append(tuple((j, complex(x - pts[j][0], y - pts[j][1])) for j in row))
+        n = g.vertex_count
+        negs = [complex(-dx, -dy) for dx, dy in g.vectors]
+        cached = [tuple((w, nz) for w, nz in zip(col, negs) if w != n) for col in g.neighbours.T[:n].tolist()]
         g._adjvec = cached
         g._negsets = [frozenset(nz for _, nz in row) for row in cached]
     return cached, g._negsets
@@ -360,13 +358,8 @@ def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None)
         if k not in cache:
             cache[k] = _place(g, k, range(g.vertex_count))
         return cache[k]
-    n, pts = g.vertex_count, g.points
-    if getattr(g, "_neighbours", None) is None:
-        # [j, i] is the index of point i + vector j, or n when absent; column n
-        # is all n, so a chain of k gathers that once leaves g stays out
-        hits = _probe(pts, g.index, g.vectors, n) + [[n] * len(g.vectors)]
-        g._neighbours = np.array(hits, dtype=np.intp).reshape(n + 1, -1).T.copy()
-    table = g._neighbours
+    # column n of the table is all n, so a chain of k gathers that once leaves g stays out
+    n, pts, table = g.vertex_count, g.points, g.neighbours
     starts = np.array(starts, dtype=np.intp)
     counts = np.zeros(len(starts), dtype=np.int64)
     best = (None, None, 0)

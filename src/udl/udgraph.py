@@ -22,11 +22,13 @@ def lattice_vectors(m: int) -> list[tuple[int, int]]:
 class UnitDistanceGraph:
     """Graph on lattice points whose edges are the pairs at squared distance m.
 
-    Vertices are kept sorted lexicographically; adjacency lists hold vertex
-    indices and are sorted by neighbor coordinates.  `vectors` are the
-    displacements of squared length m.  `grid` is (x0, y0, width, height)
-    when the vertices fill that box, else None.  A graph made by `grid_graph`
-    lists its points, index and adjacency only on first access, by the same
+    Vertices are kept sorted lexicographically.  Besides its points, an
+    explicit graph stores only `neighbours`, the (R, n+1) table whose [j, i]
+    is the index of point i + vector j (vectors sorted), or n when absent,
+    with column n all n; adjacency, edge count and degrees derive from it.
+    `grid` is (x0, y0, width, height) when the vertices fill that box, else
+    None.  A graph made by `grid_graph` counts its edges in closed form and
+    builds its points, index and table only on first access, by the same
     probing as `build_graph`.
     """
 
@@ -34,19 +36,22 @@ class UnitDistanceGraph:
         self,
         points: list[tuple[int, int]] | None,
         m: int,
-        adj: list[list[int]] | None,
-        edge_count: int,
+        neighbours,
         vectors: list[tuple[int, int]],
         *,
         grid: tuple[int, int, int, int] | None = None,
     ):
         self.m = m
-        self.edge_count = edge_count
         self.vectors = vectors
         self.grid = grid if points is None else _grid_dims(points)
         self._points = points
-        self._adj = adj
+        self._neighbours = neighbours
         self._index: dict[tuple[int, int], int] | None = None
+        if neighbours is None:  # 1/2 * sum over vectors of (width - |dx|)+ (height - |dy|)+
+            twice = sum(max(grid[2] - abs(dx), 0) * max(grid[3] - abs(dy), 0) for dx, dy in vectors)
+        else:  # vectors are closed under negation, so each edge is in two columns
+            twice = int((neighbours[:, :-1] != len(points)).sum())
+        self.edge_count = twice // 2
 
     @property
     def points(self) -> list[tuple[int, int]]:
@@ -62,10 +67,18 @@ class UnitDistanceGraph:
         return self._index
 
     @property
+    def neighbours(self):
+        if self._neighbours is None:
+            self._neighbours = _probe(self.points, self.index, self.vectors)
+        return self._neighbours
+
+    @property
     def adj(self) -> list[list[int]]:
-        if self._adj is None:
-            self._adj, _ = _adjacency(self.points, self.index, self.vectors)
-        return self._adj
+        """Row i lists the neighbours of i in vector order, read from the table."""
+        cols = self.neighbours.T[: self.vertex_count]
+        hit = cols != self.vertex_count
+        flat, ends = cols[hit].tolist(), hit.sum(axis=1).cumsum().tolist()
+        return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
     @property
     def vertex_count(self) -> int:
@@ -81,15 +94,15 @@ class UnitDistanceGraph:
         return self._points[i]
 
     def degree(self, i: int) -> int:
-        return len(self.adj[i])
+        return int((self.neighbours[:, i] != self.vertex_count).sum())
 
     def edges(self):
         """Canonical (p, q) pairs with p < q, ascending."""
         points = self.points
-        for i, p in enumerate(points):
-            for j in self.adj[i]:
+        for i, row in enumerate(self.adj):
+            for j in row:
                 if j > i:
-                    yield (p, points[j])
+                    yield (points[i], points[j])
 
     def to_edge_text(self) -> str:
         """One "x1 y1 x2 y2" line per edge, lexicographically sorted."""
@@ -100,8 +113,8 @@ class UnitDistanceGraph:
         return (
             self.points == other.points
             and self.m == other.m
-            and self.adj == other.adj
             and self.edge_count == other.edge_count
+            and (self.neighbours == other.neighbours).all()
         )
 
 
@@ -127,21 +140,19 @@ def _grid_dims(points) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _probe(points, index, vectors, missing=None) -> list[list]:
-    """Row i lists, for each vector in turn, the index of point i + vector, or
-    `missing` when that point is not in `index`.
+def _probe(points, index, vectors):
+    """The (R, n+1) neighbour table of sorted `points` (see `UnitDistanceGraph`):
+    [j, i] is the index of point i + vector j in `index`, or n when absent.
 
     Cost is O(n * R(m)) hash lookups instead of the O(n^2) pair scan.
     """
-    return [[index.get((x + dx, y + dy), missing) for dx, dy in vectors] for x, y in points]
+    import numpy as np
 
-
-def _adjacency(points, index, vectors) -> tuple[list[list[int]], int]:
-    """Adjacency rows and edge count; vectors are sorted, so each row comes
-    out sorted by neighbor coordinates, and closed under negation, so each
-    edge is in two rows."""
-    adj = [[j for j in row if j is not None] for row in _probe(points, index, vectors)]
-    return adj, sum(map(len, adj)) // 2
+    n, get = len(points), index.get
+    table = np.full((len(vectors), n + 1), n, dtype=np.intp)
+    for j, (dx, dy) in enumerate(vectors):
+        table[j, :n] = [get((x + dx, y + dy), n) for x, y in points]
+    return table
 
 
 def grid_graph(
@@ -150,18 +161,13 @@ def grid_graph(
     """The graph on the width x height grid with lower-left corner `corner`
     (height defaults to width).
 
-    The edge count is the closed form 1/2 * sum over vectors of
-    (width - |dx|)+ (height - |dy|)+; points, index and adjacency are built
-    only when something asks for them.
+    Points, index and neighbour table are built only when something asks
+    for them.
     """
     height = width if height is None else height
     if width < 1 or height < 1:
         raise ValueError(f"grid needs width and height >= 1, got {width} x {height}")
-    vectors = lattice_vectors(m)
-    twice = sum(max(width - abs(dx), 0) * max(height - abs(dy), 0) for dx, dy in vectors)
-    return UnitDistanceGraph(
-        None, m, None, twice // 2, vectors, grid=(int(corner[0]), int(corner[1]), width, height)
-    )
+    return UnitDistanceGraph(None, m, None, lattice_vectors(m), grid=(int(corner[0]), int(corner[1]), width, height))
 
 
 def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
@@ -178,8 +184,7 @@ def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
         x0, y0, w, h = dims
         return grid_graph(w, m, height=h, corner=(x0, y0))
     vectors = lattice_vectors(m)
-    adj, edge_count = _adjacency(pts, {p: i for i, p in enumerate(pts)}, vectors)
-    return UnitDistanceGraph(pts, m, adj, edge_count, vectors)
+    return UnitDistanceGraph(pts, m, _probe(pts, {p: i for i, p in enumerate(pts)}, vectors), vectors)
 
 
 def _corner_depth(lo_x, hi_x, ux, lo_y, hi_y, uy):
@@ -215,8 +220,9 @@ def _degree_range(g: UnitDistanceGraph) -> tuple[int, int]:
         if g.grid is not None:
             g._degrees = _grid_degree_range(g.grid[2], g.grid[3], g.vectors)
         else:
-            degs = list(map(len, g.adj))
-            g._degrees = min(degs, default=0), max(degs, default=0)
+            n = g.vertex_count
+            degs = (g.neighbours[:, :n] != n).sum(axis=0)
+            g._degrees = (int(degs.min()), int(degs.max())) if n else (0, 0)
     return g._degrees
 
 
@@ -263,15 +269,10 @@ def peel(g: UnitDistanceGraph, threshold: float | None = None) -> UnitDistanceGr
         threshold = g.edge_count / (2 * g.vertex_count) if g.vertex_count else 0.0
     if not g.vertex_count or _degree_range(g)[0] >= threshold:
         return g
-    g_points, g_adj = g.points, g.adj
-    alive = peel_adjacency(dict(enumerate(g_adj)), threshold)
-    keep = sorted(alive)
-    remap = {old: new for new, old in enumerate(keep)}
-    points = [g_points[i] for i in keep]
-    adj: list[list[int]] = []
-    edge_count = 0
-    for old in keep:
-        row = [remap[j] for j in g_adj[old] if j in alive]
-        edge_count += sum(1 for j in g_adj[old] if j in alive and j > old)
-        adj.append(row)
-    return UnitDistanceGraph(points, g.m, adj, edge_count, g.vectors)
+    import numpy as np
+
+    n, points = g.vertex_count, g.points
+    keep = sorted(peel_adjacency(dict(enumerate(g.adj)), threshold))
+    remap = np.full(n + 1, len(keep), dtype=np.intp)  # dropped vertices and n go to the new sentinel
+    remap[keep] = range(len(keep))
+    return UnitDistanceGraph([points[i] for i in keep], g.m, remap[g.neighbours[:, keep + [n]]], g.vectors)

@@ -167,6 +167,20 @@ def test_paths_subcommand(capsys):
     assert stat["total_paths"] == 3128
 
 
+def test_path_stats_draw_no_sample_without_a_k_and_refuse_one_past_maxsize():
+    from udl.cli import _path_stats
+
+    class Huge:  # side^2 beyond sys.maxsize, as at n = 10^20
+        vertex_count = 10**20
+
+        def point(self, i):
+            raise AssertionError("no start should be listed")
+
+    assert list(_path_stats(Huge(), [], 0, 0, 1, None)) == []
+    with pytest.raises(ValueError, match="cannot sample starts"):
+        next(_path_stats(Huge(), [2], 0, 0, 1, None))
+
+
 def test_importing_the_cli_does_not_load_numpy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

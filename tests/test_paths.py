@@ -96,14 +96,14 @@ def test_enumerated_paths_are_sound():
                 assert len(set(rec.vertices)) == len(rec.vertices)  # no revisits
                 # displacement identity: the vectors telescope to w - v
                 total = (
-                    sum(v.a for v in rec.vectors),
-                    sum(v.b for v in rec.vectors),
+                    sum(dx for dx, _ in rec.vectors),
+                    sum(dy for _, dy in rec.vectors),
                 )
                 assert total == (
                     rec.vertices[-1][0] - start[0],
                     rec.vertices[-1][1] - start[1],
                 )
-                assert all(v.norm() == 5 for v in rec.vectors)
+                assert all(dx * dx + dy * dy == 5 for dx, dy in rec.vectors)
                 seen.add(rec.vertices)
             assert len(seen) == len(recs)
             # every irredundant unpruned walk appears

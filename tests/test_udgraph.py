@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udl.config import build_config, choose_params
-from udl.paths import count_irredundant_many, max_pair_count, total_irredundant_paths
+from udl.paths import count_irredundant_from, count_irredundant_many, max_pair_count, total_irredundant_paths
 from udl.udgraph import (
     DegreeSummary,
     UnitDistanceGraph,
@@ -132,12 +132,18 @@ def test_peel_default_threshold_on_10x10():
     assert h.edge_count > 144
 
 
-def test_peel_postconditions_randomized():
-    rng = random.Random(23)
-    for _ in range(25):
+def holed_point_sets(rng, count):
+    """`count` (points, m) pairs: side^2 random draws in a (2 side + 1)^2 box,
+    deduplicated, so the sets have holes."""
+    for _ in range(count):
         side = rng.randint(3, 12)
         m = rng.choice([1, 2, 4, 5, 8, 10, 13, 25, 65])
-        pts = sorted({(rng.randint(0, side * 2), rng.randint(0, side * 2)) for _ in range(side * side)})
+        yield sorted({(rng.randint(0, side * 2), rng.randint(0, side * 2)) for _ in range(side * side)}), m
+
+
+def test_peel_postconditions_randomized():
+    rng = random.Random(23)
+    for pts, m in holed_point_sets(rng, 25):
         g = build_graph(pts, m)
         t = rng.choice([0, 0.5, 1, 1.5, 2, 3, g.edge_count / (2 * len(g.points))])
         h = peel(g, t)
@@ -187,17 +193,70 @@ def test_peel_returns_the_graph_itself_when_nothing_falls_below():
         assert peel(g) is g
 
 
+def test_neighbour_table_matches_a_scan_and_peel_matches_a_rebuild():
+    rng = random.Random(47)
+    for pts, m in holed_point_sets(rng, 25):
+        g = build_graph(pts, m)
+        n, table = len(pts), g.neighbours
+        assert table.shape == (len(g.vectors), n + 1) and (table[:, n] == n).all()
+        for j, (dx, dy) in enumerate(g.vectors):
+            for i, (x, y) in enumerate(pts):
+                hit = [q for q, p in enumerate(pts) if p == (x + dx, y + dy)]
+                assert table[j, i] == (hit[0] if hit else n), (m, j, i)
+        for t in (1, 2.5, 4, 6):
+            h = peel(g, t)
+            assert (h.neighbours == build_graph(h.points, m).neighbours).all(), (m, t)
+
+
+def test_one_probe_from_build_through_peel_to_the_path_statistics(monkeypatch):
+    import udl.paths
+    import udl.udgraph
+
+    calls = []
+    original = udl.udgraph._probe
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    for module in (udl.udgraph, udl.paths):  # a module that imported the name would probe past one patch
+        monkeypatch.setattr(module, "_probe", counted, raising=False)
+    holed = [p for p in grid(12) if p not in {(5, 5), (6, 2), (9, 9)}]
+    g = build_graph(holed, 5)
+    h = peel(g, 4)
+    assert h.vertex_count < g.vertex_count and h.grid is None
+    starts = h.points[::7]
+    for k in (2, 3):
+        count_irredundant_many(h, starts, k)
+        total_irredundant_paths(h, k)
+        max_pair_count(h, k)
+    count_irredundant_from(h, starts[0], 3)
+    assert calls == [len(holed)]
+
+
+def test_peel_returns_the_config_grid_itself_at_every_n():
+    # m is 1 or odd and squarefree, so the vectors come in sign orbits (+-a, +-b)
+    # with a, b < (side + 1) / 2: from every offset one member of each orbit
+    # stays inside, every degree is at least R / 4, and e / (2v) <= R / 4
+    for n in [*range(4, 2001), *(10**e for e in range(4, 17))]:
+        params = choose_params(n)
+        g = grid_graph(params.side, params.m)
+        assert peel(g) is g, n
+        assert g._points is None and g._neighbours is None, n
+
+
 def oracle_graph(pts, m):
-    """The graph on sorted pts with adjacency from the O(n^2) edge oracle."""
+    """The graph on sorted pts with its neighbour table filled from the O(n^2) edge oracle."""
+    import numpy as np
+
+    n, vectors = len(pts), lattice_vectors(m)
     index = {p: i for i, p in enumerate(pts)}
-    adj = [[] for _ in pts]
-    edges = edge_set_bruteforce(pts, m)
-    for p, q in edges:
-        adj[index[p]].append(index[q])
-        adj[index[q]].append(index[p])
-    for row in adj:
-        row.sort()
-    return UnitDistanceGraph(pts, m, adj, len(edges), lattice_vectors(m))
+    row = {v: j for j, v in enumerate(vectors)}
+    table = np.full((len(vectors), n + 1), n, dtype=np.intp)
+    for p, q in edge_set_bruteforce(pts, m):
+        table[row[(q[0] - p[0], q[1] - p[1])], index[p]] = index[q]
+        table[row[(p[0] - q[0], p[1] - q[1])], index[q]] = index[p]
+    return UnitDistanceGraph(pts, m, table, vectors)
 
 
 def test_grid_graph_matches_explicit_probing_on_random_boxes():
@@ -276,7 +335,7 @@ def test_work_on_the_config_grid_builds_no_adjacency():
         count_irredundant_many(h, starts, k)
         total_irredundant_paths(h, k)
         max_pair_count(h, k)
-    assert g._adj is None and g._index is None and g._points is None
+    assert g._neighbours is None and g._index is None and g._points is None
 
 
 def test_vectors_are_computed_once_per_graph(monkeypatch):
