@@ -8,10 +8,10 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import bounds as bounds_mod
-from .config import choose_params, generators, rank_bounds, verify_edge_in_group
+from .config import ConfigParams, choose_params, generators, rank_bounds, verify_edge_in_group
 from .gaussian import GaussInt, representations
 from .numtheory import AP_1_MOD_4, chebyshev, factor, two_squares_count
 from .paths import (
@@ -21,7 +21,7 @@ from .paths import (
     path_count_lower_bound,
     total_irredundant_paths,
 )
-from .udgraph import build_graph, degree_summary, grid_graph, peel
+from .udgraph import DegreeSummary, build_graph, degree_summary, grid_graph, peel
 
 SAMPLE_STARTS = 50
 ASYMPTOTIC_X = 10**6
@@ -31,32 +31,23 @@ BRUTEFORCE_EDGE_LIMIT = 1000  # O(v^2) edge oracle only below this many vertices
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """One report row: lhs <= rhs, or lhs == rhs when relation is "=="."""
+
     name: str
     lhs: float
     rhs: float
-    relation: str  # "<=" or "=="
-    passed: bool
+    relation: str = "<="
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "pass": self.passed,
-        }
-
-
-def _check(name: str, lhs, rhs, relation: str = "<=") -> BoundCheck:
-    ok = lhs <= rhs if relation == "<=" else lhs == rhs
-    return BoundCheck(name, lhs, rhs, relation, bool(ok))
+    @property
+    def passed(self) -> bool:
+        return bool(self.lhs <= self.rhs if self.relation == "<=" else self.lhs == self.rhs)
 
 
 @dataclass
 class RunReport:
-    params: object
+    params: ConfigParams
     edge_count: int
-    degree_summary: object
+    degree_summary: DegreeSummary
     peeled: dict
     rank_window: tuple[float, float] | None
     path_stats: list = field(default_factory=list)
@@ -68,24 +59,12 @@ class RunReport:
         return all(c.passed for c in self.bound_checks)
 
     def to_dict(self) -> dict:
-        p = self.params
-        d = self.degree_summary
-        return {
-            "params": {"n": p.n, "r": p.r, "m": p.m, "primes": list(p.primes), "side": p.side},
-            "edge_count": self.edge_count,
-            "degree_summary": {
-                "min_degree": d.min_degree,
-                "max_degree": d.max_degree,
-                "vertex_count": d.vertex_count,
-                "edge_count": d.edge_count,
-            },
-            "peeled": self.peeled,
-            "rank_window": list(self.rank_window) if self.rank_window else None,
-            "path_stats": self.path_stats,
-            "bound_checks": [c.to_dict() for c in self.bound_checks],
-            "info_checks": self.info_checks,
-            "pass": self.passed,
-        }
+        """The fields in order, each check row and the report with its "pass" flag."""
+        out = asdict(self)
+        for row, check in zip(out["bound_checks"], self.bound_checks):
+            row["pass"] = check.passed
+        out["pass"] = self.passed
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -189,16 +168,14 @@ def verify_all(
     checks: list[BoundCheck] = []
     info: list[dict] = []
 
-    checks.append(_check("representation_count", len(g.vectors), 2 ** (params.r + 1), "=="))
-    checks.append(_check("representation_bruteforce", _representation_defect(g.vectors, params.m), 0, "=="))
+    checks.append(BoundCheck("representation_count", len(g.vectors), 2 ** (params.r + 1), "=="))
+    checks.append(BoundCheck("representation_bruteforce", _representation_defect(g.vectors, params.m), 0, "=="))
 
     v = g.vertex_count
-    checks.append(_check("edge_count_lower", v * 2 ** (params.r - 1) / 16, g.edge_count))
-    checks.append(_check("edge_count_upper", g.edge_count, 2 ** (params.r + 3) * v))
+    checks.append(BoundCheck("edge_count_lower", v * 2 ** (params.r - 1) / 16, g.edge_count))
+    checks.append(BoundCheck("edge_count_upper", g.edge_count, 2 ** (params.r + 3) * v))
     if v <= BRUTEFORCE_EDGE_LIMIT:
-        checks.append(
-            _check("edge_count_bruteforce", _edge_count_bruteforce(g.points, g.m), g.edge_count, "==")
-        )
+        checks.append(BoundCheck("edge_count_bruteforce", _edge_count_bruteforce(g.points, g.m), g.edge_count, "=="))
 
     if params.r >= 2:
         gens = generators(params)
@@ -209,34 +186,29 @@ def verify_all(
                 ok += 1
             except (ValueError, ArithmeticError):
                 pass
-        checks.append(_check("group_membership", ok / len(g.vectors), 1.0, "=="))
+        checks.append(BoundCheck("group_membership", ok / len(g.vectors), 1.0, "=="))
         largest = max(params.primes)
-        checks.append(
-            _check(
-                "theta_within_log_quarter_n",
-                chebyshev("theta", largest, AP_1_MOD_4),
-                math.log(n / 4),
-            )
-        )
+        theta_largest = chebyshev("theta", largest, AP_1_MOD_4)
+        checks.append(BoundCheck("theta_within_log_quarter_n", theta_largest, math.log(n / 4)))
 
     if n >= 16:
         low, high = rank_bounds(n)
         rank_window = (low, high)
-        checks.append(_check("rank_lower", low, params.r))
-        checks.append(_check("rank_upper", params.r, high))
+        checks.append(BoundCheck("rank_lower", low, params.r))
+        checks.append(BoundCheck("rank_upper", params.r, high))
     else:
         rank_window = None
 
     theta = chebyshev("theta", ASYMPTOTIC_X, AP_1_MOD_4)
     psi = chebyshev("psi", ASYMPTOTIC_X, AP_1_MOD_4)
-    checks.append(_check("theta_asymptotic", abs(theta * 2 / ASYMPTOTIC_X - 1.0), 0.1))
-    checks.append(_check("psi_over_theta", abs(psi / theta - 1.0), 0.01))
+    checks.append(BoundCheck("theta_asymptotic", abs(theta * 2 / ASYMPTOTIC_X - 1.0), 0.1))
+    checks.append(BoundCheck("psi_over_theta", abs(psi / theta - 1.0), 0.01))
 
     report = RunReport(params, g.edge_count, summary, peeled, rank_window)
 
     for stat in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, workers, step_budget):
         k = stat["k"]
-        checks.append(_check(f"path_count_lower_k{k}", stat["lower_bound"], stat["min_count"]))
+        checks.append(BoundCheck(f"path_count_lower_k{k}", stat["lower_bound"], stat["min_count"]))
         if stat["total_paths"] is None:
             info.append({"name": f"total_paths_k{k}", "status": "skipped: step budget"})
         try:
@@ -244,24 +216,23 @@ def verify_all(
             # v and w are None when the graph has no irredundant k-path
             stat["max_pair"] = {"v": pv and list(pv), "w": pw and list(pw), "count": peak}
             lhs = math.log2(peak) if peak > 0 else 0.0
-            checks.append(
-                _check(f"pair_count_within_solution_bound_k{k}", lhs, bounds_mod.log2_solution_bound(k, params.r - 1))
-            )
+            rhs = bounds_mod.log2_solution_bound(k, params.r - 1)
+            checks.append(BoundCheck(f"pair_count_within_solution_bound_k{k}", lhs, rhs))
         except StepBudgetExceeded:
             stat["max_pair"] = None
             info.append({"name": f"pair_count_within_solution_bound_k{k}", "status": "skipped: step budget"})
         report.path_stats.append(stat)
 
     worst, bracket_frac = _lambert_grid_stats()
-    checks.append(_check("lambert_identity_residual", worst, 1e-12))
-    checks.append(_check("lambert_bracket", bracket_frac, 1.0, "=="))
-    checks.append(_check("lambert_at_e", abs(bounds_mod.lambert_w(math.e) - 1.0), 1e-12))
+    checks.append(BoundCheck("lambert_identity_residual", worst, 1e-12))
+    checks.append(BoundCheck("lambert_bracket", bracket_frac, 1.0, "=="))
+    checks.append(BoundCheck("lambert_at_e", abs(bounds_mod.lambert_w(math.e) - 1.0), 1e-12))
 
     big_l = math.log(n)
     k_star = bounds_mod.k_star(big_l, params.r)
     base = (big_l / params.r) ** 0.2
-    checks.append(_check("k_window_lower", bounds_mod.K_WINDOW_LO * base, k_star))
-    checks.append(_check("k_window_upper", k_star, bounds_mod.K_WINDOW_HI * base))
+    checks.append(BoundCheck("k_window_lower", bounds_mod.K_WINDOW_LO * base, k_star))
+    checks.append(BoundCheck("k_window_upper", k_star, bounds_mod.K_WINDOW_HI * base))
 
     absorb = bounds_mod.absorption_sides(max(k_max, 2), params.r, log_n=big_l)
     info.append({"name": "absorption_sides", **absorb})

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .gaussian import GaussFactorization, GaussInt, factor_over, two_squares_prime
@@ -32,16 +32,7 @@ class ConfigParams:
     side: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "r": self.r,
-                "m": self.m,
-                "primes": list(self.primes),
-                "side": self.side,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 @dataclass(frozen=True)

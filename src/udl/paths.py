@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .udgraph import UnitDistanceGraph, _corner_depth
+from .udgraph import UnitDistanceGraph
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
@@ -490,6 +490,16 @@ def max_pair_count(
         return _max_pair_grid(g, k, dims)
     _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
     return _place(g, k)[1]
+
+
+def _corner_depth(lo_x, hi_x, ux, lo_y, hi_y, uy):
+    """depth[i, j]: how many rectangles [lo_x, hi_x] x [lo_y, hi_y] (one per row) cover (ux[i], uy[j]),
+    as a float64 product of 0/1 indicators that BLAS runs, exact as no entry exceeds the row count (far below 2^53)."""
+    import numpy as np
+
+    inx = ((lo_x[:, None] <= ux) & (ux <= hi_x[:, None])).astype(np.float64)
+    iny = ((lo_y[:, None] <= uy) & (uy <= hi_y[:, None])).astype(np.float64)
+    return (inx.T @ iny).astype(np.int64)
 
 
 def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):

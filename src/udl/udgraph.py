@@ -93,9 +93,6 @@ class UnitDistanceGraph:
             return (x0 + i // h, y0 + i % h)
         return self._points[i]
 
-    def degree(self, i: int) -> int:
-        return int((self.neighbours[:, i] != self.vertex_count).sum())
-
     def edges(self):
         """Canonical (p, q) pairs with p < q, ascending."""
         points = self.points
@@ -187,31 +184,30 @@ def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
     return UnitDistanceGraph(pts, m, _probe(pts, {p: i for i, p in enumerate(pts)}, vectors), vectors)
 
 
-def _corner_depth(lo_x, hi_x, ux, lo_y, hi_y, uy):
-    """depth[i, j]: how many rectangles [lo_x, hi_x] x [lo_y, hi_y] (one per row) cover (ux[i], uy[j]),
-    as a float64 product of 0/1 indicators that BLAS runs, exact as no entry exceeds the row count (far below 2^53)."""
-    import numpy as np
-
-    inx = ((lo_x[:, None] <= ux) & (ux <= hi_x[:, None])).astype(np.float64)
-    iny = ((lo_y[:, None] <= uy) & (uy <= hi_y[:, None])).astype(np.float64)
-    return (inx.T @ iny).astype(np.int64)
-
-
 def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
     """(min, max) degree on the w x h grid without touching its vertices.
 
     The degree at offset (ox, oy) counts the vectors with 0 <= ox + dx < w
     and 0 <= oy + dy < h.  Along x it can change only where some ox + dx
     enters or leaves [0, w), so the degrees at those cuts, clipped into the
-    grid, times the cuts along y are every degree the grid has.
+    grid, times the cuts along y are every degree the grid has.  Vector j
+    covers the cut ranks [ax, bx) x [ay, by); a +1/-1 at the four corners of
+    each such box, summed along both axes, is the degree at every cut pair.
     """
     import numpy as np
 
     dx, dy = np.array(vectors, dtype=np.int64).reshape(-1, 2).T
     ux = np.unique(np.clip(np.r_[0, -dx, w - dx], 0, w - 1))
     uy = np.unique(np.clip(np.r_[0, -dy, h - dy], 0, h - 1))
-    degree = _corner_depth(-dx, w - 1 - dx, ux, -dy, h - 1 - dy, uy)
-    return int(degree.min()), int(degree.max())
+    ax, bx = np.searchsorted(ux, -dx), np.searchsorted(ux, w - 1 - dx, side="right")
+    ay, by = np.searchsorted(uy, -dy), np.searchsorted(uy, h - 1 - dy, side="right")
+    cols = len(uy) + 1
+    degree = np.bincount(np.r_[ax * cols + ay, bx * cols + by], minlength=(len(ux) + 1) * cols)
+    np.subtract.at(degree, np.r_[bx * cols + ay, ax * cols + by], 1)  # in place: one field, not two
+    degree = degree.reshape(-1, cols)
+    np.cumsum(degree, axis=0, out=degree)
+    np.cumsum(degree, axis=1, out=degree)
+    return int(degree[:-1, :-1].min()), int(degree[:-1, :-1].max())
 
 
 def _degree_range(g: UnitDistanceGraph) -> tuple[int, int]:

@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from udl.cli import _representation_defect, dispatch, verify_all
+from udl.cli import BoundCheck, RunReport, _representation_defect, dispatch, verify_all
 from udl.gaussian import representations
 
 from oracles import two_squares_set
@@ -55,6 +56,18 @@ def test_verify_report_contents_n100():
         assert check.relation in ("<=", "==")
         if check.relation == "<=":
             assert check.passed == (check.lhs <= check.rhs)
+
+
+def test_a_check_row_passes_by_its_relation():
+    assert BoundCheck("x", 1, 1.0, "==").passed and BoundCheck("x", 1, 2).passed
+    assert not BoundCheck("x", 2, 1).passed and not BoundCheck("x", 1, 2, "==").passed
+    report = verify_all(100, 3)
+    blob = report.to_dict()
+    assert list(blob) == [f.name for f in fields(RunReport)] + ["pass"]
+    rows = blob["bound_checks"]
+    assert all(list(row) == ["name", "lhs", "rhs", "relation", "pass"] for row in rows)
+    assert [row["pass"] for row in rows] == [c.passed for c in report.bound_checks]
+    assert "==" in {c.relation for c in report.bound_checks}
 
 
 def test_verify_degenerate_n10(capsys):

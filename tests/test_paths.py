@@ -22,11 +22,12 @@ from udl.paths import (
     path_count_lower_bound,
     per_pair_counts,
     total_irredundant_paths,
+    _corner_depth,
     _grid_paths,
     _multisets,
     _orderings,
 )
-from udl.udgraph import build_graph
+from udl.udgraph import build_graph, grid_graph
 
 from oracles import has_vanishing_subsum, irredundant_walk_count, two_squares_set, walks_from
 
@@ -262,6 +263,27 @@ def test_grid_route_matches_dfs_on_random_offset_grids():
             assert sum(1 for c in pairs.values() if c == best[2]) > 1  # the tie-break decides
 
 
+def test_total_on_grids_past_int64_matches_a_tuple_oracle():
+    # w = 2^31 and 3 * 2^31 make rows * w * h pass 2^63, so the total is summed
+    # in Python ints; w = 7 and 50 keep the int64 sum
+    for m in (5, 25):
+        vectors = sorted(two_squares_set(m))
+        for k in (1, 2, 3):
+            extents = []
+            for t in product(vectors, repeat=k):
+                if has_vanishing_subsum(t):
+                    continue
+                pre = [(0, 0), *accumulate(t, lambda p, v: (p[0] + v[0], p[1] + v[1]))]
+                xs, ys = [p[0] for p in pre], [p[1] for p in pre]
+                extents.append((max(xs) - min(xs), max(ys) - min(ys)))
+            for w in (7, 50, 2**31, 3 * 2**31):
+                g = grid_graph(w, m)
+                expect = sum(max(w - ex, 0) * max(w - ey, 0) for ex, ey in extents)
+                assert total_irredundant_paths(g, k) == expect, (m, k, w)
+                if k == 1:
+                    assert expect == 2 * g.edge_count, (m, w)
+
+
 def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     # the n = 10^4 configuration's 32 vectors: each of the 480 unordered
     # non-opposite pairs {a, b} is a displacement group of depth 2 once the
@@ -272,6 +294,28 @@ def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     assert best == _lex_min_best(pairs)
     assert best[2] == 2
     assert len({(w[0] - v[0], w[1] - v[1]) for (v, w), c in pairs.items() if c == 2}) == 480
+
+
+def test_corner_depth_matches_a_bruteforce_count():
+    import numpy as np
+
+    rng = random.Random(41)
+    for trial in range(60):
+        rows = 0 if trial == 0 else 1 if trial == 1 else rng.randint(1, 40)
+        lo_x = [rng.randint(-5, 25) for _ in range(rows)]
+        lo_y = [rng.randint(-5, 25) for _ in range(rows)]
+        # every third rectangle is one offset thick along x or y
+        hi_x = [a + (0 if i % 3 == 0 else rng.randint(0, 12)) for i, a in enumerate(lo_x)]
+        hi_y = [a + (0 if i % 3 == 1 else rng.randint(0, 12)) for i, a in enumerate(lo_y)]
+        # corners -10 and 40 lie outside every rectangle
+        ux = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
+        uy = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
+        got = _corner_depth(*(np.array(c, dtype=np.int64) for c in (lo_x, hi_x, ux, lo_y, hi_y, uy)))
+        expect = [
+            [sum(a <= x <= b and c <= y <= d for a, b, c, d in zip(lo_x, hi_x, lo_y, hi_y)) for y in uy]
+            for x in ux
+        ]
+        assert got.dtype == np.int64 and got.tolist() == expect, trial
 
 
 def _expand(idx, kind, k):

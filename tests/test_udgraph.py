@@ -11,7 +11,6 @@ from udl.paths import count_irredundant_from, count_irredundant_many, max_pair_c
 from udl.udgraph import (
     DegreeSummary,
     UnitDistanceGraph,
-    _corner_depth,
     build_graph,
     degree_summary,
     grid_graph,
@@ -245,6 +244,17 @@ def test_peel_returns_the_config_grid_itself_at_every_n():
         assert g._points is None and g._neighbours is None, n
 
 
+def test_config_grid_degree_range_is_a_quarter_of_the_vectors_to_all_of_them():
+    # m is odd and squarefree, so no vector lies on an axis: the corner keeps
+    # the one member of each sign orbit that points inward, and the centre
+    # keeps every vector
+    for e in range(2, 19):
+        params = choose_params(10**e)
+        g = grid_graph(params.side, params.m)
+        r = len(g.vectors)
+        assert degree_summary(g) == DegreeSummary(r // 4, r, params.side**2, g.edge_count), e
+
+
 def oracle_graph(pts, m):
     """The graph on sorted pts with its neighbour table filled from the O(n^2) edge oracle."""
     import numpy as np
@@ -356,28 +366,6 @@ def test_vectors_are_computed_once_per_graph(monkeypatch):
     assert build_graph([], 10**6).vectors == original(10**6)
     grid_graph(6, 25).adj
     assert calls == [5, 10**6, 25]
-
-
-def test_corner_depth_matches_a_bruteforce_count():
-    import numpy as np
-
-    rng = random.Random(41)
-    for trial in range(60):
-        rows = 0 if trial == 0 else 1 if trial == 1 else rng.randint(1, 40)
-        lo_x = [rng.randint(-5, 25) for _ in range(rows)]
-        lo_y = [rng.randint(-5, 25) for _ in range(rows)]
-        # every third rectangle is one offset thick along x or y
-        hi_x = [a + (0 if i % 3 == 0 else rng.randint(0, 12)) for i, a in enumerate(lo_x)]
-        hi_y = [a + (0 if i % 3 == 1 else rng.randint(0, 12)) for i, a in enumerate(lo_y)]
-        # corners -10 and 40 lie outside every rectangle
-        ux = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
-        uy = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
-        got = _corner_depth(*(np.array(c, dtype=np.int64) for c in (lo_x, hi_x, ux, lo_y, hi_y, uy)))
-        expect = [
-            [sum(a <= x <= b and c <= y <= d for a, b, c, d in zip(lo_x, hi_x, lo_y, hi_y)) for y in uy]
-            for x in ux
-        ]
-        assert got.dtype == np.int64 and got.tolist() == expect, trial
 
 
 def test_grid_degree_range_matches_per_point_counts_on_wide_boxes():
