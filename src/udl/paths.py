@@ -8,8 +8,11 @@ does not depend on the order of the vectors, so walked over the vectors in
 ascending index order it lists the irredundant k-multisets, sorted by total
 displacement (`_multisets`); each stands for its distinct orderings
 (`_orderings`), the irredundant k-tuples of that displacement.  A k-path is
-a tuple placed at a start whose prefix points all lie in the point set,
-found by a box test on a full grid and a neighbour table elsewhere.  The
+a tuple placed at a start whose prefix points all lie in the point set.  On a
+full grid that is a box test (`_grid_paths`).  On any other point set the
+counts walk the vector tuples once for all starts together, each node the
+array of the starts' positions (`_start_walks`), and the pair statistics
+gather each displacement group's tuples as one block (`_group_depth`).  The
 per-start DFS over the neighbour table (`count_irredundant_from`) is the
 reference route.
 """
@@ -26,6 +29,9 @@ MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
 # tuples whose prefix boxes `_grid_paths` builds at once
 _GRID_CHUNK = 1 << 18
+# positions one gather takes at once: rect rows of the sampled grid counts,
+# tuple-start pairs of `_group_depth`
+_GATHER_BUDGET = 1 << 14
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -127,10 +133,12 @@ def _validate_k(k: int) -> None:
 def _walks(step, start, depth: int):
     """(trail, walks): every irredundant `depth`-edge walk from `start`.
 
-    `step(u)` lists the moves out of u as (w, u - w), with u - w a complex.
+    `step(u)` lists the moves out of node u as (w, u - w), with u - w a
+    complex.  A node is whatever `step` takes: a vertex index, a vector index
+    (`_multisets`), or the positions of all starts at once (`_start_walks`).
     `walks` yields the set S of nonempty prefix-subset sums once per walk,
     S then covering all `depth` vectors, while `trail` holds the walk's
-    vertices start .. w.  A move with vector z is admissible exactly when -z
+    nodes start .. w.  A move with vector z is admissible exactly when -z
     is not in S.  Both are live views: read them before the next step.
     """
     trail = [start]
@@ -201,9 +209,9 @@ def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts for several start vertices: on a full grid the start rectangles
-    of `_grid_paths` covering each start, on other point sets the tuples placed
-    there (see `_place`).  `workers` is kept for callers that pass it and
-    selects nothing."""
+    of `_grid_paths` covering each start, on other point sets one walk over
+    the vector tuples for all starts at once (see `_start_counts`).  `workers`
+    is kept for callers that pass it and selects nothing."""
     import numpy as np
 
     _validate_k(k)
@@ -215,36 +223,57 @@ def count_irredundant_many(
         ux, ix = np.unique([s[0] - x0 for s in starts], return_inverse=True)
         uy, iy = np.unique([s[1] - y0 for s in starts], return_inverse=True)
         # rectangle [ax, bx] x [ay, by] covers the sampled offsets of ranks
-        # [xlo[ax], xhi[bx]) x [ylo[ay], yhi[by]): a difference array over those ranks only
+        # [xlo[ax], xhi[bx]) x [ylo[ay], yhi[by]): a difference array over those ranks only.
+        # A prefix box reaches at most k * reach from its start, so ax, ay < span
+        # and bx, by >= side - span: each rank table covers that span, not the side
         cols = len(uy) + 1
-        xlo, xhi = (np.searchsorted(ux, np.arange(w), side) * cols for side in ("left", "right"))
-        ylo, yhi = (np.searchsorted(uy, np.arange(h), side) for side in ("left", "right"))
-
-        def corners(xrank, x, yrank, y):
-            cell = xrank[x]
-            cell += yrank[y]
-            return np.bincount(cell, minlength=(len(ux) + 1) * cols)
-
-        diff = corners(xlo, ax, ylo, ay) - corners(xhi, bx, ylo, ay) - corners(xlo, ax, yhi, by) + corners(xhi, bx, yhi, by)
+        reach = max((max(abs(dx), abs(dy)) for dx, dy in g.vectors), default=0)
+        xspan, yspan = min(w, k * reach + 1), min(h, k * reach + 1)
+        xlo = np.searchsorted(ux, np.arange(xspan)) * cols
+        xhi = np.searchsorted(ux, np.arange(w - xspan, w), "right") * cols
+        ylo = np.searchsorted(uy, np.arange(yspan))
+        yhi = np.searchsorted(uy, np.arange(h - yspan, h), "right")
+        diff = np.zeros((len(ux) + 1) * cols, dtype=np.int64)
+        for lo in range(0, len(ax), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
+            part = slice(lo, lo + _GATHER_BUDGET)
+            xa, xb = xlo[ax[part]], xhi[bx[part] - (w - xspan)]
+            ya, yb = ylo[ay[part]], yhi[by[part] - (h - yspan)]
+            for cell, sign in ((xa + ya, 1), (xb + ya, -1), (xa + yb, -1), (xb + yb, 1)):
+                diff += sign * np.bincount(cell, minlength=len(diff))
         field = diff.reshape(-1, cols).cumsum(axis=0).cumsum(axis=1)
         return dict(zip(starts, field[ix, iy].tolist()))
-    counts, _ = _place(g, k, list(starts.values()))
+    counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
     return dict(zip(starts, counts.tolist()))
 
 
 def per_pair_counts(
     g: UnitDistanceGraph, k: int, starts=None, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
-    """Ordered-pair path counts |P_vw| for every start v (see `_place`).
+    """Ordered-pair path counts |P_vw| for every start v.
 
-    Pairs are ordered: (v, w) and (w, v) are counted separately (reversal is
-    a bijection between the two path families, so the counts agree).  A start
-    listed twice is counted once.
+    The displacement groups of the irredundant k-tuples are visited in
+    (dx, dy) order, and |P_vw| for w = v + d is the depth of v in group d:
+    how many of its tuples placed at v keep every prefix point in the set
+    (see `_group_depth`).  Pairs are ordered: (v, w) and (w, v) are counted
+    separately (reversal is a bijection between the two path families, so
+    the counts agree).  A start listed twice is counted once.
     """
+    import numpy as np
+
     _validate_k(k)
     starts = _checked_starts(g, g.points if starts is None else starts, k, step_budget)
     pairs: dict = {}
-    _place(g, k, list(starts.values()), pairs)
+    if not starts:
+        return pairs
+    at = np.array(list(starts.values()), dtype=np.intp)
+    from_at = list(starts)
+    dx, dy, _, tuples = _displacement_groups(g.vectors, k)
+    for gi, (ddx, ddy) in enumerate(zip(dx.tolist(), dy.tolist())):
+        depth = _group_depth(g.neighbours, tuples(gi), at)
+        hit = np.flatnonzero(depth)
+        for i, c in zip(hit.tolist(), depth[hit].tolist()):
+            v = from_at[i]
+            pairs[(v, (v[0] + ddx, v[1] + ddy))] = c
     return pairs
 
 
@@ -342,51 +371,98 @@ def _group_heads(sx, sy) -> list[int]:
     return np.flatnonzero(np.r_[len(sx) > 0, (np.diff(sx) != 0) | (np.diff(sy) != 0)]).tolist()
 
 
-def _place(g: UnitDistanceGraph, k: int, starts=None, pairs: dict | None = None):
-    """(counts, best) in one pass over the irredundant k-tuples placed at the
-    vertex indices `starts`, every vertex when None (then cached on g per k).
-    The tuples are expanded from `_multisets` one displacement group d at a
-    time; a group's depth at v is |P_vw| for w = v + d.  counts[i] is the
-    number of paths from starts[i]; best is the
-    (v, w, |P_vw|) of largest count, ties going to the smallest (v, w) when
-    `starts` ascend.  `pairs`, when given, gets every nonzero |P_vw|.
+def _ordering_counts(k: int, kind):
+    """Per multiset row, the number of distinct orderings of its `kind`."""
+    import numpy as np
+
+    size = np.zeros(len(kind), dtype=np.intp)
+    for c in np.flatnonzero(np.bincount(kind)).tolist():  # not np.unique, which imports numpy.ma
+        size[kind == c] = len(_orderings(k, c))
+    return size
+
+
+def _displacement_groups(vectors, k: int):
+    """(dx, dy, size, tuples): the displacement groups of the irredundant
+    k-tuples in (dx, dy) order.  Group i has displacement (dx[i], dy[i]) and
+    size[i] tuples, and `tuples(i)` is their (size[i], k) array of vector
+    indices, built only when asked for.
     """
     import numpy as np
 
-    if starts is None:
-        cache = vars(g).setdefault("_placed", {})
-        if k not in cache:
-            cache[k] = _place(g, k, range(g.vertex_count))
-        return cache[k]
-    # column n of the table is all n, so a chain of k gathers that once leaves g stays out
-    n, pts, table = g.vertex_count, g.points, g.neighbours
-    starts = np.array(starts, dtype=np.intp)
-    counts = np.zeros(len(starts), dtype=np.int64)
-    best = (None, None, 0)
-    idx, sx, sy, kind = _multisets(g.vectors, k)
-    if not len(starts) or not len(idx):
-        return counts, best
+    idx, sx, sy, kind = _multisets(vectors, k)
     heads = _group_heads(sx, sy)
-    for lo, hi in zip(heads, heads[1:] + [len(idx)]):
-        dx, dy = int(sx[lo]), int(sy[lo])
-        # the group's tuples: every ordering of every multiset of displacement (dx, dy)
-        group = np.concatenate([idx[i][_orderings(k, c)] for i, c in enumerate(kind[lo:hi].tolist(), lo)])
-        depth = np.zeros(len(starts), dtype=np.int64)
-        for tup in group.tolist():
-            at = starts
-            for j in tup:
-                at = table[j, at]
-            depth += at != n
-        counts += depth
-        i = int(depth.argmax())  # the first deepest start
-        peak, v = int(depth[i]), pts[starts[i]]
-        w = (v[0] + dx, v[1] + dy)
-        if peak > best[2] or (peak == best[2] > 0 and (v, w) < best[:2]):
-            best = (v, w, peak)
-        if pairs is not None:
-            for s, c in zip(starts[depth > 0].tolist(), depth[depth > 0].tolist()):
-                pairs[(pts[s], (pts[s][0] + dx, pts[s][1] + dy))] = c
-    return counts, best
+    ends = heads[1:] + [len(idx)]
+    size = np.add.reduceat(_ordering_counts(k, kind), heads) if heads else np.zeros(0, dtype=np.intp)
+
+    def tuples(i: int):
+        lo, hi = heads[i], ends[i]
+        return np.concatenate([idx[r][_orderings(k, c)] for r, c in enumerate(kind[lo:hi].tolist(), lo)])
+
+    return sx[heads], sy[heads], size, tuples
+
+
+def _group_depth(table, tuples, starts):
+    """depth[i]: how many of the (t, k) vector-index `tuples`, placed at
+    vertex starts[i], keep every prefix point in the point set of the
+    neighbour `table`.  A block of tuples is gathered at once, as many rows
+    as keep the block within `_GATHER_BUDGET` positions; column n of the
+    table is all n, so a chain of gathers that once leaves the set stays out.
+    """
+    import numpy as np
+
+    n = table.shape[1] - 1
+    depth = np.zeros(len(starts), dtype=np.int64)
+    rows = max(1, _GATHER_BUDGET // max(len(starts), 1))
+    for lo in range(0, len(tuples), rows):
+        at = starts
+        for col in tuples[lo : lo + rows].T:
+            at = table[col[:, None], at]
+        depth += (at != n).sum(axis=0)
+    return depth
+
+
+def _start_walks(g: UnitDistanceGraph, k: int, starts):
+    """Yield (at, S) once per irredundant (k-1)-tuple of vector indices:
+    `at` holds the positions the tuple reaches from every vertex in `starts`
+    (n once it left the set) and S its nonempty prefix-subset sums.  A node
+    of the walk is the positions one step back with the step's vector
+    index, so only the moves taken are gathered.
+    """
+    table = g.neighbours
+    moves = [(j, complex(-dx, -dy)) for j, (dx, dy) in enumerate(g.vectors)]
+
+    def land(node):
+        at, j = node
+        return at if j is None else table[j].take(at)
+
+    def step(node):
+        at = land(node)
+        return [((at, j), nz) for j, nz in moves]
+
+    trail, walks = _walks(step, (starts, None), k - 1)
+    for S in walks:
+        yield land(trail[-1]), S
+
+
+def _start_counts(g: UnitDistanceGraph, k: int, starts):
+    """counts[i]: irredundant k-paths from vertex starts[i].  Each walk of
+    `_start_walks` closes as `_count_from` does, vectorised over the starts:
+    the degree where it stands minus the moves whose negated vector is a
+    prefix-subset sum.
+    """
+    import numpy as np
+
+    n, table = g.vertex_count, g.neighbours
+    present = table != n
+    degree = present.sum(axis=0)
+    blocker = {complex(-dx, -dy): j for j, (dx, dy) in enumerate(g.vectors)}
+    blocks = frozenset(blocker)
+    counts = np.zeros(len(starts), dtype=np.int64)
+    for at, S in _start_walks(g, k, starts):
+        counts += degree.take(at)
+        for s in S & blocks:
+            counts -= present[blocker[s]].take(at)
+    return counts
 
 
 def _grid_paths(g: UnitDistanceGraph, k: int, dims):
@@ -411,9 +487,7 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         idx, sx, sy, kind = _multisets(g.vectors, k)
         step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
         classes = np.unique(kind).tolist()
-        size = np.zeros(len(idx), dtype=np.intp)
-        for c in classes:
-            size[kind == c] = len(_orderings(k, c))
+        size = _ordering_counts(k, kind)
         offset = np.cumsum(size) - size
         rect = [np.empty(int(size.sum()), dtype=np.int64) for _ in range(4)]  # ax, bx, ay, by
         for c in classes:
@@ -453,14 +527,16 @@ def total_irredundant_paths(
     """Total irredundant k-edge paths over all start vertices.
 
     On a full grid this is the summed area of the start rectangles (see
-    `_grid_paths`); otherwise it sums the placed tuples of every start (see
-    `_place`).
+    `_grid_paths`); otherwise it sums the counts of one walk over the vector
+    tuples for every start at once (see `_start_counts`).
     """
+    import numpy as np
+
     _validate_k(k)
     dims = g.grid
     if dims is None:
         _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
-        return int(_place(g, k)[0].sum())
+        return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
     _check_budget(_grid_effort(len(g.vectors), k), step_budget)
     _, _, w, h = dims
     *_, ax, bx, ay, by = _grid_paths(g, k, dims)
@@ -475,21 +551,55 @@ def max_pair_count(
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None, int]:
     """The ordered pair (v, w) maximizing the irredundant path count |P_vw|.
 
-    Ties break toward the lexicographically smallest (v, w).  On a full grid
-    the tuples that fit come grouped by total displacement w - v (see
-    `_grid_paths`); inside one group |P_vw| is the depth of v in the group's
-    start rectangles.  Groups are visited largest first, stopping once a
-    group has fewer rectangles than the best depth found, and each is
-    evaluated only at its compressed corners.  Any other point set reads the
-    pass of `_place` over every start.
+    Ties break toward the lexicographically smallest (v, w).  The tuples come
+    grouped by total displacement w - v, and inside one group |P_vw| is the
+    depth of v: on a full grid the number of the group's start rectangles
+    covering v (see `_grid_paths`), evaluated only at their compressed
+    corners, on any other point set the group's tuples gathered at every
+    start (see `_group_depth`).  Groups are visited largest first, stopping
+    once a group has fewer tuples than the best depth found
+    (`_largest_groups_first`).
     """
+    import numpy as np
+
     _validate_k(k)
     dims = g.grid
     if dims is not None:
         _check_budget(_grid_effort(len(g.vectors), k), step_budget)
         return _max_pair_grid(g, k, dims)
     _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
-    return _place(g, k)[1]
+    if not g.vertex_count:
+        return (None, None, 0)
+    dx, dy, size, tuples = _displacement_groups(g.vectors, k)
+    everyone = np.arange(g.vertex_count)
+
+    def deepest(gi):
+        depth = _group_depth(g.neighbours, tuples(gi), everyone)
+        i = int(depth.argmax())  # the first deepest vertex: points are sorted
+        return g.points[i], int(depth[i])
+
+    return _largest_groups_first(dx, dy, size, deepest)
+
+
+def _largest_groups_first(dx, dy, size, deepest):
+    """(v, w, depth) of greatest depth over the displacement groups, ties
+    going to the smallest (v, w).  `deepest(i)` is the (v, depth) of group i
+    at its lexicographically smallest deepest start v.  Groups are visited
+    largest first and the visit stops once a group has fewer than
+    max(best depth, 1) tuples: depth never exceeds a group's size, and an
+    empty group has no pair.
+    """
+    import numpy as np
+
+    best = (None, None, 0)
+    for gi in np.argsort(-size, kind="stable").tolist():
+        if size[gi] < max(best[2], 1):
+            break
+        v, peak = deepest(gi)
+        w = (v[0] + int(dx[gi]), v[1] + int(dy[gi]))
+        if peak > best[2] or (peak == best[2] > 0 and (v, w) < best[:2]):
+            best = (v, w, peak)
+    return best
 
 
 def _corner_depth(lo_x, hi_x, ux, lo_y, hi_y, uy):
@@ -508,22 +618,16 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     x0, y0, _, _ = dims
     dx, dy, count, ax, bx, ay, by = _grid_paths(g, k, dims)
     ends = np.cumsum(count).tolist()
-    best = (None, None, 0)
-    for gi in np.argsort(-count, kind="stable").tolist():  # largest group first
+
+    def deepest(gi):
         lo, hi = ends[gi] - int(count[gi]), ends[gi]
-        if hi - lo < max(best[2], 1):
-            break  # depth never exceeds a group's rectangle count, and an empty group has no pair
         gax, gbx, gay, gby = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
         # the lexicographically smallest deepest point has some ax as its x
         # and some ay as its y: moving left or down from anywhere else keeps
         # every rectangle that covered it
         ux, uy = np.unique(gax), np.unique(gay)
         depth = _corner_depth(gax, gbx, ux, gay, gby, uy)
-        flat = int(depth.argmax())
-        peak = int(depth.flat[flat])
-        i, j = divmod(flat, len(uy))
-        v = (x0 + int(ux[i]), y0 + int(uy[j]))
-        w = (v[0] + int(dx[gi]), v[1] + int(dy[gi]))
-        if peak > best[2] or (peak == best[2] and (v, w) < best[:2]):
-            best = (v, w, peak)
-    return best
+        i, j = divmod(int(depth.argmax()), len(uy))
+        return (x0 + int(ux[i]), y0 + int(uy[j])), int(depth[i, j])
+
+    return _largest_groups_first(dx, dy, count, deepest)

@@ -7,6 +7,8 @@ from itertools import accumulate, combinations_with_replacement, permutations, p
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from udl.gaussian import GaussInt
 from udl.paths import (
@@ -23,7 +25,9 @@ from udl.paths import (
     per_pair_counts,
     total_irredundant_paths,
     _corner_depth,
+    _displacement_groups,
     _grid_paths,
+    _group_depth,
     _multisets,
     _orderings,
 )
@@ -510,6 +514,70 @@ def test_walker_routes_agree_with_oracles_on_holed_boxes():
             assert max_pair_count(g, j) == _lex_min_best(every), (m, j)
 
 
+@st.composite
+def _holed_boxes(draw):
+    w, h = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = [(x, y) for x in range(w) for y in range(h)]
+    return _holed_box(w, h, draw(st.sets(st.sampled_from(cells), min_size=1, max_size=len(cells))))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_holed_boxes(), st.sampled_from([1, 5, 25, 65]), st.integers(1, 4))
+# the first largest group (12 tuples) reaches depth 2 and the best, 4, lies in a later group
+@example(_holed_box(3, 30, {(0, 0)}), 5, 3)
+# the largest groups (6 tuples) have depth 0 and the best, 4, comes from a smaller size class
+@example(_holed_box(2, 5, {(0, 0)}), 1, 4)
+@example(_holed_box(5, 5, {(0, 0)}), 25, 3)  # every group has depth 0
+@example([], 5, 2)
+def test_start_walk_and_pruned_max_pair_match_the_references(points, m, k):
+    g = build_graph(points, m)
+    counts = count_irredundant_many(g, points, k)
+    assert counts == {s: count_irredundant_from(g, s, k) for s in points}
+    assert total_irredundant_paths(g, k) == sum(counts.values())
+    pairs = per_pair_counts(g, k)
+    per_start = dict.fromkeys(points, 0)
+    for (v, _), c in pairs.items():
+        per_start[v] += c
+    assert per_start == counts
+    assert max_pair_count(g, k) == _lex_min_best(pairs)
+
+
+def test_fixed_max_pair_cases_have_the_shapes_they_exercise():
+    import numpy as np
+
+    for points, m, k, largest_depth, best in [
+        (_holed_box(3, 30, {(0, 0)}), 5, 3, 2, ((0, 2), (0, 3), 4)),
+        (_holed_box(2, 5, {(0, 0)}), 1, 4, 0, ((0, 1), (1, 4), 4)),
+        (_holed_box(5, 5, {(0, 0)}), 25, 3, 0, (None, None, 0)),
+    ]:
+        g = build_graph(points, m)
+        assert g.grid is None
+        _, _, size, tuples = _displacement_groups(g.vectors, k)
+        first = int(np.argmax(size))  # the first group the largest-first visit takes
+        assert _group_depth(g.neighbours, tuples(first), np.arange(g.vertex_count)).max() == largest_depth
+        assert max_pair_count(g, k) == best
+
+
+def _holed_m1105():
+    box = grid(100)
+    drop = set(random.Random(5).sample(range(len(box)), 500))
+    return build_graph([p for i, p in enumerate(box) if i not in drop], 1105)
+
+
+def test_holed_box_at_m1105_keeps_the_placed_totals_and_max_pairs():
+    g = _holed_m1105()
+    assert g.grid is None and g.vertex_count == 9500 and len(g.vectors) == 32
+    assert total_irredundant_paths(g, 3) == 66_643_710
+    assert max_pair_count(g, 3) == ((12, 33), (64, 46), 18)
+    starts = random.Random(6).sample(g.points, 20)
+    assert count_irredundant_many(g, starts, 3) == {s: count_irredundant_from(g, s, 3) for s in starts}
+    # the projection 9500 * 32^4 is over the default budget of 10^9
+    with pytest.raises(StepBudgetExceeded):
+        total_irredundant_paths(g, 4)
+    assert total_irredundant_paths(g, 4, step_budget=10**10) == 1_211_174_470
+    assert max_pair_count(g, 4, step_budget=10**10) == ((39, 33), (39, 67), 184)
+
+
 def test_path_statistics_start_no_process(monkeypatch):
     import multiprocessing.process
 
@@ -537,7 +605,17 @@ def test_path_statistics_start_no_process(monkeypatch):
 def test_grid_statistics_allocate_nothing_of_side_squared():
     # a 100000 x 100000 grid: any (side+1)^2 int64 array needs 74.5 GiB, so the
     # child, capped at 1 GiB of address space, fails if one is allocated
-    side, (x0, y0), k = 100_000, (-7, 3), 3
+    _check_grid_statistics_under_a_1gib_cap(100_000)
+
+
+def test_sampled_grid_counts_allocate_nothing_of_the_side():
+    # at side 10^8 an O(side) int64 array is 763 MiB, so under the same cap one
+    # rank table per grid offset fails
+    _check_grid_statistics_under_a_1gib_cap(100_000_000)
+
+
+def _check_grid_statistics_under_a_1gib_cap(side):
+    (x0, y0), k = (-7, 3), 3
     starts = [(x0, y0), (x0 + side - 1, y0), (x0, y0 + side - 1), (x0 + side - 1, y0 + side - 1), (x0 + 2, y0 + 1)]
     code = (
         "import json, resource, sys\n"
