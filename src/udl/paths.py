@@ -9,12 +9,12 @@ ascending index order it lists the irredundant k-multisets, sorted by total
 displacement (`_multisets`); each stands for its distinct orderings
 (`_orderings`), the irredundant k-tuples of that displacement.  A k-path is
 a tuple placed at a start whose prefix points all lie in the point set.  On a
-full grid that is a box test (`_grid_paths`).  On any other point set the
-counts walk the vector tuples once for all starts together, each node the
-array of the starts' positions (`_start_walks`), and the pair statistics
-gather each displacement group's tuples as one block (`_group_depth`).  The
-per-start DFS over the neighbour table (`count_irredundant_from`) is the
-reference route.
+full grid the counts, total and max pair take that as a box test
+(`_grid_paths`).  Elsewhere the counts walk the vector tuples once for all
+starts, each node the array of the starts' positions (`_start_walks`), and
+the pair statistics gather each displacement group's tuples as one block
+(`_group_depth`), per-pair counts on a grid too.  The per-start DFS over the
+neighbour table (`count_irredundant_from`) is the reference route.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .udgraph import UnitDistanceGraph
+from .udgraph import UnitDistanceGraph, _box_depth, _distinct
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
@@ -208,8 +208,8 @@ def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | Non
 def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
-    """Counts for several start vertices: on a full grid the start rectangles
-    of `_grid_paths` covering each start, on other point sets one walk over
+    """Counts for several start vertices: on a full grid the `_box_depth` of
+    the start rectangles of `_grid_paths`, on other point sets one walk over
     the vector tuples for all starts at once (see `_start_counts`).  `workers`
     is kept for callers that pass it and selects nothing."""
     import numpy as np
@@ -220,28 +220,26 @@ def count_irredundant_many(
     if dims is not None:
         x0, y0, w, h = dims
         *_, ax, bx, ay, by = _grid_paths(g, k, dims)
-        ux, ix = np.unique([s[0] - x0 for s in starts], return_inverse=True)
-        uy, iy = np.unique([s[1] - y0 for s in starts], return_inverse=True)
-        # rectangle [ax, bx] x [ay, by] covers the sampled offsets of ranks
-        # [xlo[ax], xhi[bx]) x [ylo[ay], yhi[by]): a difference array over those ranks only.
-        # A prefix box reaches at most k * reach from its start, so ax, ay < span
-        # and bx, by >= side - span: each rank table covers that span, not the side
-        cols = len(uy) + 1
+        sx, sy = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
+        ux, uy = _distinct(sx), _distinct(sy)
         reach = max((max(abs(dx), abs(dy)) for dx, dy in g.vectors), default=0)
-        xspan, yspan = min(w, k * reach + 1), min(h, k * reach + 1)
-        xlo = np.searchsorted(ux, np.arange(xspan)) * cols
-        xhi = np.searchsorted(ux, np.arange(w - xspan, w), "right") * cols
-        ylo = np.searchsorted(uy, np.arange(yspan))
-        yhi = np.searchsorted(uy, np.arange(h - yspan, h), "right")
-        diff = np.zeros((len(ux) + 1) * cols, dtype=np.int64)
+
+        def ranker(u, side):
+            # rect [a, b] holds the starts of ranks [a', b') among u.  A prefix box reaches at most k * reach, so
+            # a < span and b >= side - span: tables over that span rank a row by one gather, unless the span
+            # outnumbers the rows, which are then ranked by searchsorted
+            span = min(side, k * reach + 1)
+            if span > len(ax):
+                return lambda a, b: (np.searchsorted(u, a), np.searchsorted(u, b, "right"))
+            first, last = np.searchsorted(u, np.arange(span)), np.searchsorted(u, np.arange(side - span, side), "right")
+            return lambda a, b: (first[a], last[b - (side - span)])
+
+        xrank, yrank = ranker(ux, w), ranker(uy, h)
+        field = np.zeros((len(ux), len(uy)), dtype=np.int64)
         for lo in range(0, len(ax), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
             part = slice(lo, lo + _GATHER_BUDGET)
-            xa, xb = xlo[ax[part]], xhi[bx[part] - (w - xspan)]
-            ya, yb = ylo[ay[part]], yhi[by[part] - (h - yspan)]
-            for cell, sign in ((xa + ya, 1), (xb + ya, -1), (xa + yb, -1), (xb + yb, 1)):
-                diff += sign * np.bincount(cell, minlength=len(diff))
-        field = diff.reshape(-1, cols).cumsum(axis=0).cumsum(axis=1)
-        return dict(zip(starts, field[ix, iy].tolist()))
+            field += _box_depth(*xrank(ax[part], bx[part]), *yrank(ay[part], by[part]), len(ux), len(uy))
+        return dict(zip(starts, field[np.searchsorted(ux, sx), np.searchsorted(uy, sy)].tolist()))
     counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
     return dict(zip(starts, counts.tolist()))
 
@@ -486,11 +484,10 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         _, _, w, h = dims
         idx, sx, sy, kind = _multisets(g.vectors, k)
         step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
-        classes = np.unique(kind).tolist()
         size = _ordering_counts(k, kind)
         offset = np.cumsum(size) - size
         rect = [np.empty(int(size.sum()), dtype=np.int64) for _ in range(4)]  # ax, bx, ay, by
-        for c in classes:
+        for c in np.flatnonzero(np.bincount(kind)).tolist():
             orders = _orderings(k, c)
             members = np.flatnonzero(kind == c)
             chunk = max(1, _GRID_CHUNK // len(orders))
@@ -554,11 +551,10 @@ def max_pair_count(
     Ties break toward the lexicographically smallest (v, w).  The tuples come
     grouped by total displacement w - v, and inside one group |P_vw| is the
     depth of v: on a full grid the number of the group's start rectangles
-    covering v (see `_grid_paths`), evaluated only at their compressed
-    corners, on any other point set the group's tuples gathered at every
-    start (see `_group_depth`).  Groups are visited largest first, stopping
-    once a group has fewer tuples than the best depth found
-    (`_largest_groups_first`).
+    covering v (see `_grid_paths`), all of them where they share a point, on
+    any other point set the group's tuples gathered at every start (see
+    `_group_depth`).  Groups are visited largest first, stopping once a group
+    has fewer tuples than the best depth found (`_largest_groups_first`).
     """
     import numpy as np
 
@@ -602,16 +598,6 @@ def _largest_groups_first(dx, dy, size, deepest):
     return best
 
 
-def _corner_depth(lo_x, hi_x, ux, lo_y, hi_y, uy):
-    """depth[i, j]: how many rectangles [lo_x, hi_x] x [lo_y, hi_y] (one per row) cover (ux[i], uy[j]),
-    as a float64 product of 0/1 indicators that BLAS runs, exact as no entry exceeds the row count (far below 2^53)."""
-    import numpy as np
-
-    inx = ((lo_x[:, None] <= ux) & (ux <= hi_x[:, None])).astype(np.float64)
-    iny = ((lo_y[:, None] <= uy) & (uy <= hi_y[:, None])).astype(np.float64)
-    return (inx.T @ iny).astype(np.int64)
-
-
 def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     import numpy as np
 
@@ -622,11 +608,17 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     def deepest(gi):
         lo, hi = ends[gi] - int(count[gi]), ends[gi]
         gax, gbx, gay, gby = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
+        x, y = int(gax.max()), int(gay.max())
+        if x <= gbx.min() and y <= gby.min():
+            # Helly: boxes share a point iff their x and y projections do; (x, y) is the least shared point
+            return (x0 + x, y0 + y), hi - lo
         # the lexicographically smallest deepest point has some ax as its x
         # and some ay as its y: moving left or down from anywhere else keeps
         # every rectangle that covered it
-        ux, uy = np.unique(gax), np.unique(gay)
-        depth = _corner_depth(gax, gbx, ux, gay, gby, uy)
+        ux, uy = _distinct(gax), _distinct(gay)
+        xa, xb = np.searchsorted(ux, gax), np.searchsorted(ux, gbx, "right")
+        ya, yb = np.searchsorted(uy, gay), np.searchsorted(uy, gby, "right")
+        depth = _box_depth(xa, xb, ya, yb, len(ux), len(uy))
         i, j = divmod(int(depth.argmax()), len(uy))
         return (x0 + int(ux[i]), y0 + int(uy[j])), int(depth[i, j])
 

@@ -184,30 +184,51 @@ def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
     return UnitDistanceGraph(pts, m, _probe(pts, {p: i for i, p in enumerate(pts)}, vectors), vectors)
 
 
+def _distinct(values):
+    """The distinct values, sorted (not `np.unique`, which imports numpy.ma)."""
+    import numpy as np
+
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _box_depth(xa, xb, ya, yb, nx: int, ny: int):
+    """depth[i, j]: how many boxes of ranks [xa, xb) x [ya, yb), one per row,
+    hold (i, j), for i < nx and j < ny.  A +1 at two corners of each box and a
+    -1 at the other two, summed along both axes in place: one int64 field."""
+    import numpy as np
+
+    cols = ny + 1
+    field = np.bincount(xa * cols + ya, minlength=(nx + 1) * cols)
+    np.add.at(field, xb * cols + yb, 1)  # in place, as no second field is held
+    np.subtract.at(field, xb * cols + ya, 1)
+    np.subtract.at(field, xa * cols + yb, 1)
+    field = field.reshape(-1, cols)
+    np.cumsum(field, axis=0, out=field)
+    np.cumsum(field, axis=1, out=field)
+    return field[:nx, :ny]
+
+
 def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
     """(min, max) degree on the w x h grid without touching its vertices.
 
-    The degree at offset (ox, oy) counts the vectors with 0 <= ox + dx < w
-    and 0 <= oy + dy < h.  Along x it can change only where some ox + dx
-    enters or leaves [0, w), so the degrees at those cuts, clipped into the
-    grid, times the cuts along y are every degree the grid has.  Vector j
-    covers the cut ranks [ax, bx) x [ay, by); a +1/-1 at the four corners of
-    each such box, summed along both axes, is the degree at every cut pair.
+    The degree at offset (ox, oy) counts the vectors d with ox in
+    [-dx, w - 1 - dx] and oy in [-dy, h - 1 - dy].  Along x it can change
+    only where some ox + dx enters or leaves [0, w), so the cuts 0, -dx and
+    w - dx, clipped into the grid, times the cuts along y meet every degree
+    the grid has: the `_box_depth` of the vectors' boxes over the cut ranks.
     """
     import numpy as np
 
     dx, dy = np.array(vectors, dtype=np.int64).reshape(-1, 2).T
-    ux = np.unique(np.clip(np.r_[0, -dx, w - dx], 0, w - 1))
-    uy = np.unique(np.clip(np.r_[0, -dy, h - dy], 0, h - 1))
+    ux = _distinct(np.clip(np.r_[0, -dx, w - dx], 0, w - 1))
+    uy = _distinct(np.clip(np.r_[0, -dy, h - dy], 0, h - 1))
     ax, bx = np.searchsorted(ux, -dx), np.searchsorted(ux, w - 1 - dx, side="right")
     ay, by = np.searchsorted(uy, -dy), np.searchsorted(uy, h - 1 - dy, side="right")
-    cols = len(uy) + 1
-    degree = np.bincount(np.r_[ax * cols + ay, bx * cols + by], minlength=(len(ux) + 1) * cols)
-    np.subtract.at(degree, np.r_[bx * cols + ay, ax * cols + by], 1)  # in place: one field, not two
-    degree = degree.reshape(-1, cols)
-    np.cumsum(degree, axis=0, out=degree)
-    np.cumsum(degree, axis=1, out=degree)
-    return int(degree[:-1, :-1].min()), int(degree[:-1, :-1].max())
+    degree = _box_depth(ax, bx, ay, by, len(ux), len(uy))
+    return int(degree.min()), int(degree.max())
 
 
 def _degree_range(g: UnitDistanceGraph) -> tuple[int, int]:

@@ -203,6 +203,16 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
+def test_verify_does_not_load_numpy_ma():
+    # the first np.unique call imports numpy.ma, about 1 MB of resident memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys\nfrom udl.cli import verify_all\nverify_all(10**4, 4)\nprint('numpy.ma' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_verify_probes_no_edges_on_the_config_grid(monkeypatch):
     import udl.udgraph
 

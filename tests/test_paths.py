@@ -24,14 +24,13 @@ from udl.paths import (
     path_count_lower_bound,
     per_pair_counts,
     total_irredundant_paths,
-    _corner_depth,
     _displacement_groups,
     _grid_paths,
     _group_depth,
     _multisets,
     _orderings,
 )
-from udl.udgraph import build_graph, grid_graph
+from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph
 
 from oracles import has_vanishing_subsum, irredundant_walk_count, two_squares_set, walks_from
 
@@ -236,7 +235,29 @@ def _lex_min_best(pairs):
     return best
 
 
-def test_grid_route_matches_dfs_on_random_offset_grids():
+def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
+    import udl.paths
+
+    # how the max pair scores each group it visits: by a common point, or ranked through `_box_depth`
+    routes = {"common point": 0, "ranked": 0}
+    calls = []
+    box_depth, visit = udl.paths._box_depth, udl.paths._largest_groups_first
+
+    def counted_box_depth(*args):
+        calls.append(None)
+        return box_depth(*args)
+
+    def counted_visit(dx, dy, size, deepest):
+        def counted(gi):
+            before = len(calls)
+            found = deepest(gi)
+            routes["ranked" if len(calls) > before else "common point"] += 1
+            return found
+
+        return visit(dx, dy, size, counted)
+
+    monkeypatch.setattr(udl.paths, "_box_depth", counted_box_depth)
+    monkeypatch.setattr(udl.paths, "_largest_groups_first", counted_visit)
     rng = random.Random(2)
     ms = [1, 2, 4, 5, 8, 10, 13, 25, 65]
     cases = [(14, 14, 5, 2), (9, 12, 5, 2)]
@@ -265,6 +286,7 @@ def test_grid_route_matches_dfs_on_random_offset_grids():
         assert count_irredundant_many(g, g.points, k) == per_start, (w, h, m, k)
         if (w, h, m, k) == (14, 14, 5, 2):
             assert sum(1 for c in pairs.values() if c == best[2]) > 1  # the tie-break decides
+    assert routes["common point"] > 0 and routes["ranked"] > 0, routes
 
 
 def test_total_on_grids_past_int64_matches_a_tuple_oracle():
@@ -300,7 +322,7 @@ def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     assert len({(w[0] - v[0], w[1] - v[1]) for (v, w), c in pairs.items() if c == 2}) == 480
 
 
-def test_corner_depth_matches_a_bruteforce_count():
+def test_box_depth_matches_a_bruteforce_count():
     import numpy as np
 
     rng = random.Random(41)
@@ -312,9 +334,14 @@ def test_corner_depth_matches_a_bruteforce_count():
         hi_x = [a + (0 if i % 3 == 0 else rng.randint(0, 12)) for i, a in enumerate(lo_x)]
         hi_y = [a + (0 if i % 3 == 1 else rng.randint(0, 12)) for i, a in enumerate(lo_y)]
         # corners -10 and 40 lie outside every rectangle
-        ux = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
-        uy = sorted({-10, 40} | {rng.randint(-10, 40) for _ in range(rng.randint(0, 15))})
-        got = _corner_depth(*(np.array(c, dtype=np.int64) for c in (lo_x, hi_x, ux, lo_y, hi_y, uy)))
+        xs = [-10, 40, *(rng.randint(-10, 40) for _ in range(rng.randint(0, 15)))]
+        ys = [-10, 40, *(rng.randint(-10, 40) for _ in range(rng.randint(0, 15)))]
+        ux, uy = _distinct(xs).tolist(), _distinct(ys).tolist()
+        assert (ux, uy) == (sorted(set(xs)), sorted(set(ys))), trial
+        # rectangle [lo, hi] holds the corners of ranks [searchsorted(lo), searchsorted(hi, right))
+        xa, xb = np.searchsorted(ux, lo_x), np.searchsorted(ux, hi_x, "right")
+        ya, yb = np.searchsorted(uy, lo_y), np.searchsorted(uy, hi_y, "right")
+        got = _box_depth(xa, xb, ya, yb, len(ux), len(uy))
         expect = [
             [sum(a <= x <= b and c <= y <= d for a, b, c, d in zip(lo_x, hi_x, lo_y, hi_y)) for y in uy]
             for x in ux
@@ -614,15 +641,22 @@ def test_sampled_grid_counts_allocate_nothing_of_the_side():
     _check_grid_statistics_under_a_1gib_cap(100_000_000)
 
 
-def _check_grid_statistics_under_a_1gib_cap(side):
-    (x0, y0), k = (-7, 3), 3
+def test_sampled_grid_counts_allocate_nothing_of_the_reach():
+    # m = 4^26 has the 4 vectors of length 2^26 (halve both coordinates of a sum of two
+    # squares divisible by 4), so an int64 rank table per offset a prefix box reaches is 512 MiB
+    reach = 2**26
+    _check_grid_statistics_under_a_1gib_cap(100_000_000, 4**26, [(-reach, 0), (0, -reach), (0, reach), (reach, 0)], 1)
+
+
+def _check_grid_statistics_under_a_1gib_cap(side, m=5, vectors=sorted(two_squares_set(5)), k=3):
+    x0, y0 = -7, 3
     starts = [(x0, y0), (x0 + side - 1, y0), (x0, y0 + side - 1), (x0 + side - 1, y0 + side - 1), (x0 + 2, y0 + 1)]
     code = (
         "import json, resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from udl.paths import count_irredundant_many, total_irredundant_paths\n"
         "from udl.udgraph import grid_graph\n"
-        f"g = grid_graph({side}, 5, corner={(x0, y0)})\n"
+        f"g = grid_graph({side}, {m}, corner={(x0, y0)})\n"
         f"counts = count_irredundant_many(g, {starts}, {k})\n"
         f"json.dump([[list(s), c] for s, c in counts.items()] + [total_irredundant_paths(g, {k})], sys.stdout)\n"
     )
@@ -633,7 +667,7 @@ def _check_grid_statistics_under_a_1gib_cap(side):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     *counts, total = json.loads(out.stdout)
-    tuples = [t for t in product(sorted(two_squares_set(5)), repeat=k) if is_irredundant(t)]
+    tuples = [t for t in product(vectors, repeat=k) if is_irredundant(t)]
     boxes = []
     for t in tuples:
         pre = [(0, 0), *accumulate(t, lambda p, v: (p[0] + v[0], p[1] + v[1]))]
