@@ -236,12 +236,14 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     vanishing nonempty subsum of the left side.
 
     Exhaustive over the torsion times the exponent box |e| <= height.  Each
-    slot's terms a_j z are formed once; a prefix carries its residual
-    1 - sum a_j z_j, and the last slot is found by looking that residual up
-    among the terms a_k z.  Arithmetic is exact cyclotomic-rational, so the
-    zero tests are exact.  Every returned solution is re-verified posthoc
-    against all 2^k - 1 subsums of its terms, independent of how the
-    enumeration found it.
+    slot's terms a_j z are formed once in the cyclotomic field and scaled to
+    integer vectors over D, the lcm of all their coefficients' denominators.
+    A prefix carries its residual D * (1 - sum a_j z_j) as an int tuple, and
+    the last slot is found by looking that residual up among the scaled terms
+    a_k z.  Scaling by D > 0 maps zero to zero and nothing else to zero, so
+    the zero tests stay exact.  Every hit is re-verified posthoc against all
+    2^k - 1 subsums of its scaled terms, independent of how the enumeration
+    found it; the solutions returned are the field's own elements.
     """
     pairs = [_as_pair(a) for a in coeffs]
     k = len(pairs)
@@ -262,22 +264,29 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
             f"beyond the budget of {budget}"
         )
 
-    tables = [[(field.embed_pair(*p) * z, z) for z in values] for p in pairs]
-    last = {term.coeffs: (term, z) for term, z in tables.pop()}
-    solutions = []
+    terms = [[(a * z).coeffs for z in values] for a in (field.embed_pair(*p) for p in pairs)]
+    scale = math.lcm(*(c.denominator for row in terms for term in row for c in term))
+    scaled = [[tuple(c.numerator * (scale // c.denominator) for c in term) for term in row] for row in terms]
+    last = {term: j for j, term in enumerate(scaled[-1])}
+    hits = []
 
-    def extend(residual, terms, zs):
-        if len(zs) == k - 1:
-            hit = last.get(residual.coeffs)
-            if hit is not None and _all_subsums_nonzero((*terms, hit[0])):
-                solutions.append((*zs, hit[1]))
+    def extend(residual, idx):
+        if len(idx) == k - 1:
+            j = last.get(residual)
+            if j is not None:
+                hits.append((*idx, j))
             return
-        for term, z in tables[len(zs)]:
-            extend(residual - term, (*terms, term), (*zs, z))
+        for j, term in enumerate(scaled[len(idx)]):
+            extend(tuple(map(int.__sub__, residual, term)), (*idx, j))
 
-    extend(field.one, (), ())
-    solutions.sort(key=lambda tup: tuple(z.coeffs for z in tup))
-    return solutions
+    extend((scale,) + (0,) * (field.degree - 1), ())
+    # prefixes are walked in index order and values are sorted by coeffs, so
+    # the hits come out in the order of their solutions' coeffs
+    return [
+        tuple(values[j] for j in hit)
+        for hit in hits
+        if _all_subsums_nonzero([scaled[slot][j] for slot, j in enumerate(hit)])
+    ]
 
 
 def _slot_values(group: GroupSpec, height: int, field: CyclotomicField) -> list[CycloElement]:
@@ -306,13 +315,13 @@ def _slot_values(group: GroupSpec, height: int, field: CyclotomicField) -> list[
 
 
 def _all_subsums_nonzero(terms) -> bool:
+    """Whether no nonempty subset of the integer vectors sums to zero."""
     k = len(terms)
-    zero = terms[0].field.zero
-    sums = [zero] * (1 << k)
+    sums = [(0,) * len(terms[0])] * (1 << k)
     for mask in range(1, 1 << k):
         low = mask & -mask
-        s = sums[mask ^ low] + terms[low.bit_length() - 1]
-        if s.is_zero():
+        s = tuple(map(int.__add__, sums[mask ^ low], terms[low.bit_length() - 1]))
+        if not any(s):
             return False
         sums[mask] = s
     return True

@@ -6,7 +6,8 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice
+from functools import cached_property
+from itertools import chain, compress, count, dropwhile
 
 # Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
 # than silently thrash.
@@ -71,11 +72,14 @@ def _odd_sieve_flags(limit: int) -> bytearray:
 
 
 class PrimeTable:
-    """Primes up to a fixed limit via a sieve of Eratosthenes over odd numbers.
+    """Primality flags of the odd numbers up to a fixed limit, from a sieve
+    of Eratosthenes; the odd number p sits at flag index p >> 1.
 
     Attributes:
         limit: inclusive sieve bound.
-        primes: sorted list of all primes <= limit.
+        primes: sorted list of all primes <= limit, listed on first use;
+            `primes_in_ap` and `chebyshev` read their class off the flags
+            instead.
     """
 
     def __init__(self, limit: int):
@@ -85,7 +89,10 @@ class PrimeTable:
             raise ValueError(f"sieve limit {limit} exceeds hard cap {SIEVE_HARD_LIMIT}")
         self.limit = limit
         self._flags = _odd_sieve_flags(limit)
-        self.primes = ([2] if limit >= 2 else []) + list(compress(range(1, limit + 1, 2), self._flags))
+
+    @cached_property
+    def primes(self) -> list[int]:
+        return self.primes_up_to(self.limit)
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
@@ -95,7 +102,9 @@ class PrimeTable:
     def primes_up_to(self, x: int) -> list[int]:
         if x > self.limit:
             raise ValueError(f"{x} is outside the sieved range [0, {self.limit}]")
-        return self.primes[: bisect_right(self.primes, x)]
+        if x < 2:
+            return []
+        return [2, *compress(range(1, x + 1, 2), self._flags[: (x + 1) >> 1])]
 
 
 _cache: PrimeTable | None = None
@@ -238,12 +247,28 @@ def two_squares_count(m: int) -> int:
     return count
 
 
+def _class_primes(x: int, cls: APClass):
+    """Iterator over the primes p <= x with p = a (mod d), ascending.
+
+    The odd members of the class are a' + j * step, with a' the odd one of
+    a and a + d and step = lcm(2, d); their flags sit at a' >> 1 + j * (step
+    >> 1), one stride of the sieve bytes.  So the class is read straight off
+    the flags, and no other prime is listed.
+    """
+    d, a = cls.d, cls.a
+    step = d if d % 2 == 0 else 2 * d
+    odd = a if a % 2 else a + d
+    flags = _table(max(x, 2))._flags
+    odd_primes = compress(range(odd, x + 1, step), flags[odd >> 1 : (x + 1) >> 1 : step >> 1])
+    return chain((2,), odd_primes) if x >= 2 and 2 % d == a else odd_primes
+
+
 def primes_in_ap(limit: int, cls: APClass) -> list[int]:
-    """All primes p <= limit with p = a (mod d), ascending."""
+    """All primes p <= limit with p = a (mod d), ascending, read off the
+    shared sieve's flags one class stride at a time (see `_class_primes`)."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    d, a = cls.d, cls.a
-    return [p for p in _table(max(limit, 2)).primes_up_to(limit) if p % d == a]
+    return list(_class_primes(limit, cls))
 
 
 def _prime_power_logs(primes, x: int, d: int, a: int):
@@ -273,17 +298,16 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     if kind == "pi":
         return len(primes_in_ap(xf, cls))
     if kind == "theta":
-        return math.fsum(map(math.log, primes_in_ap(xf, cls)))
+        return math.fsum(map(math.log, _class_primes(xf, cls)))
     if kind == "psi":
         # only a prime p <= sqrt(x) has a higher power <= x; above that the
-        # terms are the theta terms.  fsum rounds the exact sum, so the order
-        # of the terms does not change a bit of the result.
+        # terms are the theta terms.  fsum rounds the exact sum once, so the
+        # order of the terms does not change a bit of the result.
         root = math.isqrt(xf)
-        large = primes_in_ap(xf, cls)
         return math.fsum(
             chain(
                 _prime_power_logs(_table(max(xf, 2)).primes_up_to(root), xf, d, a),
-                map(math.log, islice(large, bisect_right(large, root), None)),
+                map(math.log, dropwhile(root.__ge__, _class_primes(xf, cls))),
             )
         )
     raise ValueError(f"kind must be one of pi, theta, psi; got {kind!r}")

@@ -19,6 +19,7 @@ neighbour table (`count_irredundant_from`) is the reference route.
 
 from __future__ import annotations
 
+import gc
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -266,12 +267,20 @@ def per_pair_counts(
     at = np.array(list(starts.values()), dtype=np.intp)
     from_at = list(starts)
     dx, dy, _, tuples = _displacement_groups(g.vectors, k)
-    for gi, (ddx, ddy) in enumerate(zip(dx.tolist(), dy.tolist())):
-        depth = _group_depth(g.neighbours, tuples(gi), at)
-        hit = np.flatnonzero(depth)
-        for i, c in zip(hit.tolist(), depth[hit].tolist()):
-            v = from_at[i]
-            pairs[(v, (v[0] + ddx, v[1] + ddy))] = c
+    # every key is a new tuple the cyclic GC tracks, so it would run full
+    # collections over the growing dict; keys of ints cannot form a cycle
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for gi, (ddx, ddy) in enumerate(zip(dx.tolist(), dy.tolist())):
+            depth = _group_depth(g.neighbours, tuples(gi), at)
+            hit = np.flatnonzero(depth)
+            for i, c in zip(hit.tolist(), depth[hit].tolist()):
+                v = from_at[i]
+                pairs[(v, (v[0] + ddx, v[1] + ddy))] = c
+    finally:
+        if was_enabled:
+            gc.enable()
     return pairs
 
 

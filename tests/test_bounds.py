@@ -1,7 +1,8 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -22,6 +23,8 @@ from udl.bounds import (
     max_rank_coefficient,
     optimal_k_window,
 )
+from udl.bounds import _as_pair, _slot_values
+from udl.cyclotomic import CyclotomicField
 
 from oracles import lambert_w_bisect, unit_equation_solutions
 
@@ -277,6 +280,61 @@ def test_enumerate_matches_the_exhaustive_oracle():
         solutions += len(expect)
     assert {(1, 1), Fraction(1, 2)} <= seen_coeffs
     assert solutions >= 50
+
+
+def test_integer_route_matches_the_oracle_over_large_coprime_denominators():
+    # the terms' denominators (powers of 5 and 7 against 2 and 1 + i) make the
+    # common denominator D large; the oracle walks every tuple in Fractions
+    unit = (Fraction(3, 5), Fraction(4, 5))
+    gens_pool = [(unit,), ((Fraction(2, 7), 0),), (unit, (2, 0))]
+    coeff_sets = [
+        [1], [(1, 1)], [Fraction(7, 5)], [1, -1], [2, -1], [(1, 1), -1], [7, 7, -3], [5, 5, 5], [(1, 1), -2, Fraction(1, 2)]
+    ]
+    cases = 0
+    solutions = {1: 0, 2: 0, 3: 0}
+    for torsion in (1, 2, 4):
+        for gens in gens_pool:
+            for height in (1, 2):
+                for coeffs in coeff_sets:
+                    if (torsion * (2 * height + 1) ** len(gens)) ** len(coeffs) > 4_000:
+                        continue
+                    cases += 1
+                    expect = unit_equation_solutions(coeffs, torsion, gens, height)
+                    got = enumerate_nondegenerate(coeffs, GroupSpec(torsion, gens), height)
+                    assert pair_solutions(got) == expect, (coeffs, torsion, gens, height)
+                    solutions[len(coeffs)] += len(expect)
+    assert (cases, solutions) == (138, {1: 18, 2: 42, 3: 24})
+
+
+def _field_route(coeffs, group, height):
+    """The cyclotomic-rational walk: each residual an element of the field."""
+    field = CyclotomicField(group.conductor)
+    values = _slot_values(group, height, field)
+    tables = [[field.embed_pair(*_as_pair(a)) * z for z in values] for a in coeffs]
+    last = {term.coeffs: j for j, term in enumerate(tables[-1])}
+    found = []
+    for idx in product(range(len(values)), repeat=len(coeffs) - 1):
+        residual = field.one
+        for slot, j in enumerate(idx):
+            residual = residual - tables[slot][j]
+        j = last.get(residual.coeffs)
+        if j is None:
+            continue
+        terms = [tables[slot][i] for slot, i in enumerate((*idx, j))]
+        if all(not sum(sub, field.zero).is_zero() for r in range(1, len(terms)) for sub in combinations(terms, r)):
+            found.append(tuple(values[i] for i in (*idx, j)))
+    return sorted(found, key=lambda tup: tuple(z.coeffs for z in tup))
+
+
+def test_integer_route_returns_the_field_elements_of_the_field_route():
+    # the benchmark's unit equation: z1 + z2 + z3 = 1 over mu_6 x <2, 3>, |e| <= 2
+    group = GroupSpec(6, ((2, 0), (3, 0)))
+    got = enumerate_nondegenerate([1, 1, 1], group, 2)
+    assert len(got) == 514
+    assert [[z.coeffs for z in t] for t in got] == [[z.coeffs for z in t] for t in _field_route([1, 1, 1], group, 2)]
+    assert all(type(c) is Fraction for t in got for z in t for c in z.coeffs)
+    digest = hashlib.sha256(repr([[z.coeffs for z in t] for t in got]).encode()).hexdigest()
+    assert digest == "3d68296863d2bb6da91f0239d04c6421b8fd3ea828514f24cee15aead28bd5c0"
 
 
 def test_enumerate_validation_and_budget():

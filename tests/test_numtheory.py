@@ -75,6 +75,28 @@ def test_primes_in_ap_matches_trial_division():
         assert primes_in_ap(2000, APClass(d, a)) == expect
 
 
+def test_primes_in_ap_reads_each_class_off_a_larger_table():
+    # the table is grown first, so every x below reads a slice of flags that
+    # runs past it; odd moduli with 2 in the class take the odd residue a + d
+    primes_in_ap(10**5, APClass(4, 1))
+    classes = [(4, 1), (4, 3), (3, 1), (3, 2), (5, 2), (5, 3), (12, 7), (8, 3), (2, 1), (7, 2), (9, 4)]
+    for x in (0, 1, 2, 3, 997, 1000):
+        base = trial_division_primes(x)
+        for d, a in classes:
+            assert primes_in_ap(x, APClass(d, a)) == [p for p in base if p % d == a], (x, d, a)
+    assert primes_in_ap(2, APClass(3, 2)) == primes_in_ap(2, APClass(5, 2)) == [2]
+    assert primes_in_ap(1, APClass(3, 2)) == []
+
+
+def test_prime_table_lists_each_prefix_off_its_flags():
+    table = PrimeTable(1000)
+    for x in (*range(12), 997, 998, 1000):
+        assert table.primes_up_to(x) == trial_division_primes(x), x
+    assert table.primes == trial_division_primes(1000)
+    with pytest.raises(ValueError):
+        table.primes_up_to(1001)
+
+
 def test_chebyshev_pi_example():
     assert chebyshev("pi", 100, APClass(4, 1)) == 11
 
@@ -273,7 +295,7 @@ def test_witnesses_by_size_agree_with_all_thirteen_in_each_band():
             assert is_probable_prime(n) == strong_probable_prime(n, _MR_WITNESSES), n
 
 
-@pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7)])
+@pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7), (3, 2), (5, 2)])
 def test_chebyshev_is_bit_identical_to_the_listed_sums(d, a):
     cls = APClass(d, a)
     for x in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 10**4, 99991, 10**6):

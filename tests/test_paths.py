@@ -228,11 +228,12 @@ def test_count_many_matches_single_and_workers_agree():
 
 
 def _lex_min_best(pairs):
-    best = (None, None, 0)
-    for (v, w), c in sorted(pairs.items()):
-        if c > best[2]:
-            best = (v, w, c)
-    return best
+    """The lexicographically least pair (v, w) of the largest count c > 0."""
+    top = max(pairs.values(), default=0)
+    if top <= 0:
+        return (None, None, 0)
+    v, w = min(pair for pair, c in pairs.items() if c == top)
+    return (v, w, top)
 
 
 def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
