@@ -11,6 +11,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .cyclotomic import CycloElement, CyclotomicField
+from .paths import is_irredundant
 
 # Window constants bracketing k_star against (log n / r)^(1/5), calibrated by
 # scanning where epsilon_rhs is minimized for log n in [log 100, 1e6] and
@@ -242,8 +243,9 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     the last slot is found by looking that residual up among the scaled terms
     a_k z.  Scaling by D > 0 maps zero to zero and nothing else to zero, so
     the zero tests stay exact.  Every hit is re-verified posthoc against all
-    2^k - 1 subsums of its scaled terms, independent of how the enumeration
-    found it; the solutions returned are the field's own elements.
+    2^k - 1 subsums of its scaled terms (`is_irredundant`), independent of
+    how the enumeration found it; the solutions returned are the field's own
+    elements.
     """
     pairs = [_as_pair(a) for a in coeffs]
     k = len(pairs)
@@ -285,7 +287,7 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     return [
         tuple(values[j] for j in hit)
         for hit in hits
-        if _all_subsums_nonzero([scaled[slot][j] for slot, j in enumerate(hit)])
+        if is_irredundant([scaled[slot][j] for slot, j in enumerate(hit)])
     ]
 
 
@@ -312,16 +314,3 @@ def _slot_values(group: GroupSpec, height: int, field: CyclotomicField) -> list[
             z = tau * base
             seen.setdefault(z.coeffs, z)
     return [seen[key] for key in sorted(seen)]
-
-
-def _all_subsums_nonzero(terms) -> bool:
-    """Whether no nonempty subset of the integer vectors sums to zero."""
-    k = len(terms)
-    sums = [(0,) * len(terms[0])] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        s = tuple(map(int.__add__, sums[mask ^ low], terms[low.bit_length() - 1]))
-        if not any(s):
-            return False
-        sums[mask] = s
-    return True

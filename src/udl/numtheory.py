@@ -247,20 +247,26 @@ def two_squares_count(m: int) -> int:
     return count
 
 
-def _class_primes(x: int, cls: APClass):
-    """Iterator over the primes p <= x with p = a (mod d), ascending.
+def _class_flags(x: int, cls: APClass):
+    """(odds, flags, two) for the class a mod d up to x: the odd members
+    a' + j * step <= x, their sieve flags, and whether 2 is a member.
 
-    The odd members of the class are a' + j * step, with a' the odd one of
-    a and a + d and step = lcm(2, d); their flags sit at a' >> 1 + j * (step
-    >> 1), one stride of the sieve bytes.  So the class is read straight off
-    the flags, and no other prime is listed.
+    a' is the odd one of a and a + d and step = lcm(2, d), so the flags sit
+    at a' >> 1 + j * (step >> 1), one stride of the sieve bytes.  So the
+    class is read straight off the flags, and no other number is looked at.
     """
     d, a = cls.d, cls.a
     step = d if d % 2 == 0 else 2 * d
     odd = a if a % 2 else a + d
     flags = _table(max(x, 2))._flags
-    odd_primes = compress(range(odd, x + 1, step), flags[odd >> 1 : (x + 1) >> 1 : step >> 1])
-    return chain((2,), odd_primes) if x >= 2 and 2 % d == a else odd_primes
+    return range(odd, x + 1, step), flags[odd >> 1 : (x + 1) >> 1 : step >> 1], x >= 2 and 2 % d == a
+
+
+def _class_primes(x: int, cls: APClass):
+    """Iterator over the primes p <= x with p = a (mod d), ascending."""
+    odds, flags, two = _class_flags(x, cls)
+    odd_primes = compress(odds, flags)
+    return chain((2,), odd_primes) if two else odd_primes
 
 
 def primes_in_ap(limit: int, cls: APClass) -> list[int]:
@@ -296,7 +302,8 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     xf = math.floor(x)
     d, a = cls.d, cls.a
     if kind == "pi":
-        return len(primes_in_ap(xf, cls))
+        _, flags, two = _class_flags(xf, cls)
+        return flags.count(1) + two
     if kind == "theta":
         return math.fsum(map(math.log, _class_primes(xf, cls)))
     if kind == "psi":

@@ -1,20 +1,23 @@
 """Irredundant path enumeration on unit-distance graphs.
 
 A k-edge path is irredundant when no nonempty subset of its displacement
-vectors sums to zero (which also rules out repeated vertices).  One pruned
-DFS, `_walks`, keeps the running set S of all nonempty prefix-subset sums; a
-continuation z is admissible exactly when -z is absent from S.  Irredundancy
-does not depend on the order of the vectors, so walked over the vectors in
-ascending index order it lists the irredundant k-multisets, sorted by total
-displacement (`_multisets`); each stands for its distinct orderings
-(`_orderings`), the irredundant k-tuples of that displacement.  A k-path is
-a tuple placed at a start whose prefix points all lie in the point set.  On a
-full grid the counts, total and max pair take that as a box test
-(`_grid_paths`).  Elsewhere the counts walk the vector tuples once for all
-starts, each node the array of the starts' positions (`_start_walks`), and
-the pair statistics gather each displacement group's tuples as one block
-(`_group_depth`), per-pair counts on a grid too.  The per-start DFS over the
-neighbour table (`count_irredundant_from`) is the reference route.
+vectors sums to zero (which also rules out repeated vertices).  Irredundancy
+does not depend on the order of the vectors, and all vectors of a graph
+share one norm, so a vanishing subsum has an even number of terms and holds
+an antipodal pair unless it has six or more.  `_multisets` lists the
+irredundant k-multisets by that rule, level by level, sorted by total
+displacement; each stands for its distinct orderings (`_orderings`), the
+irredundant k-tuples of that displacement.  A k-path is a tuple placed at a
+start whose prefix points all lie in the point set.  On a full grid the
+counts, total and max pair take that as a box test (`_grid_paths`).
+Elsewhere the counts walk the vector tuples once for all starts, each node
+the array of the starts' positions (`_start_walks`), and the pair statistics
+gather each displacement group's tuples as one block (`_group_depth`),
+per-pair counts on a grid too.  That walk and the reference route, the
+per-start DFS over the neighbour table (`count_irredundant_from`), are one
+pruned DFS, `_walks`: it keeps the running set S of all nonempty
+prefix-subset sums, and a continuation z is admissible exactly when -z is
+absent from S.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import gc
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .udgraph import UnitDistanceGraph, _box_depth, _distinct
 
@@ -74,27 +78,22 @@ class PathRecord:
         return cls(vertices=verts, vectors=vecs)
 
 
-def _vector_list(path) -> list[tuple[int, int]]:
-    vecs = getattr(path, "vectors", path)
-    return [(int(v[0]), int(v[1])) for v in vecs]
-
-
 def is_irredundant(path) -> bool:
     """Exhaustive subset-sum check over the path's displacement vectors.
 
-    Accepts a PathRecord or a plain vector sequence.  2^k - 1 subsets, so k
-    is capped at MAX_PATH_LENGTH.
+    Accepts a PathRecord or any sequence of integer vectors of one length,
+    summed as int tuples, so exact at any size.  2^k - 1 subsets, so k is
+    capped at MAX_PATH_LENGTH.  The empty path is irredundant.
     """
-    vecs = _vector_list(path)
+    vecs = [tuple(map(int, v)) for v in getattr(path, "vectors", path)]
     k = len(vecs)
     if k > MAX_PATH_LENGTH:
         raise ValueError(f"subset check needs k <= {MAX_PATH_LENGTH}, got {k}")
-    sums: list[complex] = [0j] * (1 << k)
-    zs = [complex(a, b) for a, b in vecs]
+    sums = [(0,) * len(vecs[0]) if vecs else ()] * (1 << k)
     for mask in range(1, 1 << k):
         low = mask & -mask
-        s = sums[mask ^ low] + zs[low.bit_length() - 1]
-        if s == 0:
+        s = tuple(map(int.__add__, sums[mask ^ low], vecs[low.bit_length() - 1]))
+        if not any(s):
             return False
         sums[mask] = s
     return True
@@ -135,8 +134,8 @@ def _walks(step, start, depth: int):
     """(trail, walks): every irredundant `depth`-edge walk from `start`.
 
     `step(u)` lists the moves out of node u as (w, u - w), with u - w a
-    complex.  A node is whatever `step` takes: a vertex index, a vector index
-    (`_multisets`), or the positions of all starts at once (`_start_walks`).
+    complex.  A node is whatever `step` takes: a vertex index, or the
+    positions of all starts at once (`_start_walks`).
     `walks` yields the set S of nonempty prefix-subset sums once per walk,
     S then covering all `depth` vectors, while `trail` holds the walk's
     nodes start .. w.  A move with vector z is admissible exactly when -z
@@ -300,36 +299,32 @@ def _multisets(vectors, k: int):
     a displacement occupies one run of rows.  Bit p of kind is set when
     idx[:, p] == idx[:, p + 1]; `_orderings(k, kind)` lists the distinct
     orderings, each an irredundant k-tuple of the same displacement.
-    `_walks` steps only to indices at or above the last one and stops at
-    depth k - 1; the last index is broadcast over those at or above the
-    head's last, minus the blocked ones (z is blocked when -z is a
-    prefix-subset sum).
+
+    All vectors share the norm m, so a vanishing subsum has an even number
+    of terms: divided by the gcd of its coordinates, the norm is odd or 2
+    mod 4, so each term (a, b) has a + b odd or a odd, and an odd count of
+    them cannot cancel.  Four such terms that cancel form a rhombus, whose
+    sides come in antipodal pairs.  So a multiset is irredundant exactly when it holds no
+    antipodal pair and no zero-sum sub-multiset of even size 6 .. k.
     """
     import numpy as np
 
-    zs = [complex(dx, dy) for dx, dy in vectors]
-    blocker = {-z: j for j, z in enumerate(zs)}
-    blocks = frozenset(blocker)
-    moves = [(j, -z) for j, z in enumerate(zs)]
-    tails = [moves[j:] for j in range(len(moves) + 1)]
-    heads: list[list[int]] = []
-    blocked_rows: list[int] = []
-    blocked_cols: list[int] = []
-    trail, walks = _walks(tails.__getitem__, 0, k - 1)
-    for row, S in enumerate(walks):
-        heads.append(trail[1:])
-        for s in S & blocks:
-            blocked_rows.append(row)
-            blocked_cols.append(blocker[s])
-    heads = np.array(heads, dtype=np.intp).reshape(len(heads), k - 1)
-    last = heads[:, -1:] if k > 1 else np.zeros((len(heads), 1), dtype=np.intp)
-    allowed = np.arange(len(zs)) >= last
-    allowed[blocked_rows, blocked_cols] = False
-    rows, cols = np.nonzero(allowed)
-    idx = np.concatenate([heads[rows], cols[:, None]], axis=1)
     step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
+    where = {v: j for j, v in enumerate(map(tuple, step.tolist()))}
+    anti = np.array([where[-dx, -dy] for dx, dy in step.tolist()], dtype=np.intp)
+    idx = np.arange(len(step))[:, None]
+    for _ in range(k - 1):
+        allowed = np.arange(len(step)) >= idx[:, -1:]
+        allowed[np.arange(len(idx))[:, None], anti[idx]] = False
+        rows, cols = np.nonzero(allowed)
+        idx = np.concatenate([idx[rows], cols[:, None]], axis=1)
+    closes = np.zeros(len(idx), dtype=bool)
+    for s in range(6, k + 1, 2):
+        for pos in map(list, combinations(range(k), s)):
+            closes |= ~step[idx[:, pos]].sum(axis=1).any(axis=1)
     sx, sy = step[idx, 0].sum(axis=1), step[idx, 1].sum(axis=1)
     order = np.lexsort((sy, sx))
+    order = order[~closes[order]]
     idx, sx, sy = idx[order], sx[order], sy[order]
     kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
     return idx, sx, sy, kind

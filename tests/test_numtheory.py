@@ -295,12 +295,15 @@ def test_witnesses_by_size_agree_with_all_thirteen_in_each_band():
             assert is_probable_prime(n) == strong_probable_prime(n, _MR_WITNESSES), n
 
 
-@pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7), (3, 2), (5, 2)])
+@pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7), (3, 2), (5, 2), (12, 7)])
 def test_chebyshev_is_bit_identical_to_the_listed_sums(d, a):
     cls = APClass(d, a)
-    for x in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 10**4, 99991, 10**6):
+    for x in (0, 1, 2, 3, 4, 8, 9, 24, 25, 26, 997, 10**4, 99991, 10**6):
         for kind in ("pi", "theta", "psi"):
             assert chebyshev(kind, x, cls) == chebyshev_sum(kind, x, d, a), (kind, x)
+        # pi counts the class's flag bytes without listing the primes; the list agrees
+        pi = chebyshev("pi", x, cls)
+        assert type(pi) is int and pi == len(primes_in_ap(x, cls)), x
 
 
 def test_two_squares_count_matches_the_sweep():

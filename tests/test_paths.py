@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import subprocess
@@ -28,6 +29,7 @@ from udl.paths import (
     _grid_paths,
     _group_depth,
     _multisets,
+    _ordering_counts,
     _orderings,
 )
 from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph
@@ -51,6 +53,13 @@ def test_is_irredundant_examples():
     assert is_irredundant([(1, 0), (0, 1), (1, 0)])  # repeats are fine
     assert not is_irredundant([(0, 0)])
     assert is_irredundant(PathRecord.from_vertices([(0, 0), (1, 2)]))
+    assert is_irredundant([])
+    # as complex floats 2^53 + 1 rounds to 2^53, and the pair would cancel
+    assert is_irredundant([(2**53 + 1, 0), (-(2**53), 0)])
+    assert not is_irredundant([(2**53 + 1, 0), (-(2**53) - 1, 0)])
+    # integer vectors of any one length, as the unit-equation check passes them
+    assert is_irredundant([(1, 2, 3), (-1, -2, -2)])
+    assert not is_irredundant([(1, 2, 3), (0, 1, 0), (-1, -3, -3)])
     with pytest.raises(ValueError):
         is_irredundant([(1, 0)] * (MAX_PATH_LENGTH + 1))
 
@@ -379,6 +388,69 @@ def test_multisets_match_filtered_product_oracle():
     assert sorted(map(tuple, idx.tolist())) == rows
     for row, c in zip(idx.tolist(), kind.tolist()):
         assert [tuple(row[p] for p in order) for order in _orderings(5, c).tolist()] == sorted(set(permutations(row)))
+    # past k = 5 the product oracle is too slow: the ascending multisets with
+    # no antipodal pair, filtered by the subsum oracle.  The rows that oracle
+    # drops there close an even polygon of six or more sides, which only the
+    # hexagon filter sees; at k = 8 some close only as an octagon
+    for m, k, closed in [(5, 6, 4), (5, 7, 16), (5, 8, 44), (25, 6, 8)]:
+        vecs = sorted(two_squares_set(m))
+        idx, sx, sy, _ = _multisets(vecs, k)
+        free = [
+            ms
+            for ms in combinations_with_replacement(range(len(vecs)), k)
+            if not any((-vecs[i][0], -vecs[i][1]) == vecs[j] for i in ms for j in ms)
+        ]
+        rows = [ms for ms in free if not has_vanishing_subsum([vecs[j] for j in ms])]
+        assert sorted(map(tuple, idx.tolist())) == rows, (m, k)
+        assert len(free) - len(rows) == closed, (m, k)
+        disp = list(zip(sx.tolist(), sy.tolist()))
+        assert disp == [tuple(map(sum, zip(*(vecs[j] for j in row)))) for row in idx.tolist()], (m, k)
+        assert _one_run_each(disp), (m, k)
+    # antipodes are looked up among the vectors: a list not closed under
+    # negation has none for (0, 1) and fails instead of being miscounted
+    with pytest.raises(KeyError):
+        _multisets([(1, 0), (0, 1), (-1, 0)], 2)
+
+
+def test_multiset_and_tuple_counts_match_the_closed_forms():
+    # with h = R / 2 antipodal classes, a multiset or tuple with no antipodal
+    # pair takes from each class nothing or one sign, so the counts are
+    # [x^k] ((1 + x) / (1 - x))^h and k! [x^k] (2e^x - 1)^h: exact while
+    # that is the whole rule (k <= 5), upper bounds once hexagons close
+    for m, k_top in [(5, 6), (65, 6), (1105, 6), (48612265, 2)]:
+        vecs = sorted(two_squares_set(m))
+        h = len(vecs) // 2
+        for k in range(1, k_top + 1):
+            idx, _, _, kind = _multisets(vecs, k)
+            multisets = sum(math.comb(h, i) * math.comb(h + k - i - 1, k - i) for i in range(k + 1))
+            tuples = sum(math.comb(h, j) * 2**j * (-1) ** (h - j) * j**k for j in range(h + 1))
+            got = (len(idx), int(_ordering_counts(k, kind).sum()))
+            if k <= 5:
+                assert got == (multisets, tuples), (m, k)
+            else:
+                assert got[0] < multisets and got[1] < tuples, (m, k)
+
+
+@st.composite
+def _equal_norm_tuples(draw):
+    m = draw(
+        st.one_of(
+            st.sampled_from([1, 2, 5, 25, 65, 325]),
+            st.builds(lambda a, b: a * a + b * b, st.integers(1, 707), st.integers(0, 707)),
+        )
+    )
+    return draw(st.lists(st.sampled_from(sorted(two_squares_set(m))), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_equal_norm_tuples())
+@example([(-2, -1), (-2, -1), (-1, 2), (1, 2), (2, -1), (2, -1)])  # a hexagon at m = 5
+@example([(-5, 0), (-5, 0), (0, -5), (3, 4), (3, 4), (4, -3)])  # and at m = 25
+@example([(3, 4), (4, 3), (-3, -4), (-4, -3)])  # a rhombus
+def test_parity_rule_decides_irredundancy_of_equal_norm_tuples(tup):
+    no_pair = not any((-x, -y) in tup for x, y in tup)
+    closes = len(tup) == 6 and tuple(map(sum, zip(*tup))) == (0, 0)
+    assert (no_pair and not closes) == is_irredundant(tup)
 
 
 def test_grid_rects_match_clipped_prefix_box_oracle():
