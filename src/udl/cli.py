@@ -16,9 +16,11 @@ from .gaussian import GaussInt, representations
 from .numtheory import AP_1_MOD_4, chebyshev, factor, two_squares_count
 from .paths import (
     StepBudgetExceeded,
+    _check_budget,
     count_irredundant_many,
     max_pair_count,
     path_count_lower_bound,
+    projected_steps,
     total_irredundant_paths,
 )
 from .udgraph import DegreeSummary, build_graph, degree_summary, grid_graph, peel
@@ -109,20 +111,22 @@ def _lambert_grid_stats() -> tuple[float, float]:
 def _path_stats(h, ks, min_degree: int, seed: int, workers: int, step_budget: int | None):
     """One stat row per k over the same seeded sample of at most
     SAMPLE_STARTS starts: sampled counts, the degree-product lower bound and
-    the total, which is None when the step budget refuses it.  The sample
-    is drawn when the first k arrives, so no k draws none."""
-    starts = None
+    the total.  Before the first statistic runs, every k is validated and
+    then its counts and its total (whose projection the max pair shares)
+    are priced against the step budget, so an oversized k refuses the whole
+    run up front.  No k draws no sample."""
+    ks = list(ks)
+    if not ks:
+        return
+    if h.vertex_count > sys.maxsize:  # the largest population `random.sample` takes
+        raise ValueError(f"cannot sample starts among {h.vertex_count} vertices, more than {sys.maxsize}")
+    sample = random.Random(seed).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
+    starts = [h.point(i) for i in sorted(sample)]
+    for projected in [p for k in ks for p in (projected_steps(h, k, starts), projected_steps(h, k))]:
+        _check_budget(projected, step_budget)
     for k in ks:
-        if starts is None:
-            if h.vertex_count > sys.maxsize:  # the largest population `random.sample` takes
-                raise ValueError(f"cannot sample starts among {h.vertex_count} vertices, more than {sys.maxsize}")
-            sample = random.Random(seed).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
-            starts = [h.point(i) for i in sorted(sample)]
         counts = count_irredundant_many(h, starts, k, workers=workers, step_budget=step_budget)
-        try:
-            total = total_irredundant_paths(h, k, workers=workers, step_budget=step_budget)
-        except StepBudgetExceeded:
-            total = None
+        total = total_irredundant_paths(h, k, workers=workers, step_budget=step_budget)
         yield {
             "k": k,
             "sample_size": len(starts),
@@ -145,8 +149,9 @@ def verify_all(
     pipeline supports at that scale.
 
     Checks that are undefined on the degenerate r = 1 path (no generators,
-    no prime factors) are omitted, not faked; checks whose optional extras
-    exceed the step budget degrade to an info note.
+    no prime factors) are omitted, not faked.  A k_max whose path statistics
+    exceed the step budget is refused before any of them runs (see
+    `_path_stats`).
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -209,18 +214,12 @@ def verify_all(
     for stat in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, workers, step_budget):
         k = stat["k"]
         checks.append(BoundCheck(f"path_count_lower_k{k}", stat["lower_bound"], stat["min_count"]))
-        if stat["total_paths"] is None:
-            info.append({"name": f"total_paths_k{k}", "status": "skipped: step budget"})
-        try:
-            pv, pw, peak = max_pair_count(h, k, workers=workers, step_budget=step_budget)
-            # v and w are None when the graph has no irredundant k-path
-            stat["max_pair"] = {"v": pv and list(pv), "w": pw and list(pw), "count": peak}
-            lhs = math.log2(peak) if peak > 0 else 0.0
-            rhs = bounds_mod.log2_solution_bound(k, params.r - 1)
-            checks.append(BoundCheck(f"pair_count_within_solution_bound_k{k}", lhs, rhs))
-        except StepBudgetExceeded:
-            stat["max_pair"] = None
-            info.append({"name": f"pair_count_within_solution_bound_k{k}", "status": "skipped: step budget"})
+        pv, pw, peak = max_pair_count(h, k, workers=workers, step_budget=step_budget)
+        # v and w are None when the graph has no irredundant k-path
+        stat["max_pair"] = {"v": pv and list(pv), "w": pw and list(pw), "count": peak}
+        lhs = math.log2(peak) if peak > 0 else 0.0
+        rhs = bounds_mod.log2_solution_bound(k, params.r - 1)
+        checks.append(BoundCheck(f"pair_count_within_solution_bound_k{k}", lhs, rhs))
         report.path_stats.append(stat)
 
     worst, bracket_frac = _lambert_grid_stats()
@@ -410,6 +409,9 @@ def dispatch(argv) -> int:
         return args.func(args)
     except StepBudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

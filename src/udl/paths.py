@@ -14,10 +14,12 @@ Elsewhere the counts walk the vector tuples once for all starts, each node
 the array of the starts' positions (`_start_walks`), and the pair statistics
 gather each displacement group's tuples as one block (`_group_depth`),
 per-pair counts on a grid too.  That walk and the reference route, the
-per-start DFS over the neighbour table (`count_irredundant_from`), are one
-pruned DFS, `_walks`: it keeps the running set S of all nonempty
-prefix-subset sums, and a continuation z is admissible exactly when -z is
-absent from S.
+per-start DFS over the columns of the neighbour table
+(`count_irredundant_from`), are one pruned DFS, `_walks`: it keeps the
+running set S of all nonempty prefix-subset sums, and a continuation z is
+admissible exactly when -z is absent from S.  Every statistic is priced by
+one projection, `projected_steps`, and refused before it starts when that
+exceeds the step budget.
 """
 
 from __future__ import annotations
@@ -62,6 +64,22 @@ def _check_budget(projected: int, budget: int | None) -> None:
         raise StepBudgetExceeded(projected, limit)
 
 
+def projected_steps(g: UnitDistanceGraph, k: int, starts=None) -> int:
+    """The DFS steps a k-path statistic on g is charged, for R vectors:
+    len(starts) * R^k for one walk per start (sampled and per-pair counts,
+    the per-start DFS), else, for the total and the max pair,
+    R + R^2 + ... + R^k on a full grid and n * R^k on any other point set.
+    k is validated before it is priced."""
+    if not 1 <= k <= MAX_PATH_LENGTH:
+        raise ValueError(f"k must be in [1, {MAX_PATH_LENGTH}], got {k}")
+    r = max(len(g.vectors), 1)
+    if starts is not None:
+        return len(starts) * r**k
+    if g.grid is not None:
+        return sum(r**i for i in range(1, k + 1))
+    return g.vertex_count * r**k
+
+
 @dataclass(frozen=True)
 class PathRecord:
     """Vertex sequence p_0 .. p_k plus the k displacement vectors (dx, dy)."""
@@ -99,19 +117,6 @@ def is_irredundant(path) -> bool:
     return True
 
 
-def _adjvec(g: UnitDistanceGraph):
-    """Per-vertex tuples (neighbor index, u - w as complex), read from the
-    neighbour table in vector order and cached on g."""
-    cached = getattr(g, "_adjvec", None)
-    if cached is None:
-        n = g.vertex_count
-        negs = [complex(-dx, -dy) for dx, dy in g.vectors]
-        cached = [tuple((w, nz) for w, nz in zip(col, negs) if w != n) for col in g.neighbours.T[:n].tolist()]
-        g._adjvec = cached
-        g._negsets = [frozenset(nz for _, nz in row) for row in cached]
-    return cached, g._negsets
-
-
 def _resolve_start(g: UnitDistanceGraph, start) -> int:
     key = (int(start[0]), int(start[1]))
     if g.grid is None:
@@ -123,11 +128,6 @@ def _resolve_start(g: UnitDistanceGraph, start) -> int:
     if i is None:
         raise ValueError(f"start vertex {key} is not in the graph")
     return i
-
-
-def _validate_k(k: int) -> None:
-    if not 1 <= k <= MAX_PATH_LENGTH:
-        raise ValueError(f"k must be in [1, {MAX_PATH_LENGTH}], got {k}")
 
 
 def _walks(step, start, depth: int):
@@ -164,35 +164,36 @@ def _walks(step, start, depth: int):
     return trail, walk(start, depth) if depth else iter((S,))
 
 
+def _vertex_step(g: UnitDistanceGraph):
+    """`step` for `_walks` over vertex indices: the moves out of vertex u as
+    (w, u - w), read from column u of the neighbour table."""
+    table, n = g.neighbours, g.vertex_count
+    negs = [complex(-dx, -dy) for dx, dy in g.vectors]
+
+    def step(u: int):
+        return [(w, nz) for w, nz in zip(table[:, u].tolist(), negs) if w != n]
+
+    return step
+
+
 def count_irredundant_from(
     g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None
 ) -> int:
     """Number of irredundant k-edge paths leaving `start`."""
-    _validate_k(k)
-    _check_budget(max(len(g.vectors), 1) ** k, step_budget)
+    _check_budget(projected_steps(g, k, [start]), step_budget)
     i = _resolve_start(g, start)
-    adjvec, negsets = _adjvec(g)
-    return _count_from(adjvec, negsets, i, k)
-
-
-def _count_from(adjvec, negsets, i: int, k: int) -> int:
-    trail, walks = _walks(adjvec.__getitem__, i, k - 1)
-    total = 0
-    for S in walks:
-        # a last step to w is blocked exactly when u - w is in S
-        u = trail[-1]
-        total += len(adjvec[u]) - len(S & negsets[u])
-    return total
+    step = _vertex_step(g)
+    trail, walks = _walks(step, i, k - 1)
+    # a last step to w is blocked exactly when u - w is in S
+    return sum(nz not in S for S in walks for _, nz in step(trail[-1]))
 
 
 def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None):
     """Yield the PathRecords themselves; same pruning as the counter."""
-    _validate_k(k)
-    _check_budget(max(len(g.vectors), 1) ** k, step_budget)
+    _check_budget(projected_steps(g, k, [start]), step_budget)
     i = _resolve_start(g, start)
-    adjvec, _ = _adjvec(g)
     pts = g.points
-    trail, walks = _walks(adjvec.__getitem__, i, k)
+    trail, walks = _walks(_vertex_step(g), i, k)
     for _ in walks:
         yield PathRecord.from_vertices([pts[t] for t in trail])
 
@@ -201,7 +202,7 @@ def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | Non
     """{(x, y): vertex index} for the distinct `starts` in first-seen order,
     budgeted before any is resolved."""
     starts = list(dict.fromkeys((int(s[0]), int(s[1])) for s in starts))
-    _check_budget(len(starts) * max(len(g.vectors), 1) ** k, step_budget)
+    _check_budget(projected_steps(g, k, starts), step_budget)
     return {s: _resolve_start(g, s) for s in starts}
 
 
@@ -214,7 +215,6 @@ def count_irredundant_many(
     is kept for callers that pass it and selects nothing."""
     import numpy as np
 
-    _validate_k(k)
     starts = _checked_starts(g, starts, k, step_budget)
     dims = g.grid
     if dims is not None:
@@ -258,7 +258,6 @@ def per_pair_counts(
     """
     import numpy as np
 
-    _validate_k(k)
     starts = _checked_starts(g, g.points if starts is None else starts, k, step_budget)
     pairs: dict = {}
     if not starts:
@@ -448,9 +447,9 @@ def _start_walks(g: UnitDistanceGraph, k: int, starts):
 
 def _start_counts(g: UnitDistanceGraph, k: int, starts):
     """counts[i]: irredundant k-paths from vertex starts[i].  Each walk of
-    `_start_walks` closes as `_count_from` does, vectorised over the starts:
-    the degree where it stands minus the moves whose negated vector is a
-    prefix-subset sum.
+    `_start_walks` closes as `count_irredundant_from` does, vectorised over
+    the starts: the degree where it stands minus the moves whose negated
+    vector is a prefix-subset sum.
     """
     import numpy as np
 
@@ -518,10 +517,6 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
     return cache[k]
 
 
-def _grid_effort(r: int, k: int) -> int:
-    return sum(max(r, 1) ** i for i in range(1, k + 1))
-
-
 def total_irredundant_paths(
     g: UnitDistanceGraph, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> int:
@@ -533,12 +528,10 @@ def total_irredundant_paths(
     """
     import numpy as np
 
-    _validate_k(k)
+    _check_budget(projected_steps(g, k), step_budget)
     dims = g.grid
     if dims is None:
-        _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
         return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
-    _check_budget(_grid_effort(len(g.vectors), k), step_budget)
     _, _, w, h = dims
     *_, ax, bx, ay, by = _grid_paths(g, k, dims)
     if len(ax) * w * h < 2**63:
@@ -562,12 +555,10 @@ def max_pair_count(
     """
     import numpy as np
 
-    _validate_k(k)
+    _check_budget(projected_steps(g, k), step_budget)
     dims = g.grid
     if dims is not None:
-        _check_budget(_grid_effort(len(g.vectors), k), step_budget)
         return _max_pair_grid(g, k, dims)
-    _check_budget(g.vertex_count * max(len(g.vectors), 1) ** k, step_budget)
     if not g.vertex_count:
         return (None, None, 0)
     dx, dy, size, tuples = _displacement_groups(g.vectors, k)

@@ -1,14 +1,25 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from udl.cli import BoundCheck, RunReport, _representation_defect, dispatch, verify_all
+from udl.cli import BoundCheck, RunReport, _path_stats, _representation_defect, dispatch, verify_all
 from udl.gaussian import representations
+from udl.paths import (
+    StepBudgetExceeded,
+    count_irredundant_many,
+    max_pair_count,
+    projected_steps,
+    total_irredundant_paths,
+)
+from udl.udgraph import build_graph
 
 from oracles import two_squares_set
 
@@ -291,23 +302,105 @@ def test_reps_refuses_a_factor_that_cannot_be_certified():
     assert f"cannot certify the factor {m}" in out.stderr
 
 
-def test_a_total_beyond_the_step_budget_reads_null(monkeypatch, capsys):
-    # verify and paths share one stat row; a refused total is null in both, not an error
+def _holed_box(w, h, holes):
+    return [(x, y) for x in range(w) for y in range(h) if (x, y) not in holes]
+
+
+def test_a_total_beyond_the_step_budget_refuses_before_any_statistic(monkeypatch):
+    # verify and paths share `_path_stats`: it prices every k's counts and
+    # total up front, so a total over budget refuses the run before the
+    # counts it would admit have run
     import udl.cli
-    from udl.paths import StepBudgetExceeded
 
-    def refuse(*args, **kwargs):
-        raise StepBudgetExceeded(2, 1)
+    ran = []
 
-    monkeypatch.setattr(udl.cli, "total_irredundant_paths", refuse)
-    code, out, _ = run(capsys, ["paths", "--n", "100", "--k", "3"])
-    assert code == 0
-    assert json.loads(out) == {
-        "k": 3, "sample_size": 50, "min_count": 48, "max_count": 264, "lower_bound": 0, "total_paths": None,
-    }
-    report = verify_all(100, 3).to_dict()
-    assert [s["total_paths"] for s in report["path_stats"]] == [None, None]
-    assert [c["name"] for c in report["info_checks"]] == ["total_paths_k2", "total_paths_k3", "absorption_sides"]
+    def spy(name, statistic):
+        def run_and_note(*args, **kwargs):
+            ran.append(name)
+            return statistic(*args, **kwargs)
+
+        return run_and_note
+
+    for name in ("count_irredundant_many", "total_irredundant_paths", "max_pair_count"):
+        monkeypatch.setattr(udl.cli, name, spy(name, getattr(udl.cli, name)))
+    g = build_graph(_holed_box(10, 10, {(3, 4), (6, 2), (7, 7)}), 5)  # R = 8
+    assert g.grid is None and g.vertex_count == 97
+    counts, total = 50 * 8**3, 97 * 8**3
+    assert (projected_steps(g, 3, range(50)), projected_steps(g, 3)) == (counts, total)
+    for budget, refused in ((counts - 1, counts), (total - 1, total)):
+        with pytest.raises(StepBudgetExceeded) as exc:
+            next(_path_stats(g, [2, 3], 4, 0, 1, budget))
+        assert exc.value.projected == refused
+        assert ran == []
+    (row,) = _path_stats(g, [3], 4, 0, 1, total)
+    assert ran == ["count_irredundant_many", "total_irredundant_paths"]
+    assert row["total_paths"] == total_irredundant_paths(g, 3)
+
+
+def test_an_invalid_k_is_refused_before_it_is_priced():
+    # pricing k = 10^9 at R = 8 would build a 3 * 10^9-bit integer, for minutes
+    for k in ("1000000000", "0"):
+        out = _run_cli("paths", "--n", "100", "--k", k)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: k must be in [1, 20], got {k}\n"
+
+
+@st.composite
+def _small_point_sets(draw):
+    w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = [(x, y) for x in range(w) for y in range(h)]
+    holes = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))  # may be none: a full grid
+    return _holed_box(w, h, holes)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(_small_point_sets(), st.sampled_from([1, 5, 25, 65]), st.integers(1, 4), st.data())
+def test_path_stats_refuse_exactly_when_a_direct_call_would(points, m, k_hi, data):
+    g = build_graph(points, m)
+    ks = range(data.draw(st.integers(1, k_hi)), k_hi + 1)
+    starts = [g.point(i) for i in sorted(random.Random(0).sample(range(g.vertex_count), min(50, g.vertex_count)))]
+    edges = sorted({p for k in ks for p in (projected_steps(g, k, starts), projected_steps(g, k))})
+    budget = data.draw(st.sampled_from(edges)) + data.draw(st.integers(-1, 1))
+
+    def refused(statistic, *args):
+        try:
+            statistic(g, *args, step_budget=budget)
+        except StepBudgetExceeded:
+            return True
+        return False
+
+    direct = any(
+        refused(count_irredundant_many, starts, k) or refused(total_irredundant_paths, k) or refused(max_pair_count, k)
+        for k in ks
+    )
+    try:
+        rows = list(_path_stats(g, ks, 0, 0, 1, budget))
+    except StepBudgetExceeded:
+        rows = None
+    assert (rows is None) == direct, (len(points), m, list(ks), budget)
+    if rows is not None:
+        assert [row["k"] for row in rows] == list(ks)
+
+
+_ALLOCATION = "Unable to allocate 2.00 GiB for an array with shape (268533769,) and data type int64"
+
+
+def test_out_of_memory_exits_2_with_one_line(monkeypatch, capsys):
+    # a rank field past the address space, as at n = 10^23 under a 2 GiB ulimit -v
+    import udl.udgraph
+
+    def fail(message):
+        def allocate(*args):
+            raise MemoryError(*message)
+
+        return allocate
+
+    monkeypatch.setattr(udl.udgraph, "_box_depth", fail([_ALLOCATION]))
+    for argv in (["verify", "--n", "100", "--k-max", "1"], ["graph", "--n", "100"], ["paths", "--n", "100", "--k", "1"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", f"error: out of memory: {_ALLOCATION}\n"), argv
+    monkeypatch.setattr(udl.udgraph, "_box_depth", fail([]))
+    assert run(capsys, ["graph", "--n", "100"]) == (2, "", "error: out of memory\n")
 
 
 def test_graph_file_errors_exit_2(capsys, tmp_path):
