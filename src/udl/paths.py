@@ -9,12 +9,16 @@ irredundant k-multisets by that rule, level by level, sorted by total
 displacement; each stands for its distinct orderings (`_orderings`), the
 irredundant k-tuples of that displacement.  A k-path is a tuple placed at a
 start whose prefix points all lie in the point set.  On a full grid the
-counts, total and max pair take that as a box test (`_grid_paths`).
-Elsewhere the counts walk the vector tuples once for all starts, each node
-the array of the starts' positions (`_start_walks`), and the pair statistics
-gather each displacement group's tuples as one block (`_group_depth`),
-per-pair counts on a grid too.  That walk and the reference route, the
-per-start DFS over the columns of the neighbour table
+counts, total and max pair take that as a box test (`_grid_paths`), and
+only for one displacement group per orbit of the box's symmetries (the 8 of
+the square, or the 4 flips of an oblong box): the total weights each kept
+group by its orbit size, the counts add the group's depths at the images of
+each start, and the max pair takes the least image of a group's deepest
+pair.  Elsewhere the counts walk the vector tuples once for all starts,
+each node the array of the starts' positions (`_start_walks`), and the pair
+statistics gather each displacement group's tuples as one block
+(`_group_depth`), per-pair counts on a grid too.  That walk and the
+reference route, the per-start DFS over the columns of the neighbour table
 (`count_irredundant_from`), are one pruned DFS, `_walks`: it keeps the
 running set S of all nonempty prefix-subset sums, and a continuation z is
 admissible exactly when -z is absent from S.  Every statistic is priced by
@@ -210,18 +214,28 @@ def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts for several start vertices: on a full grid the `_box_depth` of
-    the start rectangles of `_grid_paths`, on other point sets one walk over
-    the vector tuples for all starts at once (see `_start_counts`).  `workers`
-    is kept for callers that pass it and selects nothing."""
+    the start rectangles of `_grid_paths` at the starts' images, on other
+    point sets one walk over the vector tuples for all starts at once (see
+    `_start_counts`).  `workers` is kept for callers that pass it and
+    selects nothing.
+
+    On the grid, group d holds as many paths from L v as its image L d
+    holds from v, for each of the |G| maps L; so
+    |G| * count(v) = sum over kept groups d of orbit(d) * sum over L of
+    depth_d(L v), and the division is exact.
+    """
     import numpy as np
 
     starts = _checked_starts(g, starts, k, step_budget)
     dims = g.grid
     if dims is not None:
         x0, y0, w, h = dims
-        *_, ax, bx, ay, by = _grid_paths(g, k, dims)
+        _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k, dims)
+        syms = _grid_symmetries(w, h)
         sx, sy = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
-        ux, uy = _distinct(sx), _distinct(sy)
+        images = [_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]
+        ix, iy = np.array([x for x, _ in images]), np.array([y for _, y in images])  # one row per map
+        ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
         reach = max((max(abs(dx), abs(dy)) for dx, dy in g.vectors), default=0)
 
         def ranker(u, side):
@@ -236,10 +250,13 @@ def count_irredundant_many(
 
         xrank, yrank = ranker(ux, w), ranker(uy, h)
         field = np.zeros((len(ux), len(uy)), dtype=np.int64)
-        for lo in range(0, len(ax), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
-            part = slice(lo, lo + _GATHER_BUDGET)
-            field += _box_depth(*xrank(ax[part], bx[part]), *yrank(ay[part], by[part]), len(ux), len(uy))
-        return dict(zip(starts, field[np.searchsorted(ux, sx), np.searchsorted(uy, sy)].tolist()))
+        for o in np.flatnonzero(np.bincount(orbit)).tolist():  # integer fields, one orbit size at a time
+            rows = np.flatnonzero(np.repeat(orbit == o, count))
+            for lo in range(0, len(rows), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
+                part = rows[lo : lo + _GATHER_BUDGET]
+                field += o * _box_depth(*xrank(ax[part], bx[part]), *yrank(ay[part], by[part]), len(ux), len(uy))
+        total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
+        return dict(zip(starts, (total // len(syms)).tolist()))
     counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
     return dict(zip(starts, counts.tolist()))
 
@@ -258,7 +275,10 @@ def per_pair_counts(
     """
     import numpy as np
 
-    starts = _checked_starts(g, g.points if starts is None else starts, k, step_budget)
+    if starts is None:
+        _check_budget(projected_steps(g, k, range(g.vertex_count)), step_budget)  # before any point is listed
+        starts = g.points
+    starts = _checked_starts(g, starts, k, step_budget)
     pairs: dict = {}
     if not starts:
         return pairs
@@ -292,12 +312,14 @@ def path_count_lower_bound(delta: int, k: int) -> int:
     return out
 
 
-def _multisets(vectors, k: int):
+def _multisets(vectors, k: int, keep=None):
     """(idx, sx, sy, kind): the irredundant k-multisets of vector indices,
     each row of idx ascending, sorted by total displacement (sx, sy) so that
     a displacement occupies one run of rows.  Bit p of kind is set when
     idx[:, p] == idx[:, p + 1]; `_orderings(k, kind)` lists the distinct
     orderings, each an irredundant k-tuple of the same displacement.
+    `keep(sx, sy)`, when given, masks the displacements to list; the rows
+    it drops are never sorted.
 
     All vectors share the norm m, so a vanishing subsum has an even number
     of terms: divided by the gcd of its coordinates, the norm is odd or 2
@@ -322,9 +344,18 @@ def _multisets(vectors, k: int):
         for pos in map(list, combinations(range(k), s)):
             closes |= ~step[idx[:, pos]].sum(axis=1).any(axis=1)
     sx, sy = step[idx, 0].sum(axis=1), step[idx, 1].sum(axis=1)
-    order = np.lexsort((sy, sx))
-    order = order[~closes[order]]
-    idx, sx, sy = idx[order], sx[order], sy[order]
+    rows = np.flatnonzero(~closes if keep is None else keep(sx, sy) & ~closes)
+    sx, sy = sx[rows], sy[rows]
+    if len(rows):
+        # (sx, sy) order, stable so the level loop's order holds inside a displacement: one int64 key when
+        # it cannot wrap (for m below about 2^61 / k^2), else two keys
+        span = int(sy.max() - sy.min()) + 1
+        if (int(sx.max() - sx.min()) + 1) * span < 2**63:
+            order = np.argsort((sx - sx.min()) * span + (sy - sy.min()), kind="stable")
+        else:
+            order = np.lexsort((sy, sx))
+        rows, sx, sy = rows[order], sx[order], sy[order]
+    idx = idx[rows]
     kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
     return idx, sx, sy, kind
 
@@ -466,10 +497,50 @@ def _start_counts(g: UnitDistanceGraph, k: int, starts):
     return counts
 
 
+def _grid_symmetries(w: int, h: int):
+    """The maps of the w x h box onto itself, as (swap, flip x, flip y):
+    swap the axes (a square box only), then mirror x, then mirror y.  The
+    identity comes first."""
+    return [(s, fx, fy) for s in range(1 + (w == h)) for fx in (0, 1) for fy in (0, 1)]
+
+
+def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
+    """(xa, xb, ya, yb) of the image of the box [xa, xb] x [ya, yb] of the
+    w x h grid under the map `sym` of `_grid_symmetries`; ints or arrays."""
+    swap, fx, fy = sym
+    if swap:
+        xa, xb, ya, yb = ya, yb, xa, xb
+    if fx:
+        xa, xb = w - 1 - xb, w - 1 - xa
+    if fy:
+        ya, yb = h - 1 - yb, h - 1 - ya
+    return xa, xb, ya, yb
+
+
+def _map_vector(sym, dx: int, dy: int) -> tuple[int, int]:
+    """The image of the displacement (dx, dy) under the map `sym`."""
+    swap, fx, fy = sym
+    if swap:
+        dx, dy = dy, dx
+    return (-dx if fx else dx, -dy if fy else dy)
+
+
 def _grid_paths(g: UnitDistanceGraph, k: int, dims):
-    """(dx, dy, count, ax, bx, ay, by) for the full grid g, built once per k
-    and cached on g.  Each irredundant k-tuple that fits the grid is one row
-    of the rectangle columns: the start offsets v - (x0, y0) in
+    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, built once
+    per k and cached on g.
+
+    The norm-m vectors are closed under the maps of the grid box onto itself
+    (`_grid_symmetries`, the group G: the 8 of the square on a square grid,
+    else the 4 flips), and a map L carries the paths of displacement d from
+    v to the paths of displacement L d from L v.  So one displacement group
+    per orbit is kept, the one whose (dx, dy) is the lex-least of its orbit:
+    dx <= dy <= 0 on a square grid, dx <= 0 and dy <= 0 on any other.
+    orbit[i] is the number of distinct images of (dx[i], dy[i]), the groups
+    that group i stands for.  This needs no free action: a displacement on
+    an axis or a diagonal has a smaller orbit, and that is its weight.
+
+    Each irredundant k-tuple of a kept group that fits the grid is one row of
+    the rectangle columns: the start offsets v - (x0, y0) in
     [ax, bx] x [ay, by] keep its prefix bounding box inside, and the tuple
     fits exactly when that rectangle is not empty.  The rows come from
     `_multisets`: each repetition-pattern class takes the prefix boxes of all
@@ -477,15 +548,18 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
     multisets' rows, so no T-row array is sorted or reordered and each
     displacement group is one run of rows.  Group i has displacement
     (dx[i], dy[i]) and the next count[i] rows, which may be none.  Every
-    grid statistic reads these columns alone, so memory is O(T + side) for
-    T tuples.
+    grid statistic reads these columns alone, so memory is O(T / |G| + side)
+    for T tuples.
     """
     import numpy as np
 
     cache = vars(g).setdefault("_grid_paths", {})
     if k not in cache:
         _, _, w, h = dims
-        idx, sx, sy, kind = _multisets(g.vectors, k)
+        if w == h:
+            idx, sx, sy, kind = _multisets(g.vectors, k, lambda sx, sy: (sx <= sy) & (sy <= 0))
+        else:
+            idx, sx, sy, kind = _multisets(g.vectors, k, lambda sx, sy: (sx <= 0) & (sy <= 0))
         step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
         size = _ordering_counts(k, kind)
         offset = np.cumsum(size) - size
@@ -513,7 +587,11 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         if not keep.all():
             for i in range(4):  # one column at a time, so one full column is freed as each is cut
                 rect[i] = rect[i][keep]
-        cache[k] = (sx[heads], sy[heads], count, *rect)
+        dx, dy = sx[heads], sy[heads]
+        orbit = (1 + (dx != 0)) * (1 + (dy != 0))  # the flips
+        if w == h:
+            orbit *= 1 + (dx != dy)  # and the swap, which fixes the diagonal
+        cache[k] = (dx, dy, count, orbit, *rect)
     return cache[k]
 
 
@@ -522,9 +600,10 @@ def total_irredundant_paths(
 ) -> int:
     """Total irredundant k-edge paths over all start vertices.
 
-    On a full grid this is the summed area of the start rectangles (see
-    `_grid_paths`); otherwise it sums the counts of one walk over the vector
-    tuples for every start at once (see `_start_counts`).
+    On a full grid this is the summed area of the start rectangles, each
+    weighted by its group's orbit (see `_grid_paths`): a grid map carries a
+    rectangle to one of the same area.  Otherwise it sums the counts of one
+    walk over the vector tuples for every start at once (see `_start_counts`).
     """
     import numpy as np
 
@@ -533,11 +612,13 @@ def total_irredundant_paths(
     if dims is None:
         return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
     _, _, w, h = dims
-    *_, ax, bx, ay, by = _grid_paths(g, k, dims)
-    if len(ax) * w * h < 2**63:
-        return int(((bx - ax + 1) * (by - ay + 1)).sum())
-    # every start may carry every tuple: an int64 sum could wrap
-    return sum((b - a + 1) * (d - c + 1) for a, b, c, d in zip(*(col.tolist() for col in (ax, bx, ay, by))))
+    _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k, dims)
+    weight = np.repeat(orbit, count)
+    if len(ax) * w * h * 8 < 2**63:
+        return int((weight * (bx - ax + 1) * (by - ay + 1)).sum())
+    # every start may carry every tuple of all 8 images: an int64 sum could wrap
+    cols = (col.tolist() for col in (weight, ax, bx, ay, by))
+    return sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*cols))
 
 
 def max_pair_count(
@@ -552,6 +633,9 @@ def max_pair_count(
     any other point set the group's tuples gathered at every start (see
     `_group_depth`).  Groups are visited largest first, stopping once a group
     has fewer tuples than the best depth found (`_largest_groups_first`).
+    On a full grid one group stands for its orbit: the images of its deepest
+    pairs under the grid maps are the deepest pairs of the other groups, so
+    the least of those images is its pair.
     """
     import numpy as np
 
@@ -564,21 +648,23 @@ def max_pair_count(
     dx, dy, size, tuples = _displacement_groups(g.vectors, k)
     everyone = np.arange(g.vertex_count)
 
-    def deepest(gi):
+    def deepest(gi, floor):
         depth = _group_depth(g.neighbours, tuples(gi), everyone)
         i = int(depth.argmax())  # the first deepest vertex: points are sorted
-        return g.points[i], int(depth[i])
+        v = g.points[i]
+        return v, (v[0] + int(dx[gi]), v[1] + int(dy[gi])), int(depth[i])
 
-    return _largest_groups_first(dx, dy, size, deepest)
+    return _largest_groups_first(size, deepest)
 
 
-def _largest_groups_first(dx, dy, size, deepest):
+def _largest_groups_first(size, deepest):
     """(v, w, depth) of greatest depth over the displacement groups, ties
-    going to the smallest (v, w).  `deepest(i)` is the (v, depth) of group i
-    at its lexicographically smallest deepest start v.  Groups are visited
-    largest first and the visit stops once a group has fewer than
-    max(best depth, 1) tuples: depth never exceeds a group's size, and an
-    empty group has no pair.
+    going to the smallest (v, w).  `deepest(i, floor)` is the (v, w, depth)
+    of group i at its lexicographically smallest deepest pair; it may leave
+    v and w None when that depth is below `floor`, the best depth so far.
+    Groups are visited largest first and the visit stops once a group has
+    fewer than max(best depth, 1) tuples: depth never exceeds a group's
+    size, and an empty group has no pair.
     """
     import numpy as np
 
@@ -586,35 +672,51 @@ def _largest_groups_first(dx, dy, size, deepest):
     for gi in np.argsort(-size, kind="stable").tolist():
         if size[gi] < max(best[2], 1):
             break
-        v, peak = deepest(gi)
-        w = (v[0] + int(dx[gi]), v[1] + int(dy[gi]))
-        if peak > best[2] or (peak == best[2] > 0 and (v, w) < best[:2]):
-            best = (v, w, peak)
+        found = deepest(gi, best[2])
+        if found[2] > best[2] or (found[2] == best[2] > 0 and found[:2] < best[:2]):
+            best = found
     return best
+
+
+def _ranked_deepest(ax, bx, ay, by):
+    """((x, y), depth): the lexicographically smallest deepest point of the
+    rectangles [ax, bx] x [ay, by] and its depth.  That point has some ax as
+    its x and some ay as its y: moving left or down from anywhere else keeps
+    every rectangle that covered it."""
+    import numpy as np
+
+    ux, uy = _distinct(ax), _distinct(ay)
+    xa, xb = np.searchsorted(ux, ax), np.searchsorted(ux, bx, "right")
+    ya, yb = np.searchsorted(uy, ay), np.searchsorted(uy, by, "right")
+    depth = _box_depth(xa, xb, ya, yb, len(ux), len(uy))
+    i, j = divmod(int(depth.argmax()), len(uy))
+    return (int(ux[i]), int(uy[j])), int(depth[i, j])
 
 
 def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     import numpy as np
 
-    x0, y0, _, _ = dims
-    dx, dy, count, ax, bx, ay, by = _grid_paths(g, k, dims)
+    x0, y0, w, h = dims
+    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k, dims)
+    syms = _grid_symmetries(w, h)
     ends = np.cumsum(count).tolist()
 
-    def deepest(gi):
+    def deepest(gi, floor):
         lo, hi = ends[gi] - int(count[gi]), ends[gi]
-        gax, gbx, gay, gby = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
-        x, y = int(gax.max()), int(gay.max())
-        if x <= gbx.min() and y <= gby.min():
-            # Helly: boxes share a point iff their x and y projections do; (x, y) is the least shared point
-            return (x0 + x, y0 + y), hi - lo
-        # the lexicographically smallest deepest point has some ax as its x
-        # and some ay as its y: moving left or down from anywhere else keeps
-        # every rectangle that covered it
-        ux, uy = _distinct(gax), _distinct(gay)
-        xa, xb = np.searchsorted(ux, gax), np.searchsorted(ux, gbx, "right")
-        ya, yb = np.searchsorted(uy, gay), np.searchsorted(uy, gby, "right")
-        depth = _box_depth(xa, xb, ya, yb, len(ux), len(uy))
-        i, j = divmod(int(depth.argmax()), len(uy))
-        return (x0 + int(ux[i]), y0 + int(uy[j])), int(depth[i, j])
+        rects = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
+        d = (int(dx[gi]), int(dy[gi]))
+        box = (int(rects[0].max()), int(rects[1].min()), int(rects[2].max()), int(rects[3].min()))
+        if box[0] <= box[1] and box[2] <= box[3]:
+            # Helly: boxes share a point iff their x and y projections do, and the deepest points are then the
+            # intersection box; the least point of each image is the image box's low corner
+            peak = hi - lo
+            least = [_map_box(sym, w, h, *box)[::2] for sym in syms]
+        else:
+            v, peak = _ranked_deepest(*rects)
+            if peak < floor:
+                return None, None, peak
+            least = [v] + [_ranked_deepest(*_map_box(sym, w, h, *rects))[0] for sym in syms[1:]]
+        (x, y), (ex, ey) = min((v, _map_vector(sym, *d)) for v, sym in zip(least, syms))
+        return (x0 + x, y0 + y), (x0 + x + ex, y0 + y + ey), peak
 
-    return _largest_groups_first(dx, dy, count, deepest)
+    return _largest_groups_first(count, deepest)

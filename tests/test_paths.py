@@ -32,7 +32,7 @@ from udl.paths import (
     _ordering_counts,
     _orderings,
 )
-from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph
+from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
 
 from oracles import has_vanishing_subsum, irredundant_walk_count, two_squares_set, walks_from
 
@@ -257,14 +257,14 @@ def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
         calls.append(None)
         return box_depth(*args)
 
-    def counted_visit(dx, dy, size, deepest):
-        def counted(gi):
+    def counted_visit(size, deepest):
+        def counted(gi, floor):
             before = len(calls)
-            found = deepest(gi)
+            found = deepest(gi, floor)
             routes["ranked" if len(calls) > before else "common point"] += 1
             return found
 
-        return visit(dx, dy, size, counted)
+        return visit(size, counted)
 
     monkeypatch.setattr(udl.paths, "_box_depth", counted_box_depth)
     monkeypatch.setattr(udl.paths, "_largest_groups_first", counted_visit)
@@ -412,6 +412,22 @@ def test_multisets_match_filtered_product_oracle():
         _multisets([(1, 0), (0, 1), (-1, 0)], 2)
 
 
+def test_multisets_sort_by_displacement_then_index_row_at_any_norm():
+    # at m = 5^28 (about 3.7 * 10^19) the product of the two displacement spans passes 2^63
+    for m, k_top in [(5, 3), (65, 2), (5**28, 2)]:
+        vecs = lattice_vectors(m)
+        for k in range(1, k_top + 1):
+            idx, sx, sy, kind = _multisets(vecs, k)
+            keys = [(x, y, *row) for x, y, row in zip(sx.tolist(), sy.tolist(), idx.tolist())]
+            assert keys == sorted(set(keys)), (m, k)
+            # the displacement filter keeps the same rows in the same order
+            for keep in (lambda x, y: (x <= y) & (y <= 0), lambda x, y: (x <= 0) & (y <= 0)):
+                rows = keep(sx, sy)
+                assert 0 < rows.sum() < len(rows), (m, k)
+                for got, full in zip(_multisets(vecs, k, keep), (idx, sx, sy, kind)):
+                    assert (got == full[rows]).all(), (m, k)
+
+
 def test_multiset_and_tuple_counts_match_the_closed_forms():
     # with h = R / 2 antipodal classes, a multiset or tuple with no antipodal
     # pair takes from each class nothing or one sign, so the counts are
@@ -453,6 +469,48 @@ def test_parity_rule_decides_irredundancy_of_equal_norm_tuples(tup):
     assert (no_pair and not closes) == is_irredundant(tup)
 
 
+def _box_maps(w, h):
+    """(matrix, shift) of each map p -> matrix p + shift of the w x h box [0, w) x [0, h) onto itself: the
+    signed permutation matrices, all 8 on a square box, the 4 diagonal ones on any other."""
+    mats = [((a, 0), (0, b)) for a in (1, -1) for b in (1, -1)]
+    if w == h:
+        mats += [((0, a), (b, 0)) for a in (1, -1) for b in (1, -1)]
+    maps = []
+    for mat in mats:
+        corners = [_times(mat, x, y) for x in (0, w - 1) for y in (0, h - 1)]
+        maps.append((mat, (-min(x for x, _ in corners), -min(y for _, y in corners))))
+    return maps
+
+
+def _times(mat, x, y):
+    return (mat[0][0] * x + mat[0][1] * y, mat[1][0] * x + mat[1][1] * y)
+
+
+def _expanded_rects(g, k):
+    """The (dx, dy, ax, bx, ay, by) rows of every displacement group, each kept group of `_grid_paths` mapped
+    to each distinct image of its displacement; checks that a kept displacement is the lex-least of its orbit
+    and that orbit counts its distinct images.  Also returns the number of kept groups with rows whose orbit
+    is smaller than the number of maps."""
+    _, _, w, h = g.grid
+    maps = _box_maps(w, h)
+    dx, dy, count, orbit, *rect = _grid_paths(g, k, g.grid)
+    rows, small, lo = [], 0, 0
+    for d, c, o in zip(zip(dx.tolist(), dy.tolist()), count.tolist(), orbit.tolist()):
+        group = list(zip(*(col[lo : lo + c].tolist() for col in rect)))
+        lo += c
+        images = {}
+        for mat, shift in maps:
+            images.setdefault(_times(mat, *d), (mat, shift))
+        assert o == len(images) and d == min(images), (g.grid, k, d, o)
+        small += c > 0 and o < len(maps)
+        for (ex, ey), (mat, (cx, cy)) in images.items():
+            for ax, bx, ay, by in group:
+                xs, ys = zip(*(_times(mat, x, y) for x in (ax, bx) for y in (ay, by)))
+                rows.append((ex, ey, min(xs) + cx, max(xs) + cx, min(ys) + cy, max(ys) + cy))
+    assert lo == len(rect[0])
+    return rows, small
+
+
 def test_grid_rects_match_clipped_prefix_box_oracle():
     import numpy as np
 
@@ -478,17 +536,73 @@ def test_grid_rects_match_clipped_prefix_box_oracle():
                     continue
                 clipped = [(sx, sy, -lx, w - 1 - hx, -ly, h - 1 - hy) for sx, sy, lx, hx, ly, hy in rows]
                 expected = sorted(r for r in clipped if r[2] <= r[3] and r[4] <= r[5])
-                dx, dy, count, *rect = _grid_paths(g, k, g.grid)
-                cols = (np.repeat(dx, count), np.repeat(dy, count), *rect)
-                got = list(zip(*(col.tolist() for col in cols)))
+                got, _ = _expanded_rects(g, k)
                 assert sorted(got) == expected, (w, h, m, k)
+                dx, dy, count, *_ = _grid_paths(g, k, g.grid)
                 assert len(set(zip(dx.tolist(), dy.tolist()))) == len(dx), (w, h, m, k)
-                assert count.sum() == len(rect[0]), (w, h, m, k)
     for side, m in [(6, 5), (5, 1)]:
         g = build_graph(grid(side), m)
         pairs = per_pair_counts(g, 5)
         assert max_pair_count(g, 5) == _lex_min_best(pairs), (side, m)
         assert total_irredundant_paths(g, 5) == sum(pairs.values()), (side, m)
+
+
+def _unquotiented_grid_stats(g, k):
+    """(rect rows, total, count per point, max pair) of the w x h grid g, read off the start rectangles of
+    every irredundant k-tuple with no quotient: the tuples of `_displacement_groups`, each group's depth at
+    every offset summed one rectangle at a time."""
+    import numpy as np
+
+    x0, y0, w, h = g.grid
+    step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
+    dx, dy, _, tuples = _displacement_groups(g.vectors, k)
+    rows, counts, best = [], np.zeros((w, h), dtype=np.int64), (None, None, 0)
+    for gi, d in enumerate(zip(dx.tolist(), dy.tolist())):
+        t = tuples(gi)
+        bounds = []
+        for c, side in ((0, w), (1, h)):
+            pre = np.concatenate([np.zeros((len(t), 1), dtype=np.int64), step[t, c].cumsum(axis=1)], axis=1)
+            bounds += [-pre.min(axis=1), side - 1 - pre.max(axis=1)]
+        depth = np.zeros((w, h), dtype=np.int64)
+        for ax, bx, ay, by in zip(*(b.tolist() for b in bounds)):
+            if ax <= bx and ay <= by:
+                rows.append((*d, ax, bx, ay, by))
+                depth[ax : bx + 1, ay : by + 1] += 1
+        counts += depth
+        i, j = divmod(int(depth.argmax()), h)  # the first deepest offset in (x, y) order
+        pair = ((x0 + i, y0 + j), (x0 + i + d[0], y0 + j + d[1]))
+        if depth[i, j] > best[2] or (depth[i, j] == best[2] > 0 and pair < best[:2]):
+            best = (*pair, int(depth[i, j]))
+    per_point = {(x0 + i, y0 + j): int(counts[i, j]) for i in range(w) for j in range(h)}
+    return rows, int(counts.sum()), per_point, best
+
+
+def test_grid_orbit_quotient_matches_the_unquotiented_rects():
+    rng = random.Random(20)
+    cases = [(14, 14, 5, 2)]
+    while len(cases) < 80:
+        w = rng.randint(1, 18)
+        h = w if len(cases) % 2 else rng.randint(1, 18)
+        m = rng.choice([1, 2, 4, 5, 8, 10, 25, 65])
+        r = len(two_squares_set(m))
+        k_top = max(k for k in range(1, 5) if k == 1 or r**k <= 70_000)
+        cases.append((w, h, m, rng.randint(1, k_top)))
+    small = squares = 0
+    for w, h, m, k in cases:
+        x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
+        g = build_graph([(x0 + x, y0 + y) for x in range(w) for y in range(h)], m)
+        rows, total, per_point, best = _unquotiented_grid_stats(g, k)
+        got, stabilised = _expanded_rects(g, k)
+        assert sorted(got) == sorted(rows), (w, h, m, k)
+        assert total_irredundant_paths(g, k) == total, (w, h, m, k)
+        assert count_irredundant_many(g, g.points, k) == per_point, (w, h, m, k)
+        assert max_pair_count(g, k) == best, (w, h, m, k)
+        small += stabilised
+        squares += w == h
+        if (w, h, m, k) == (14, 14, 5, 2):  # the tie-break decides among several deepest pairs
+            assert sum(c == best[2] for c in per_pair_counts(g, k).values()) > 1
+    # some groups on an axis or a diagonal have fewer images than maps, and both kinds of grid are drawn
+    assert small > 0 and 0 < squares < len(cases), (small, squares)
 
 
 def test_grid_route_on_grids_with_no_path_and_with_empty_groups():
@@ -502,7 +616,8 @@ def test_grid_route_on_grids_with_no_path_and_with_empty_groups():
     g = build_graph(grid(3), 5)
     dx, dy, count, *_ = _grid_paths(g, 2, g.grid)
     assert (count == 0).any() and (count > 0).any()
-    assert (2, 4) in set(zip(dx[count == 0].tolist(), dy[count == 0].tolist()))
+    # the group stands for its orbit, whose lex-least displacement is (-4, -2)
+    assert (-4, -2) in set(zip(dx[count == 0].tolist(), dy[count == 0].tolist()))
     assert max_pair_count(g, 2) == _lex_min_best(per_pair_counts(g, 2))
 
 
@@ -546,6 +661,13 @@ def test_count_many_workers_agree_on_a_holed_grid():
 
 def _holed_box(w, h, holes):
     return [(x, y) for x in range(w) for y in range(h) if (x, y) not in holes]
+
+
+def test_per_pair_counts_over_all_points_refuses_before_listing_them():
+    g = grid_graph(1000, 5)
+    with pytest.raises(StepBudgetExceeded):
+        per_pair_counts(g, 2, step_budget=1)
+    assert g._points is None  # the lazy grid never listed its 10^6 points
 
 
 @pytest.mark.parametrize("workers", [1, 2])
