@@ -275,10 +275,11 @@ def per_pair_counts(
     """
     import numpy as np
 
-    if starts is None:
-        _check_budget(projected_steps(g, k, range(g.vertex_count)), step_budget)  # before any point is listed
-        starts = g.points
-    starts = _checked_starts(g, starts, k, step_budget)
+    if starts is None:  # priced before any point is listed; the points are distinct
+        _check_budget(projected_steps(g, k, range(g.vertex_count)), step_budget)
+        starts = dict(zip(g.points, range(g.vertex_count)))
+    else:
+        starts = _checked_starts(g, starts, k, step_budget)
     pairs: dict = {}
     if not starts:
         return pairs
@@ -345,17 +346,9 @@ def _multisets(vectors, k: int, keep=None):
             closes |= ~step[idx[:, pos]].sum(axis=1).any(axis=1)
     sx, sy = step[idx, 0].sum(axis=1), step[idx, 1].sum(axis=1)
     rows = np.flatnonzero(~closes if keep is None else keep(sx, sy) & ~closes)
-    sx, sy = sx[rows], sy[rows]
-    if len(rows):
-        # (sx, sy) order, stable so the level loop's order holds inside a displacement: one int64 key when
-        # it cannot wrap (for m below about 2^61 / k^2), else two keys
-        span = int(sy.max() - sy.min()) + 1
-        if (int(sx.max() - sx.min()) + 1) * span < 2**63:
-            order = np.argsort((sx - sx.min()) * span + (sy - sy.min()), kind="stable")
-        else:
-            order = np.lexsort((sy, sx))
-        rows, sx, sy = rows[order], sx[order], sy[order]
-    idx = idx[rows]
+    order = np.lexsort((sy[rows], sx[rows]))  # stable: the level loop's order holds inside a displacement
+    rows = rows[order]
+    idx, sx, sy = idx[rows], sx[rows], sy[rows]
     kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
     return idx, sx, sy, kind
 
@@ -504,6 +497,24 @@ def _grid_symmetries(w: int, h: int):
     return [(s, fx, fy) for s in range(1 + (w == h)) for fx in (0, 1) for fy in (0, 1)]
 
 
+def _orbit_least(w: int, h: int):
+    """keep(dx, dy): whether each (dx, dy) is the lexicographically least
+    of its orbit under `_grid_symmetries(w, h)`: dx <= dy <= 0 when the
+    swap is among them, else dx <= 0 and dy <= 0."""
+    if w == h:
+        return lambda dx, dy: (dx <= dy) & (dy <= 0)
+    return lambda dx, dy: (dx <= 0) & (dy <= 0)
+
+
+def _orbit_size(w: int, h: int, dx, dy):
+    """The number of distinct images under `_grid_symmetries(w, h)` of
+    each (dx, dy) that `_orbit_least` keeps."""
+    orbit = (1 + (dx != 0)) * (1 + (dy != 0))  # the flips
+    if w == h:
+        orbit *= 1 + (dx != dy)  # and the swap, which fixes the diagonal
+    return orbit
+
+
 def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
     """(xa, xb, ya, yb) of the image of the box [xa, xb] x [ya, yb] of the
     w x h grid under the map `sym` of `_grid_symmetries`; ints or arrays."""
@@ -533,11 +544,12 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
     (`_grid_symmetries`, the group G: the 8 of the square on a square grid,
     else the 4 flips), and a map L carries the paths of displacement d from
     v to the paths of displacement L d from L v.  So one displacement group
-    per orbit is kept, the one whose (dx, dy) is the lex-least of its orbit:
-    dx <= dy <= 0 on a square grid, dx <= 0 and dy <= 0 on any other.
-    orbit[i] is the number of distinct images of (dx[i], dy[i]), the groups
-    that group i stands for.  This needs no free action: a displacement on
-    an axis or a diagonal has a smaller orbit, and that is its weight.
+    per orbit is kept, the one whose (dx, dy) is the lex-least of its orbit
+    (`_orbit_least`): dx <= dy <= 0 on a square grid, dx <= 0 and dy <= 0 on
+    any other.  orbit[i] is the number of distinct images of (dx[i], dy[i]),
+    the groups that group i stands for (`_orbit_size`).  This needs no free
+    action: a displacement on an axis or a diagonal has a smaller orbit, and
+    that is its weight.
 
     Each irredundant k-tuple of a kept group that fits the grid is one row of
     the rectangle columns: the start offsets v - (x0, y0) in
@@ -556,10 +568,7 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
     cache = vars(g).setdefault("_grid_paths", {})
     if k not in cache:
         _, _, w, h = dims
-        if w == h:
-            idx, sx, sy, kind = _multisets(g.vectors, k, lambda sx, sy: (sx <= sy) & (sy <= 0))
-        else:
-            idx, sx, sy, kind = _multisets(g.vectors, k, lambda sx, sy: (sx <= 0) & (sy <= 0))
+        idx, sx, sy, kind = _multisets(g.vectors, k, _orbit_least(w, h))
         step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
         size = _ordering_counts(k, kind)
         offset = np.cumsum(size) - size
@@ -588,10 +597,7 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
             for i in range(4):  # one column at a time, so one full column is freed as each is cut
                 rect[i] = rect[i][keep]
         dx, dy = sx[heads], sy[heads]
-        orbit = (1 + (dx != 0)) * (1 + (dy != 0))  # the flips
-        if w == h:
-            orbit *= 1 + (dx != dy)  # and the swap, which fixes the diagonal
-        cache[k] = (dx, dy, count, orbit, *rect)
+        cache[k] = (dx, dy, count, _orbit_size(w, h, dx, dy), *rect)
     return cache[k]
 
 
@@ -713,7 +719,7 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
             least = [_map_box(sym, w, h, *box)[::2] for sym in syms]
         else:
             v, peak = _ranked_deepest(*rects)
-            if peak < floor:
+            if peak < floor:  # a group below the best cannot win: it is not ranked under the other maps
                 return None, None, peak
             least = [v] + [_ranked_deepest(*_map_box(sym, w, h, *rects))[0] for sym in syms[1:]]
         (x, y), (ex, ey) = min((v, _map_vector(sym, *d)) for v, sym in zip(least, syms))

@@ -413,7 +413,7 @@ def test_multisets_match_filtered_product_oracle():
 
 
 def test_multisets_sort_by_displacement_then_index_row_at_any_norm():
-    # at m = 5^28 (about 3.7 * 10^19) the product of the two displacement spans passes 2^63
+    # at m = 5^28 (about 3.7 * 10^19) the product of the two displacement spans passes 2^63: no one int64 key orders them
     for m, k_top in [(5, 3), (65, 2), (5**28, 2)]:
         vecs = lattice_vectors(m)
         for k in range(1, k_top + 1):
