@@ -254,12 +254,15 @@ def _factor_squarefree_1mod4(m: int) -> list[int]:
 def _read_points(path: str) -> list[tuple[int, int]]:
     pts = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
                 continue
-            x, y = line.split()
-            pts.append((int(x), int(y)))
+            try:
+                x, y = map(int, fields)
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: expected two integers 'x y', got {line.strip()!r}") from None
+            pts.append((x, y))
     return pts
 
 

@@ -38,10 +38,9 @@ from .udgraph import UnitDistanceGraph, _box_depth, _distinct
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
-# tuples whose prefix boxes `_grid_paths` builds at once
-_GRID_CHUNK = 1 << 18
-# positions one gather takes at once: rect rows of the sampled grid counts,
-# tuple-start pairs of `_group_depth`
+# positions one gather takes at once: tuple orderings whose prefix boxes
+# `_grid_paths` builds, rect rows of the sampled grid counts, tuple-start
+# pairs of `_group_depth`
 _GATHER_BUDGET = 1 << 14
 
 
@@ -249,12 +248,11 @@ def count_irredundant_many(
             return lambda a, b: (first[a], last[b - (side - span)])
 
         xrank, yrank = ranker(ux, w), ranker(uy, h)
+        weight = np.repeat(orbit, count)
         field = np.zeros((len(ux), len(uy)), dtype=np.int64)
-        for o in np.flatnonzero(np.bincount(orbit)).tolist():  # integer fields, one orbit size at a time
-            rows = np.flatnonzero(np.repeat(orbit == o, count))
-            for lo in range(0, len(rows), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
-                part = rows[lo : lo + _GATHER_BUDGET]
-                field += o * _box_depth(*xrank(ax[part], bx[part]), *yrank(ay[part], by[part]), len(ux), len(uy))
+        for lo in range(0, len(ax), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
+            part = slice(lo, lo + _GATHER_BUDGET)
+            field += _box_depth(*xrank(ax[part], bx[part]), *yrank(ay[part], by[part]), len(ux), len(uy), weight[part])
         total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
         return dict(zip(starts, (total // len(syms)).tolist()))
     counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
@@ -576,7 +574,7 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         for c in np.flatnonzero(np.bincount(kind)).tolist():
             orders = _orderings(k, c)
             members = np.flatnonzero(kind == c)
-            chunk = max(1, _GRID_CHUNK // len(orders))
+            chunk = max(1, _GATHER_BUDGET // len(orders))
             for i in range(0, len(members), chunk):
                 ms = members[i : i + chunk]
                 at = offset[ms, None] + np.arange(len(orders))
@@ -641,7 +639,8 @@ def max_pair_count(
     has fewer tuples than the best depth found (`_largest_groups_first`).
     On a full grid one group stands for its orbit: the images of its deepest
     pairs under the grid maps are the deepest pairs of the other groups, so
-    the least of those images is its pair.
+    the least of those images is its pair: the least low corner of the maps'
+    images of its intersection box, or else of its `_deepest_cells`.
     """
     import numpy as np
 
@@ -654,7 +653,7 @@ def max_pair_count(
     dx, dy, size, tuples = _displacement_groups(g.vectors, k)
     everyone = np.arange(g.vertex_count)
 
-    def deepest(gi, floor):
+    def deepest(gi):
         depth = _group_depth(g.neighbours, tuples(gi), everyone)
         i = int(depth.argmax())  # the first deepest vertex: points are sorted
         v = g.points[i]
@@ -665,38 +664,36 @@ def max_pair_count(
 
 def _largest_groups_first(size, deepest):
     """(v, w, depth) of greatest depth over the displacement groups, ties
-    going to the smallest (v, w).  `deepest(i, floor)` is the (v, w, depth)
-    of group i at its lexicographically smallest deepest pair; it may leave
-    v and w None when that depth is below `floor`, the best depth so far.
-    Groups are visited largest first and the visit stops once a group has
-    fewer than max(best depth, 1) tuples: depth never exceeds a group's
-    size, and an empty group has no pair.
-    """
+    going to the smallest (v, w).  `deepest(i)` is the (v, w, depth) of
+    group i at its lexicographically smallest deepest pair.  Groups are
+    visited largest first and the visit stops once a group has fewer than
+    max(best depth, 1) tuples: depth never exceeds a group's size, and an
+    empty group has no pair."""
     import numpy as np
 
     best = (None, None, 0)
     for gi in np.argsort(-size, kind="stable").tolist():
         if size[gi] < max(best[2], 1):
             break
-        found = deepest(gi, best[2])
+        found = deepest(gi)
         if found[2] > best[2] or (found[2] == best[2] > 0 and found[:2] < best[:2]):
             best = found
     return best
 
 
-def _ranked_deepest(ax, bx, ay, by):
-    """((x, y), depth): the lexicographically smallest deepest point of the
-    rectangles [ax, bx] x [ay, by] and its depth.  That point has some ax as
-    its x and some ay as its y: moving left or down from anywhere else keeps
-    every rectangle that covered it."""
+def _deepest_cells(ax, bx, ay, by):
+    """(xa, xb, ya, yb, depth): the cells [xa, xb] x [ya, yb] whose union is
+    the set of deepest points of the nonempty rectangles [ax, bx] x [ay, by],
+    and that depth.  Depth is constant between the breakpoints ax and bx + 1
+    along x and ay and by + 1 along y, so on each cell they bound."""
     import numpy as np
 
-    ux, uy = _distinct(ax), _distinct(ay)
-    xa, xb = np.searchsorted(ux, ax), np.searchsorted(ux, bx, "right")
-    ya, yb = np.searchsorted(uy, ay), np.searchsorted(uy, by, "right")
-    depth = _box_depth(xa, xb, ya, yb, len(ux), len(uy))
-    i, j = divmod(int(depth.argmax()), len(uy))
-    return (int(ux[i]), int(uy[j])), int(depth[i, j])
+    ux, uy = _distinct(np.concatenate((ax, bx + 1))), _distinct(np.concatenate((ay, by + 1)))
+    xa, xb = np.searchsorted(ux, ax), np.searchsorted(ux, bx + 1)
+    ya, yb = np.searchsorted(uy, ay), np.searchsorted(uy, by + 1)
+    depth = _box_depth(xa, xb, ya, yb, len(ux) - 1, len(uy) - 1)
+    i, j = np.nonzero(depth == depth.max())
+    return ux[i], ux[i + 1] - 1, uy[j], uy[j + 1] - 1, int(depth[i[0], j[0]])
 
 
 def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
@@ -707,7 +704,7 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     syms = _grid_symmetries(w, h)
     ends = np.cumsum(count).tolist()
 
-    def deepest(gi, floor):
+    def deepest(gi):
         lo, hi = ends[gi] - int(count[gi]), ends[gi]
         rects = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
         d = (int(dx[gi]), int(dy[gi]))
@@ -718,10 +715,8 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
             peak = hi - lo
             least = [_map_box(sym, w, h, *box)[::2] for sym in syms]
         else:
-            v, peak = _ranked_deepest(*rects)
-            if peak < floor:  # a group below the best cannot win: it is not ranked under the other maps
-                return None, None, peak
-            least = [v] + [_ranked_deepest(*_map_box(sym, w, h, *rects))[0] for sym in syms[1:]]
+            *cells, peak = _deepest_cells(*rects)
+            least = [min(zip(*(c.tolist() for c in _map_box(sym, w, h, *cells)[::2]))) for sym in syms]
         (x, y), (ex, ey) = min((v, _map_vector(sym, *d)) for v, sym in zip(least, syms))
         return (x0 + x, y0 + y), (x0 + x + ex, y0 + y + ey), peak
 

@@ -194,17 +194,19 @@ def _distinct(values):
     return values[keep]
 
 
-def _box_depth(xa, xb, ya, yb, nx: int, ny: int):
-    """depth[i, j]: how many boxes of ranks [xa, xb) x [ya, yb), one per row,
-    hold (i, j), for i < nx and j < ny.  A +1 at two corners of each box and a
-    -1 at the other two, summed along both axes in place: one int64 field."""
+def _box_depth(xa, xb, ya, yb, nx: int, ny: int, weight=1):
+    """depth[i, j]: the summed integer weights (one per row, or one for all) of
+    the boxes of ranks [xa, xb) x [ya, yb), one per row, that hold (i, j), for
+    i < nx, j < ny.  +weight at two corners of each box and -weight at the
+    other two, summed along both axes in place: one int64 field."""
     import numpy as np
 
     cols = ny + 1
-    field = np.bincount(xa * cols + ya, minlength=(nx + 1) * cols)
-    np.add.at(field, xb * cols + yb, 1)  # in place, as no second field is held
-    np.subtract.at(field, xb * cols + ya, 1)
-    np.subtract.at(field, xa * cols + yb, 1)
+    field = np.zeros((nx + 1) * cols, dtype=np.int64)
+    np.add.at(field, xa * cols + ya, weight)  # in place, as no second field is held
+    np.add.at(field, xb * cols + yb, weight)
+    np.subtract.at(field, xb * cols + ya, weight)
+    np.subtract.at(field, xa * cols + yb, weight)
     field = field.reshape(-1, cols)
     np.cumsum(field, axis=0, out=field)
     np.cumsum(field, axis=1, out=field)

@@ -410,6 +410,15 @@ def test_graph_file_errors_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith("error:") and "e.txt" in err
 
 
+def test_graph_malformed_points_line_names_the_file_and_line(capsys, tmp_path):
+    pts = tmp_path / "points.txt"
+    for bad in ("1 x", "0 0 0", "7"):
+        pts.write_text(f"0 0\n\n{bad}\n1 1\n")
+        code, out, err = run(capsys, ["graph", "--points", str(pts), "--m", "5"])
+        assert (code, out) == (2, ""), bad
+        assert err == f"error: {pts}, line 3: expected two integers 'x y', got {bad!r}\n", bad
+
+
 def test_verify_emit_file_error_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["verify", "--n", "100", "--emit", str(tmp_path / "no" / "dir" / "r.json")])
     assert (code, out) == (2, "") and err.startswith("error:") and "r.json" in err

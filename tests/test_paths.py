@@ -25,6 +25,7 @@ from udl.paths import (
     path_count_lower_bound,
     per_pair_counts,
     total_irredundant_paths,
+    _deepest_cells,
     _displacement_groups,
     _grid_paths,
     _group_depth,
@@ -258,9 +259,9 @@ def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
         return box_depth(*args)
 
     def counted_visit(size, deepest):
-        def counted(gi, floor):
+        def counted(gi):
             before = len(calls)
-            found = deepest(gi, floor)
+            found = deepest(gi)
             routes["ranked" if len(calls) > before else "common point"] += 1
             return found
 
@@ -357,6 +358,39 @@ def test_box_depth_matches_a_bruteforce_count():
             for x in ux
         ]
         assert got.dtype == np.int64 and got.tolist() == expect, trial
+        # one integer weight per row, as the sampled grid counts weight each rect by its group's orbit
+        weight = [rng.choice((1, 2, 4, 8)) for _ in range(rows)]
+        got = _box_depth(xa, xb, ya, yb, len(ux), len(uy), np.array(weight, dtype=np.int64))
+        expect = [
+            [sum(o for o, a, b, c, d in zip(weight, lo_x, hi_x, lo_y, hi_y) if a <= x <= b and c <= y <= d) for y in uy]
+            for x in ux
+        ]
+        assert got.dtype == np.int64 and got.tolist() == expect, trial
+
+
+def test_deepest_cells_cover_exactly_the_deepest_points():
+    import numpy as np
+
+    rng = random.Random(43)
+    for trial in range(200):
+        rows = 1 if trial < 20 else rng.randint(2, 12)
+        ax = np.array([rng.randint(0, 9) for _ in range(rows)], dtype=np.int64)
+        ay = np.array([rng.randint(0, 9) for _ in range(rows)], dtype=np.int64)
+        # every fourth rectangle is a single point
+        bx = ax + [0 if i % 4 == 0 else rng.randint(0, 6) for i in range(rows)]
+        by = ay + [0 if i % 4 == 0 else rng.randint(0, 6) for i in range(rows)]
+        rects = list(zip(ax.tolist(), bx.tolist(), ay.tolist(), by.tolist()))
+        depth = {
+            (x, y): sum(a <= x <= b and c <= y <= d for a, b, c, d in rects) for x in range(-1, 17) for y in range(-1, 17)
+        }
+        peak = max(depth.values())
+        xa, xb, ya, yb, got = _deepest_cells(ax, bx, ay, by)
+        cells = list(zip(xa.tolist(), xb.tolist(), ya.tolist(), yb.tolist()))
+        assert got == peak, trial
+        assert all(a <= b and c <= d for a, b, c, d in cells), trial
+        covered = [(x, y) for a, b, c, d in cells for x in range(a, b + 1) for y in range(c, d + 1)]
+        assert len(covered) == len(set(covered)), trial  # the cells are disjoint
+        assert set(covered) == {p for p, c in depth.items() if c == peak}, trial
 
 
 def _expand(idx, kind, k):
