@@ -29,6 +29,8 @@ SAMPLE_STARTS = 50
 ASYMPTOTIC_X = 10**6
 MAX_VERIFY_K = 6
 BRUTEFORCE_EDGE_LIMIT = 1000  # O(v^2) edge oracle only below this many vertices
+# `graph` prices the n * R lookups of its neighbour table against the step budget
+GRAPH_WORK = ("neighbour-table lookups", "UDL_STEP_BUDGET")
 
 
 @dataclass(frozen=True)
@@ -276,16 +278,20 @@ def _cmd_graph(args) -> int:
         if args.m is None:
             print("error: --points needs --m", file=sys.stderr)
             return 2
-        g = build_graph(_read_points(args.points), args.m)
+        points = _read_points(args.points)
+        _check_budget(len(points) * two_squares_count(args.m), None, *GRAPH_WORK)
+        g = build_graph(points, args.m)
     else:
         if args.n is None:
             print("error: give --n or --points", file=sys.stderr)
             return 2
         params = choose_params(args.n)
         g = grid_graph(params.side, params.m)
-    if args.emit:
+    if args.emit:  # the text is built before the file is truncated
+        _check_budget(g.vertex_count * len(g.vectors), None, *GRAPH_WORK)
+        text = g.to_edge_text()
         with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(g.to_edge_text())
+            fh.write(text)
     d = degree_summary(g)
     print(
         json.dumps(

@@ -45,11 +45,8 @@ _GATHER_BUDGET = 1 << 14
 
 
 class StepBudgetExceeded(RuntimeError):
-    def __init__(self, projected: int, budget: int):
-        super().__init__(
-            f"projected {projected} DFS steps exceed the budget of {budget}; "
-            f"raise --step-budget or UDL_STEP_BUDGET to force the run"
-        )
+    def __init__(self, projected: int, budget: int, work="DFS steps", knobs="--step-budget or UDL_STEP_BUDGET"):
+        super().__init__(f"projected {projected} {work} exceed the budget of {budget}; raise {knobs} to force the run")
         self.projected = projected
         self.budget = budget
 
@@ -61,10 +58,11 @@ def effective_step_budget(value: int | None = None) -> int:
     return int(env) if env else DEFAULT_STEP_BUDGET
 
 
-def _check_budget(projected: int, budget: int | None) -> None:
+def _check_budget(projected: int, budget: int | None, *message) -> None:
+    """Raise StepBudgetExceeded (its `work` and `knobs` from `message`) past the budget."""
     limit = effective_step_budget(budget)
     if projected > limit:
-        raise StepBudgetExceeded(projected, limit)
+        raise StepBudgetExceeded(projected, limit, *message)
 
 
 def projected_steps(g: UnitDistanceGraph, k: int, starts=None) -> int:

@@ -3,9 +3,8 @@ edges found by displacement-vector probing rather than pair scans."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .gaussian import _lattice_points
 from .numtheory import factor
@@ -25,7 +24,7 @@ class UnitDistanceGraph:
     Vertices are kept sorted lexicographically.  Besides its points, an
     explicit graph stores only `neighbours`, the (R, n+1) table whose [j, i]
     is the index of point i + vector j (vectors sorted), or n when absent,
-    with column n all n; adjacency, edge count and degrees derive from it.
+    with column n all n; edges, edge count and degrees derive from it.
     `grid` is (x0, y0, width, height) when the vertices fill that box, else
     None.  A graph made by `grid_graph` counts its edges in closed form and
     builds its points, index and table only on first access, by the same
@@ -47,10 +46,11 @@ class UnitDistanceGraph:
         self._points = points
         self._neighbours = neighbours
         self._index: dict[tuple[int, int], int] | None = None
+        self._degrees = None
         if neighbours is None:  # 1/2 * sum over vectors of (width - |dx|)+ (height - |dy|)+
             twice = sum(max(grid[2] - abs(dx), 0) * max(grid[3] - abs(dy), 0) for dx, dy in vectors)
         else:  # vectors are closed under negation, so each edge is in two columns
-            twice = int((neighbours[:, :-1] != len(points)).sum())
+            twice = int(self.degrees.sum())
         self.edge_count = twice // 2
 
     @property
@@ -73,12 +73,12 @@ class UnitDistanceGraph:
         return self._neighbours
 
     @property
-    def adj(self) -> list[list[int]]:
-        """Row i lists the neighbours of i in vector order, read from the table."""
-        cols = self.neighbours.T[: self.vertex_count]
-        hit = cols != self.vertex_count
-        flat, ends = cols[hit].tolist(), hit.sum(axis=1).cumsum().tolist()
-        return [flat[a:b] for a, b in zip([0, *ends], ends)]
+    def degrees(self):
+        """Entry i is the degree of vertex i: the vectors that land on a point."""
+        if self._degrees is None:
+            n = self.vertex_count
+            self._degrees = (self.neighbours[:, :n] != n).sum(axis=0)
+        return self._degrees
 
     @property
     def vertex_count(self) -> int:
@@ -94,12 +94,15 @@ class UnitDistanceGraph:
         return self._points[i]
 
     def edges(self):
-        """Canonical (p, q) pairs with p < q, ascending."""
-        points = self.points
-        for i, row in enumerate(self.adj):
-            for j in row:
-                if j > i:
-                    yield (points[i], points[j])
+        """Canonical (p, q) pairs with p < q, ascending: each i's neighbours
+        j > i in vector order, which is the order of their points."""
+        import numpy as np
+
+        n, points = self.vertex_count, self.points
+        cols = self.neighbours.T[:n]
+        later = (cols > np.arange(n)[:, None]) & (cols != n)
+        for i, j in zip(np.nonzero(later)[0].tolist(), cols[later].tolist()):
+            yield (points[i], points[j])
 
     def to_edge_text(self) -> str:
         """One "x1 y1 x2 y2" line per edge, lexicographically sorted."""
@@ -235,14 +238,13 @@ def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
 
 def _degree_range(g: UnitDistanceGraph) -> tuple[int, int]:
     """(min, max) degree of g, cached on g."""
-    if getattr(g, "_degrees", None) is None:
+    if getattr(g, "_range", None) is None:
         if g.grid is not None:
-            g._degrees = _grid_degree_range(g.grid[2], g.grid[3], g.vectors)
+            g._range = _grid_degree_range(g.grid[2], g.grid[3], g.vectors)
         else:
-            n = g.vertex_count
-            degs = (g.neighbours[:, :n] != n).sum(axis=0)
-            g._degrees = (int(degs.min()), int(degs.max())) if n else (0, 0)
-    return g._degrees
+            degs = g.degrees
+            g._range = (int(degs.min()), int(degs.max())) if len(degs) else (0, 0)
+    return g._range
 
 
 def degree_summary(g: UnitDistanceGraph) -> DegreeSummary:
@@ -255,27 +257,6 @@ def degree_summary(g: UnitDistanceGraph) -> DegreeSummary:
     )
 
 
-def peel_adjacency(adj: Mapping, threshold: float) -> set:
-    """Iteratively drop nodes of current degree < threshold; return survivors.
-
-    Works on any adjacency mapping node -> iterable of neighbor nodes.
-    """
-    degree = {v: len(set(ns)) for v, ns in adj.items()}
-    alive = set(adj)
-    queue = deque(v for v, d in degree.items() if d < threshold)
-    dead = set(queue)
-    while queue:
-        v = queue.popleft()
-        alive.discard(v)
-        for w in adj[v]:
-            if w in alive and w not in dead:
-                degree[w] -= 1
-                if degree[w] < threshold:
-                    dead.add(w)
-                    queue.append(w)
-    return alive
-
-
 def peel(g: UnitDistanceGraph, threshold: float | None = None) -> UnitDistanceGraph:
     """Induced subgraph with every degree >= threshold (default e/(2v)).
 
@@ -283,6 +264,10 @@ def peel(g: UnitDistanceGraph, threshold: float | None = None) -> UnitDistanceGr
     survivor keeps e(H) > e(G) - v(G) * threshold; at the default threshold
     that is at least half the edges.  May be empty when the threshold exceeds
     the degeneracy.  When no vertex is below the threshold, returns g itself.
+
+    Peels in waves over the neighbour table: each wave drops the live
+    vertices below the threshold and lowers their live neighbours' degrees.
+    The survivors do not depend on the order of removal.
     """
     if threshold is None:
         threshold = g.edge_count / (2 * g.vertex_count) if g.vertex_count else 0.0
@@ -290,8 +275,17 @@ def peel(g: UnitDistanceGraph, threshold: float | None = None) -> UnitDistanceGr
         return g
     import numpy as np
 
-    n, points = g.vertex_count, g.points
-    keep = sorted(peel_adjacency(dict(enumerate(g.adj)), threshold))
+    n, table, points = g.vertex_count, g.neighbours, g.points
+    degree, alive = g.degrees.copy(), np.ones(n + 1, dtype=bool)
+    alive[n] = False  # the absent-point sentinel
+    wave = np.flatnonzero(degree < threshold)
+    while len(wave):
+        alive[wave] = False
+        hit = table[:, wave].ravel()
+        hit = hit[alive[hit]]
+        np.subtract.at(degree, hit, 1)
+        wave = _distinct(hit[degree[hit] < threshold])
+    keep = np.flatnonzero(alive)
     remap = np.full(n + 1, len(keep), dtype=np.intp)  # dropped vertices and n go to the new sentinel
-    remap[keep] = range(len(keep))
-    return UnitDistanceGraph([points[i] for i in keep], g.m, remap[g.neighbours[:, keep + [n]]], g.vectors)
+    remap[keep] = np.arange(len(keep))
+    return UnitDistanceGraph([points[i] for i in keep.tolist()], g.m, remap[table[:, np.append(keep, n)]], g.vectors)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -105,6 +106,34 @@ def edge_set_bruteforce(points, m: int) -> set[tuple[tuple[int, int], tuple[int,
             if dx * dx + dy * dy == m:
                 edges.add((p, q))
     return edges
+
+
+def peel_adjacency(adj, threshold: float) -> set:
+    """Drop nodes of current degree < threshold one at a time from a queue;
+    return the survivors.  `adj` maps each node to its neighbours."""
+    degree = {v: len(set(ns)) for v, ns in adj.items()}
+    alive = set(adj)
+    queue = deque(v for v, d in degree.items() if d < threshold)
+    dead = set(queue)
+    while queue:
+        v = queue.popleft()
+        alive.discard(v)
+        for w in adj[v]:
+            if w in alive and w not in dead:
+                degree[w] -= 1
+                if degree[w] < threshold:
+                    dead.add(w)
+                    queue.append(w)
+    return alive
+
+
+def adjacency_bruteforce(points, m: int) -> dict:
+    """Each point's neighbours at squared distance m, from the pair scan."""
+    adj = {p: [] for p in points}
+    for p, q in edge_set_bruteforce(points, m):
+        adj[p].append(q)
+        adj[q].append(p)
+    return adj
 
 
 def walks_from(points, m: int, start, k: int):

@@ -410,6 +410,53 @@ def test_graph_file_errors_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith("error:") and "e.txt" in err
 
 
+def test_graph_prices_its_neighbour_table_before_building_it_or_opening_the_file(capsys, tmp_path, monkeypatch):
+    # n = 100: R = 8 vectors of m = 5 from each of 100 points, 800 lookups
+    path = tmp_path / "edges.txt"
+    pts = tmp_path / "points.txt"
+    pts.write_text("".join(f"{x} {y}\n" for x in range(10) for y in range(10)))
+    monkeypatch.setenv("UDL_STEP_BUDGET", "799")
+    refusal = "refused: projected 800 neighbour-table lookups exceed the budget of 799; raise UDL_STEP_BUDGET to force the run\n"
+    for argv in (["graph", "--n", "100", "--emit", str(path)], ["graph", "--points", str(pts), "--m", "5"]):
+        assert run(capsys, argv) == (2, "", refusal), argv
+        assert not path.exists()
+    monkeypatch.setenv("UDL_STEP_BUDGET", "800")
+    assert run(capsys, ["graph", "--n", "100", "--emit", str(path)])[0] == 0
+    assert path.read_text() == (GOLDEN / "edges_10x10_m5.txt").read_text()
+
+
+def test_graph_emit_builds_the_text_before_it_truncates_the_file(capsys, tmp_path, monkeypatch):
+    import udl.udgraph
+
+    def fail(self):
+        raise MemoryError()
+
+    monkeypatch.setattr(udl.udgraph.UnitDistanceGraph, "to_edge_text", fail)
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text("kept\n")
+    for path in (old, new):
+        assert run(capsys, ["graph", "--n", "100", "--emit", str(path)]) == (2, "", "error: out of memory\n")
+    assert old.read_text() == "kept\n" and not new.exists()
+
+
+def test_graph_emit_at_1e7_is_refused_in_a_gibibyte_before_the_file_exists(tmp_path):
+    # 9 998 244 points times R = 128 is 1.28 * 10^9 lookups and a 10 GB table
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path = tmp_path / "edges.txt"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("UDL_STEP_BUDGET", None)
+    argv = [sys.executable, "-m", "udl.cli", "graph", "--n", str(10**7), "--emit", str(path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=20, preexec_fn=cap)
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert out.stderr.startswith("refused: projected 1279775232 neighbour-table lookups") and "--step-budget" not in out.stderr
+    assert not path.exists()
+
+
 def test_graph_malformed_points_line_names_the_file_and_line(capsys, tmp_path):
     pts = tmp_path / "points.txt"
     for bad in ("1 x", "0 0 0", "7"):

@@ -16,10 +16,9 @@ from udl.udgraph import (
     grid_graph,
     lattice_vectors,
     peel,
-    peel_adjacency,
 )
 
-from oracles import edge_set_bruteforce, two_squares_set
+from oracles import adjacency_bruteforce, edge_set_bruteforce, peel_adjacency, two_squares_set
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -93,13 +92,15 @@ def test_build_graph_matches_bruteforce_oracle():
 
 def test_adjacency_sorted_and_consistent():
     g = build_graph(grid(10), 5)
-    degs = []
-    for i, row in enumerate(g.adj):
+    n, degs = g.vertex_count, []
+    for i in range(n):
+        row = [j for j in g.neighbours[:, i].tolist() if j != n]
         pts = [g.points[j] for j in row]
         assert pts == sorted(pts)
         assert i not in row
         degs.append(len(row))
     assert sum(degs) == 2 * g.edge_count
+    assert g.degrees.tolist() == degs
 
 
 def test_degree_summary_cases():
@@ -114,7 +115,14 @@ def test_peel_adjacency_k4_plus_isolated():
     k4[4] = []
     assert peel_adjacency(k4, 0.6) == {0, 1, 2, 3}
     assert peel_adjacency(k4, 0) == {0, 1, 2, 3, 4}
+    assert peel_adjacency(k4, 3) == {0, 1, 2, 3}
     assert peel_adjacency(k4, 3.5) == set()
+    # `peel` on a unit square (a 4-cycle) and a far point: removal is strictly below the threshold
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    g = build_graph([*square, (9, 9)], 1)
+    assert peel(g, 0.6).points == square and peel(g, 2).points == square
+    assert peel(g, 0) is g
+    assert peel(g, 2.5).points == [] and peel(g, 2.5).edge_count == 0
 
 
 def test_peel_threshold_zero_is_identity():
@@ -159,6 +167,41 @@ def test_peel_postconditions_randomized():
         survivors = set(h.points)
         expect = edge_set_bruteforce(sorted(survivors), m)
         assert set(h.edges()) == expect
+
+
+def chain(count):
+    """(i, 2i): neighbours differ by (1, 2), so at m = 5 this is a path, and
+    threshold 2 peels it from both ends, one wave per pair of ends."""
+    return [(i, 2 * i) for i in range(count)]
+
+
+def test_peel_matches_the_queue_peel_oracle():
+    rng = random.Random(53)
+    cases = list(holed_point_sets(rng, 30))
+    # isolated points: 50 rows below every holed set and 7 apart, no m below is 7^2
+    far = [(100 + 7 * i, -50) for i in range(3)]
+    cases += [(sorted(pts + far), m) for pts, m in holed_point_sets(rng, 10)]
+    cases += [(chain(300), 5), ([(0, 0)], 5), ([(0, 0), (3, 9)], 5)]
+    for pts, m in cases:
+        g = build_graph(pts, m)
+        adj = adjacency_bruteforce(pts, m)
+        degs = {len(ns) for ns in adj.values()}
+        # 0 keeps all, each degree d is kept at d (removal is strictly below) and
+        # d +- 0.5 sit on either side of it, and max + 1 empties the graph
+        for t in sorted({0, *(d + e for d in degs for e in (-0.5, 0, 0.5)), max(degs) + 1}):
+            survivors = sorted(peel_adjacency(adj, t))
+            h = peel(g, t)
+            assert h.points == survivors, (m, t)
+            assert h.same_as(build_graph(survivors, m)), (m, t)
+    g = build_graph(chain(20_000), 5)
+    assert peel(g, 1) is g and peel(g, 2).points == []
+
+
+def test_edge_text_lists_the_bruteforce_edges_in_order():
+    rng = random.Random(59)
+    for pts, m in holed_point_sets(rng, 25):
+        lines = [f"{p[0]} {p[1]} {q[0]} {q[1]}\n" for p, q in sorted(edge_set_bruteforce(pts, m))]
+        assert build_graph(pts, m).to_edge_text() == "".join(lines), m
 
 
 def test_config_graph_edge_sandwich():
@@ -278,16 +321,15 @@ def test_grid_graph_matches_explicit_probing_on_random_boxes():
     for w, h, m in cases:
         x0, y0 = rng.randint(-20, 20), rng.randint(-20, 20)
         pts = [(x0 + x, y0 + y) for x in range(w) for y in range(h)]
-        ref = oracle_graph(pts, m)
-        degs = [len(row) for row in ref.adj]
+        ref, adj = oracle_graph(pts, m), adjacency_bruteforce(pts, m)
+        degs = [len(adj[p]) for p in pts]
         expect = DegreeSummary(min(degs), max(degs), w * h, ref.edge_count)
         g = grid_graph(w, m, height=h, corner=(x0, y0))
         assert degree_summary(g) == expect, (w, h, m)
         assert g.edge_count == ref.edge_count
         for t in {min(degs) + 0.5, (min(degs) + max(degs)) / 2, max(degs)}:
             got = peel(grid_graph(w, m, height=h, corner=(x0, y0)), t)
-            alive = peel_adjacency(dict(enumerate(ref.adj)), t)
-            survivors = [pts[i] for i in sorted(alive)]
+            survivors = sorted(peel_adjacency(adj, t))
             assert got.points == survivors, (w, h, m, t)
             assert got.same_as(peel(ref, t))
             assert set(got.edges()) == edge_set_bruteforce(survivors, m)
@@ -364,7 +406,7 @@ def test_vectors_are_computed_once_per_graph(monkeypatch):
     h = peel(g, 3.5)
     assert h.vertex_count < g.vertex_count and h.vectors is g.vectors
     assert build_graph([], 10**6).vectors == original(10**6)
-    grid_graph(6, 25).adj
+    grid_graph(6, 25).neighbours
     assert calls == [5, 10**6, 25]
 
 
