@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import asdict, dataclass, field
@@ -110,7 +111,7 @@ def _lambert_grid_stats() -> tuple[float, float]:
     return worst, bracketed / total
 
 
-def _path_stats(h, ks, min_degree: int, seed: int, workers: int, step_budget: int | None):
+def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
     """One stat row per k over the same seeded sample of at most
     SAMPLE_STARTS starts: sampled counts, the degree-product lower bound and
     the total.  Before the first statistic runs, every k is validated and
@@ -127,8 +128,8 @@ def _path_stats(h, ks, min_degree: int, seed: int, workers: int, step_budget: in
     for projected in [p for k in ks for p in (projected_steps(h, k, starts), projected_steps(h, k))]:
         _check_budget(projected, step_budget)
     for k in ks:
-        counts = count_irredundant_many(h, starts, k, workers=workers, step_budget=step_budget)
-        total = total_irredundant_paths(h, k, workers=workers, step_budget=step_budget)
+        counts = count_irredundant_many(h, starts, k, step_budget=step_budget)
+        total = total_irredundant_paths(h, k, step_budget=step_budget)
         yield {
             "k": k,
             "sample_size": len(starts),
@@ -143,7 +144,6 @@ def verify_all(
     n: int,
     k_max: int = 3,
     *,
-    workers: int = 1,
     seed: int = 0,
     step_budget: int | None = None,
 ) -> RunReport:
@@ -213,10 +213,10 @@ def verify_all(
 
     report = RunReport(params, g.edge_count, summary, peeled, rank_window)
 
-    for stat in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, workers, step_budget):
+    for stat in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, step_budget):
         k = stat["k"]
         checks.append(BoundCheck(f"path_count_lower_k{k}", stat["lower_bound"], stat["min_count"]))
-        pv, pw, peak = max_pair_count(h, k, workers=workers, step_budget=step_budget)
+        pv, pw, peak = max_pair_count(h, k, step_budget=step_budget)
         # v and w are None when the graph has no irredundant k-path
         stat["max_pair"] = {"v": pv and list(pv), "w": pw and list(pw), "count": peak}
         lhs = math.log2(peak) if peak > 0 else 0.0
@@ -273,6 +273,22 @@ def _cmd_config(args) -> int:
     return 0
 
 
+def _write_replacing(path: str, lines) -> None:
+    """Write `lines` to a new file beside `path`, then move it onto `path`:
+    on any error the new file is removed, so an existing `path` keeps its
+    bytes and a missing one is not created."""
+    head, tail = os.path.split(path)
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    fh = open(temporary, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
+
+
 def _cmd_graph(args) -> int:
     if args.points:
         if args.m is None:
@@ -287,11 +303,9 @@ def _cmd_graph(args) -> int:
             return 2
         params = choose_params(args.n)
         g = grid_graph(params.side, params.m)
-    if args.emit:  # the text is built before the file is truncated
+    if args.emit:
         _check_budget(g.vertex_count * len(g.vectors), None, *GRAPH_WORK)
-        text = g.to_edge_text()
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_replacing(args.emit, g.edge_lines())
     d = degree_summary(g)
     print(
         json.dumps(
@@ -311,7 +325,7 @@ def _cmd_graph(args) -> int:
 def _cmd_paths(args) -> int:
     params = choose_params(args.n)
     h = peel(grid_graph(params.side, params.m))
-    (stat,) = _path_stats(h, [args.k], degree_summary(h).min_degree, args.seed, args.workers, args.step_budget)
+    (stat,) = _path_stats(h, [args.k], degree_summary(h).min_degree, args.seed, args.step_budget)
     print(json.dumps(stat, indent=2))
     return 0
 
@@ -343,9 +357,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = verify_all(
-        args.n, args.k_max, workers=args.workers, seed=args.seed, step_budget=args.step_budget
-    )
+    report = verify_all(args.n, args.k_max, seed=args.seed, step_budget=args.step_budget)
     text = report.to_json()
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="count irredundant paths from sampled starts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored: every statistic runs serially")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-budget", type=int, default=None)
     p.set_defaults(func=_cmd_paths)
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full verification report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-max", type=int, default=3)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted and ignored: every statistic runs serially")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-budget", type=int, default=None)
     p.add_argument("--emit", help="also write the JSON report to this path")

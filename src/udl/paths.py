@@ -34,14 +34,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .udgraph import UnitDistanceGraph, _box_depth, _distinct
+from .udgraph import _GATHER_BUDGET, UnitDistanceGraph, _box_depth, _distinct
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
-# positions one gather takes at once: tuple orderings whose prefix boxes
-# `_grid_paths` builds, rect rows of the sampled grid counts, tuple-start
-# pairs of `_group_depth`
-_GATHER_BUDGET = 1 << 14
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -213,8 +209,8 @@ def count_irredundant_many(
     """Counts for several start vertices: on a full grid the `_box_depth` of
     the start rectangles of `_grid_paths` at the starts' images, on other
     point sets one walk over the vector tuples for all starts at once (see
-    `_start_counts`).  `workers` is kept for callers that pass it and
-    selects nothing.
+    `_start_counts`).  `workers` selects nothing: perfbench/job.py passes
+    it, and it goes when the benchmark next changes.
 
     On the grid, group d holds as many paths from L v as its image L d
     holds from v, for each of the |G| maps L; so
@@ -233,24 +229,7 @@ def count_irredundant_many(
         images = [_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]
         ix, iy = np.array([x for x, _ in images]), np.array([y for _, y in images])  # one row per map
         ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
-        reach = max((max(abs(dx), abs(dy)) for dx, dy in g.vectors), default=0)
-
-        def ranker(u, side):
-            # rect [a, b] holds the starts of ranks [a', b') among u.  A prefix box reaches at most k * reach, so
-            # a < span and b >= side - span: tables over that span rank a row by one gather, unless the span
-            # outnumbers the rows, which are then ranked by searchsorted
-            span = min(side, k * reach + 1)
-            if span > len(ax):
-                return lambda a, b: (np.searchsorted(u, a), np.searchsorted(u, b, "right"))
-            first, last = np.searchsorted(u, np.arange(span)), np.searchsorted(u, np.arange(side - span, side), "right")
-            return lambda a, b: (first[a], last[b - (side - span)])
-
-        xrank, yrank = ranker(ux, w), ranker(uy, h)
-        weight = np.repeat(orbit, count)
-        field = np.zeros((len(ux), len(uy)), dtype=np.int64)
-        for lo in range(0, len(ax), _GATHER_BUDGET):  # chunks: no rank column of T rows is held
-            part = slice(lo, lo + _GATHER_BUDGET)
-            field += _box_depth(*xrank(ax[part], bx[part]), *yrank(ay[part], by[part]), len(ux), len(uy), weight[part])
+        field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count))
         total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
         return dict(zip(starts, (total // len(syms)).tolist()))
     counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
@@ -258,7 +237,7 @@ def count_irredundant_many(
 
 
 def per_pair_counts(
-    g: UnitDistanceGraph, k: int, starts=None, *, workers: int = 1, step_budget: int | None = None
+    g: UnitDistanceGraph, k: int, starts=None, *, step_budget: int | None = None
 ) -> dict[tuple[tuple[int, int], tuple[int, int]], int]:
     """Ordered-pair path counts |P_vw| for every start v.
 
@@ -606,6 +585,8 @@ def total_irredundant_paths(
     weighted by its group's orbit (see `_grid_paths`): a grid map carries a
     rectangle to one of the same area.  Otherwise it sums the counts of one
     walk over the vector tuples for every start at once (see `_start_counts`).
+    `workers` selects nothing: perfbench/job.py passes it, and it goes when
+    the benchmark next changes.
     """
     import numpy as np
 
@@ -639,6 +620,8 @@ def max_pair_count(
     pairs under the grid maps are the deepest pairs of the other groups, so
     the least of those images is its pair: the least low corner of the maps'
     images of its intersection box, or else of its `_deepest_cells`.
+    `workers` selects nothing: perfbench/job.py passes it, and it goes when
+    the benchmark next changes.
     """
     import numpy as np
 
@@ -687,9 +670,7 @@ def _deepest_cells(ax, bx, ay, by):
     import numpy as np
 
     ux, uy = _distinct(np.concatenate((ax, bx + 1))), _distinct(np.concatenate((ay, by + 1)))
-    xa, xb = np.searchsorted(ux, ax), np.searchsorted(ux, bx + 1)
-    ya, yb = np.searchsorted(uy, ay), np.searchsorted(uy, by + 1)
-    depth = _box_depth(xa, xb, ya, yb, len(ux) - 1, len(uy) - 1)
+    depth = _box_depth(ax, bx, ay, by, ux, uy)  # 0 at the last breakpoints, past every rectangle
     i, j = np.nonzero(depth == depth.max())
     return ux[i], ux[i + 1] - 1, uy[j], uy[j + 1] - 1, int(depth[i[0], j[0]])
 

@@ -9,6 +9,10 @@ from typing import Iterable
 from .gaussian import _lattice_points
 from .numtheory import factor
 
+# positions one gather or scatter takes at once: box rows of `_box_depth`,
+# table entries of `edges`, and the path statistics' tuple blocks
+_GATHER_BUDGET = 1 << 14
+
 
 def lattice_vectors(m: int) -> list[tuple[int, int]]:
     """All integer displacements (dx, dy) with dx^2 + dy^2 = m, sorted, as
@@ -95,19 +99,26 @@ class UnitDistanceGraph:
 
     def edges(self):
         """Canonical (p, q) pairs with p < q, ascending: each i's neighbours
-        j > i in vector order, which is the order of their points."""
+        j > i in vector order, which is the order of their points.  The
+        table is read one block of vertices at a time."""
         import numpy as np
 
-        n, points = self.vertex_count, self.points
-        cols = self.neighbours.T[:n]
-        later = (cols > np.arange(n)[:, None]) & (cols != n)
-        for i, j in zip(np.nonzero(later)[0].tolist(), cols[later].tolist()):
-            yield (points[i], points[j])
+        n, points, table = self.vertex_count, self.points, self.neighbours
+        block = max(1, _GATHER_BUDGET // max(len(self.vectors), 1))
+        for lo in range(0, n, block):
+            cols = table[:, lo : min(lo + block, n)].T
+            later = (cols > np.arange(lo, lo + len(cols))[:, None]) & (cols != n)
+            for i, j in zip((np.nonzero(later)[0] + lo).tolist(), cols[later].tolist()):
+                yield (points[i], points[j])
+
+    def edge_lines(self):
+        """One "x1 y1 x2 y2" line per edge, newline included, in `edges` order."""
+        for p, q in self.edges():
+            yield f"{p[0]} {p[1]} {q[0]} {q[1]}\n"
 
     def to_edge_text(self) -> str:
-        """One "x1 y1 x2 y2" line per edge, lexicographically sorted."""
-        lines = [f"{p[0]} {p[1]} {q[0]} {q[1]}" for p, q in self.edges()]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """The edge lines joined: lexicographically sorted."""
+        return "".join(self.edge_lines())
 
     def same_as(self, other: "UnitDistanceGraph") -> bool:
         return (
@@ -197,23 +208,39 @@ def _distinct(values):
     return values[keep]
 
 
-def _box_depth(xa, xb, ya, yb, nx: int, ny: int, weight=1):
+def _box_depth(xa, xb, ya, yb, ux, uy, weight=1):
     """depth[i, j]: the summed integer weights (one per row, or one for all) of
-    the boxes of ranks [xa, xb) x [ya, yb), one per row, that hold (i, j), for
-    i < nx, j < ny.  +weight at two corners of each box and -weight at the
-    other two, summed along both axes in place: one int64 field."""
+    the boxes [xa, xb] x [ya, yb], one per row, that hold (ux[i], uy[j]), for
+    sorted distinct ux and uy.  Each side column is ranked by a table over its
+    span when that span is no longer than the rows, else by searchsorted;
+    `_GATHER_BUDGET` rows at a time then put +weight at two corners of their
+    rank boxes and -weight at the other two, and one int64 field is summed
+    along both axes in place."""
     import numpy as np
 
-    cols = ny + 1
-    field = np.zeros((nx + 1) * cols, dtype=np.int64)
-    np.add.at(field, xa * cols + ya, weight)  # in place, as no second field is held
-    np.add.at(field, xb * cols + yb, weight)
-    np.subtract.at(field, xb * cols + ya, weight)
-    np.subtract.at(field, xa * cols + yb, weight)
+    def ranker(col, u, side):  # a table never outnumbers the rows it ranks
+        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+        if hi - lo >= len(col):
+            return lambda part: np.searchsorted(u, col[part], side)
+        table = np.searchsorted(u, np.arange(lo, hi + 1), side)
+        return lambda part: table.take(col[part] - lo)
+
+    cols = len(uy) + 1
+    field = np.zeros((len(ux) + 1) * cols, dtype=np.int64)
+    sides = (xa, ux, "left"), (xb, ux, "right"), (ya, uy, "left"), (yb, uy, "right")
+    ranks = [ranker(*side) for side in sides]
+    for lo in range(0, len(xa), _GATHER_BUDGET):
+        part = slice(lo, lo + _GATHER_BUDGET)
+        a, b, c, d = (rank(part) for rank in ranks)
+        w = weight if np.ndim(weight) == 0 else weight[part]
+        np.add.at(field, a * cols + c, w)  # in place, as no second field is held
+        np.add.at(field, b * cols + d, w)
+        np.subtract.at(field, b * cols + c, w)
+        np.subtract.at(field, a * cols + d, w)
     field = field.reshape(-1, cols)
     np.cumsum(field, axis=0, out=field)
     np.cumsum(field, axis=1, out=field)
-    return field[:nx, :ny]
+    return field[: len(ux), : len(uy)]
 
 
 def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
@@ -223,16 +250,14 @@ def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
     [-dx, w - 1 - dx] and oy in [-dy, h - 1 - dy].  Along x it can change
     only where some ox + dx enters or leaves [0, w), so the cuts 0, -dx and
     w - dx, clipped into the grid, times the cuts along y meet every degree
-    the grid has: the `_box_depth` of the vectors' boxes over the cut ranks.
+    the grid has: the `_box_depth` of the vectors' boxes at those cuts.
     """
     import numpy as np
 
     dx, dy = np.array(vectors, dtype=np.int64).reshape(-1, 2).T
     ux = _distinct(np.clip(np.r_[0, -dx, w - dx], 0, w - 1))
     uy = _distinct(np.clip(np.r_[0, -dy, h - dy], 0, h - 1))
-    ax, bx = np.searchsorted(ux, -dx), np.searchsorted(ux, w - 1 - dx, side="right")
-    ay, by = np.searchsorted(uy, -dy), np.searchsorted(uy, h - 1 - dy, side="right")
-    degree = _box_depth(ax, bx, ay, by, len(ux), len(uy))
+    degree = _box_depth(-dx, w - 1 - dx, -dy, h - 1 - dy, ux, uy)
     return int(degree.min()), int(degree.max())
 
 

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -200,9 +201,9 @@ def test_path_stats_draw_no_sample_without_a_k_and_refuse_one_past_maxsize():
         def point(self, i):
             raise AssertionError("no start should be listed")
 
-    assert list(_path_stats(Huge(), [], 0, 0, 1, None)) == []
+    assert list(_path_stats(Huge(), [], 0, 0, None)) == []
     with pytest.raises(ValueError, match="cannot sample starts"):
-        next(_path_stats(Huge(), [2], 0, 0, 1, None))
+        next(_path_stats(Huge(), [2], 0, 0, None))
 
 
 def test_importing_the_cli_does_not_load_numpy():
@@ -329,10 +330,10 @@ def test_a_total_beyond_the_step_budget_refuses_before_any_statistic(monkeypatch
     assert (projected_steps(g, 3, range(50)), projected_steps(g, 3)) == (counts, total)
     for budget, refused in ((counts - 1, counts), (total - 1, total)):
         with pytest.raises(StepBudgetExceeded) as exc:
-            next(_path_stats(g, [2, 3], 4, 0, 1, budget))
+            next(_path_stats(g, [2, 3], 4, 0, budget))
         assert exc.value.projected == refused
         assert ran == []
-    (row,) = _path_stats(g, [3], 4, 0, 1, total)
+    (row,) = _path_stats(g, [3], 4, 0, total)
     assert ran == ["count_irredundant_many", "total_irredundant_paths"]
     assert row["total_paths"] == total_irredundant_paths(g, 3)
 
@@ -374,7 +375,7 @@ def test_path_stats_refuse_exactly_when_a_direct_call_would(points, m, k_hi, dat
         for k in ks
     )
     try:
-        rows = list(_path_stats(g, ks, 0, 0, 1, budget))
+        rows = list(_path_stats(g, ks, 0, 0, budget))
     except StepBudgetExceeded:
         rows = None
     assert (rows is None) == direct, (len(points), m, list(ks), budget)
@@ -425,18 +426,26 @@ def test_graph_prices_its_neighbour_table_before_building_it_or_opening_the_file
     assert path.read_text() == (GOLDEN / "edges_10x10_m5.txt").read_text()
 
 
-def test_graph_emit_builds_the_text_before_it_truncates_the_file(capsys, tmp_path, monkeypatch):
+def test_graph_emit_replaces_the_file_only_once_it_is_whole(capsys, tmp_path, monkeypatch):
     import udl.udgraph
 
-    def fail(self):
+    lines = udl.udgraph.UnitDistanceGraph.edge_lines
+
+    def fail_midway(self):
+        yield from islice(lines(self), 100)
         raise MemoryError()
 
-    monkeypatch.setattr(udl.udgraph.UnitDistanceGraph, "to_edge_text", fail)
+    monkeypatch.setattr(udl.udgraph.UnitDistanceGraph, "edge_lines", fail_midway)
     old, new = tmp_path / "old.txt", tmp_path / "new.txt"
     old.write_text("kept\n")
     for path in (old, new):
         assert run(capsys, ["graph", "--n", "100", "--emit", str(path)]) == (2, "", "error: out of memory\n")
     assert old.read_text() == "kept\n" and not new.exists()
+    assert os.listdir(tmp_path) == ["old.txt"]  # no temporary file is left behind
+    monkeypatch.setattr(udl.udgraph.UnitDistanceGraph, "edge_lines", lines)
+    assert run(capsys, ["graph", "--n", "100", "--emit", str(old)])[0] == 0
+    assert old.read_text() == (GOLDEN / "edges_10x10_m5.txt").read_text()
+    assert os.listdir(tmp_path) == ["old.txt"]
 
 
 def test_graph_emit_at_1e7_is_refused_in_a_gibibyte_before_the_file_exists(tmp_path):

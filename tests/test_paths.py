@@ -333,39 +333,67 @@ def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     assert len({(w[0] - v[0], w[1] - v[1]) for (v, w), c in pairs.items() if c == 2}) == 480
 
 
-def test_box_depth_matches_a_bruteforce_count():
+def test_box_depth_matches_a_bruteforce_count(monkeypatch):
     import numpy as np
 
+    import udl.udgraph
+
+    budget = udl.udgraph._GATHER_BUDGET
+    # the length of each `searchsorted` call: a side column's span when it is ranked by a table over that
+    # span, its rows when it is ranked by `searchsorted`
+    calls = []
+    searchsorted = np.searchsorted
+
+    def spy(u, values, side="left"):
+        calls.append(len(values))
+        return searchsorted(u, values, side)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+
+    def bruteforce(boxes, weight, ux, uy):
+        def depth(x, y):
+            return sum(o for o, (a, b, c, d) in zip(weight, boxes) if a <= x <= b and c <= y <= d)
+
+        return [[depth(x, y) for y in uy.tolist()] for x in ux.tolist()]
+
     rng = random.Random(41)
-    for trial in range(60):
-        rows = 0 if trial == 0 else 1 if trial == 1 else rng.randint(1, 40)
-        lo_x = [rng.randint(-5, 25) for _ in range(rows)]
-        lo_y = [rng.randint(-5, 25) for _ in range(rows)]
-        # every third rectangle is one offset thick along x or y
-        hi_x = [a + (0 if i % 3 == 0 else rng.randint(0, 12)) for i, a in enumerate(lo_x)]
-        hi_y = [a + (0 if i % 3 == 1 else rng.randint(0, 12)) for i, a in enumerate(lo_y)]
-        # corners -10 and 40 lie outside every rectangle
-        xs = [-10, 40, *(rng.randint(-10, 40) for _ in range(rng.randint(0, 15)))]
-        ys = [-10, 40, *(rng.randint(-10, 40) for _ in range(rng.randint(0, 15)))]
-        ux, uy = _distinct(xs).tolist(), _distinct(ys).tolist()
-        assert (ux, uy) == (sorted(set(xs)), sorted(set(ys))), trial
-        # rectangle [lo, hi] holds the corners of ranks [searchsorted(lo), searchsorted(hi, right))
-        xa, xb = np.searchsorted(ux, lo_x), np.searchsorted(ux, hi_x, "right")
-        ya, yb = np.searchsorted(uy, lo_y), np.searchsorted(uy, hi_y, "right")
-        got = _box_depth(xa, xb, ya, yb, len(ux), len(uy))
-        expect = [
-            [sum(a <= x <= b and c <= y <= d for a, b, c, d in zip(lo_x, hi_x, lo_y, hi_y)) for y in uy]
-            for x in ux
-        ]
-        assert got.dtype == np.int64 and got.tolist() == expect, trial
-        # one integer weight per row, as the sampled grid counts weight each rect by its group's orbit
-        weight = [rng.choice((1, 2, 4, 8)) for _ in range(rows)]
-        got = _box_depth(xa, xb, ya, yb, len(ux), len(uy), np.array(weight, dtype=np.int64))
-        expect = [
-            [sum(o for o, a, b, c, d in zip(weight, lo_x, hi_x, lo_y, hi_y) if a <= x <= b and c <= y <= d) for y in uy]
-            for x in ux
-        ]
-        assert got.dtype == np.int64 and got.tolist() == expect, trial
+    # (rows, lowest side, highest low side, widest box): many rows in a narrow span rank by tables, a few
+    # rows over a wide span by searchsorted, where a table would take gigabytes; then no rows, and mixed
+    shapes = [(60, -5, 25, 12), (3, -(10**9), 10**9, 10**8), (0, -5, 25, 12)] * 7
+    shapes += [(rng.randint(1, 40), -5, 25, 12) for _ in range(20)]
+    for trial, (rows, lo, hi, widest) in enumerate(shapes):
+        boxes = []
+        for i in range(rows):
+            a, c = rng.randint(lo, hi), rng.randint(lo, hi)
+            # every third box is one offset thick along x or y
+            b = a + (0 if i % 3 == 0 else rng.randint(0, widest))
+            boxes.append((a, b, c, c + (0 if i % 3 == 1 else rng.randint(0, widest))))
+        # query coordinates past every box, at random, and at and beside the sides of a few boxes
+        xs, ys = [lo - 1, hi + widest + 1], [lo - 1, hi + widest + 1]
+        for _ in range(rng.randint(0, 12)):
+            xs.append(rng.randint(lo - 1, hi + widest + 1))
+            ys.append(rng.randint(lo - 1, hi + widest + 1))
+        for a, b, c, d in rng.sample(boxes, min(rows, 4)):
+            xs += [a - 1, a, b, b + 1]
+            ys += [c - 1, c, d, d + 1]
+        ux, uy = _distinct(np.array(xs, dtype=np.int64)), _distinct(np.array(ys, dtype=np.int64))
+        assert (ux.tolist(), uy.tolist()) == (sorted(set(xs)), sorted(set(ys))), trial
+        xa, xb, ya, yb = np.array(boxes, dtype=np.int64).reshape(-1, 4).T
+        calls.clear()
+        got = _box_depth(xa, xb, ya, yb, ux, uy)
+        assert got.dtype == np.int64 and got.tolist() == bruteforce(boxes, [1] * rows, ux, uy), trial
+        spans = [int(col.max() - col.min()) + 1 for col in (xa, xb, ya, yb)] if rows else []
+        assert calls == [span if span <= rows else rows for span in spans], trial
+        if trial < 21:
+            assert [span <= rows for span in spans] == [[True] * 4, [False] * 4, []][trial % 3], trial
+        # one integer weight per row, as the sampled grid counts weight each rect by its group's orbit, and
+        # the rows ranked and scattered all at once or 7 at a time
+        weight = [rng.choice((1, 2, 4, 8)) for _ in boxes]
+        expect = bruteforce(boxes, weight, ux, uy)
+        for rows_at_once in (7, budget):
+            monkeypatch.setattr(udl.udgraph, "_GATHER_BUDGET", rows_at_once)
+            got = _box_depth(xa, xb, ya, yb, ux, uy, np.array(weight, dtype=np.int64))
+            assert got.dtype == np.int64 and got.tolist() == expect, (trial, rows_at_once)
 
 
 def test_deepest_cells_cover_exactly_the_deepest_points():
@@ -710,7 +738,7 @@ def test_repeated_start_is_counted_once(workers):
     assert g.grid is None
     once = count_irredundant_from(g, (0, 0), 2)
     for starts in ([(0, 0), (0, 0)], [(0, 0), (1, 1), (0, 0)]):
-        pairs = per_pair_counts(g, 2, starts=starts, workers=workers)
+        pairs = per_pair_counts(g, 2, starts=starts)
         from_origin = {key: c for key, c in pairs.items() if key[0] == (0, 0)}
         assert from_origin == per_pair_counts(g, 2, starts=[(0, 0)])
         assert sum(from_origin.values()) == once
@@ -719,11 +747,10 @@ def test_repeated_start_is_counted_once(workers):
         assert counts[(0, 0)] == once
 
 
-def test_pairs_pool_matches_serial_on_a_holed_grid():
+def test_pair_statistics_ignore_workers_on_a_holed_grid():
     g = build_graph(_holed_box(8, 8, {(3, 4), (5, 1), (0, 7)}), 5)
     assert g.grid is None
     pairs = per_pair_counts(g, 3)
-    assert per_pair_counts(g, 3, workers=2) == pairs
     assert total_irredundant_paths(g, 3, workers=2) == total_irredundant_paths(g, 3) == sum(pairs.values())
     assert max_pair_count(g, 3, workers=2) == max_pair_count(g, 3) == _lex_min_best(pairs)
 
@@ -844,7 +871,7 @@ def test_path_statistics_start_no_process(monkeypatch):
         starts = [(0, 0), (3, 3), (7, 7), (2, 5)]
         return (
             count_irredundant_many(g, starts, 3, workers=workers),
-            per_pair_counts(g, 3, workers=workers),
+            per_pair_counts(g, 3),
             total_irredundant_paths(g, 3, workers=workers),
             max_pair_count(g, 3, workers=workers),
         )

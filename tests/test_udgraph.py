@@ -197,11 +197,18 @@ def test_peel_matches_the_queue_peel_oracle():
     assert peel(g, 1) is g and peel(g, 2).points == []
 
 
-def test_edge_text_lists_the_bruteforce_edges_in_order():
+def test_edge_text_lists_the_bruteforce_edges_in_order(monkeypatch):
+    import udl.udgraph
+
     rng = random.Random(59)
+    budget = udl.udgraph._GATHER_BUDGET
     for pts, m in holed_point_sets(rng, 25):
         lines = [f"{p[0]} {p[1]} {q[0]} {q[1]}\n" for p, q in sorted(edge_set_bruteforce(pts, m))]
-        assert build_graph(pts, m).to_edge_text() == "".join(lines), m
+        g = build_graph(pts, m)
+        # the table read in one block, and a few vertices (or one) at a time
+        for entries in (budget, 3 * len(g.vectors) - 1, 1):
+            monkeypatch.setattr(udl.udgraph, "_GATHER_BUDGET", entries)
+            assert g.to_edge_text() == "".join(lines) == "".join(g.edge_lines()), (m, entries)
 
 
 def test_config_graph_edge_sandwich():
