@@ -13,17 +13,17 @@ counts, total and max pair take that as a box test (`_grid_paths`), and
 only for one displacement group per orbit of the box's symmetries (the 8 of
 the square, or the 4 flips of an oblong box): the total weights each kept
 group by its orbit size, the counts add the group's depths at the images of
-each start, and the max pair takes the least image of a group's deepest
-pair.  Elsewhere the counts walk the vector tuples once for all starts,
-each node the array of the starts' positions (`_start_walks`), and the pair
-statistics gather each displacement group's tuples as one block
-(`_group_depth`), per-pair counts on a grid too.  That walk and the
-reference route, the per-start DFS over the columns of the neighbour table
-(`count_irredundant_from`), are one pruned DFS, `_walks`: it keeps the
-running set S of all nonempty prefix-subset sums, and a continuation z is
-admissible exactly when -z is absent from S.  Every statistic is priced by
-one projection, `projected_steps`, and refused before it starts when that
-exceeds the step budget.
+each start, and the max pair scores the groups whose boxes share a point
+in one pass and ranks the rest.  Elsewhere the counts walk the vector tuples
+once for all starts, each node the array of the starts' positions
+(`_start_walks`), and the pair statistics gather each displacement group's
+tuples as one block (`_group_depth`), per-pair counts on a grid too.  That
+walk and the reference route, the per-start DFS over the columns of the
+neighbour table (`count_irredundant_from`), are one pruned DFS, `_walks`: it
+keeps the running set S of all nonempty prefix-subset sums, and a
+continuation z is admissible exactly when -z is absent from S.  Every
+statistic is priced by one projection, `projected_steps`, and refused before
+it starts when that exceeds the step budget.
 """
 
 from __future__ import annotations
@@ -48,10 +48,14 @@ class StepBudgetExceeded(RuntimeError):
 
 
 def effective_step_budget(value: int | None = None) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("UDL_STEP_BUDGET")
-    return int(env) if env else DEFAULT_STEP_BUDGET
+    """`value`, else UDL_STEP_BUDGET when set and not empty, else the
+    default; ValueError naming the source unless a nonnegative integer."""
+    source, raw = "--step-budget", value
+    if value is None:
+        source, raw = "UDL_STEP_BUDGET", os.environ.get("UDL_STEP_BUDGET") or DEFAULT_STEP_BUDGET
+    if not str(raw).isdecimal():
+        raise ValueError(f"{source} must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 def _check_budget(projected: int, budget: int | None, *message) -> None:
@@ -453,15 +457,14 @@ def _start_counts(g: UnitDistanceGraph, k: int, starts):
     import numpy as np
 
     n, table = g.vertex_count, g.neighbours
-    present = table != n
-    degree = present.sum(axis=0)
+    degree = np.append(g.degrees, 0)  # 0 at the sentinel column n
     blocker = {complex(-dx, -dy): j for j, (dx, dy) in enumerate(g.vectors)}
     blocks = frozenset(blocker)
     counts = np.zeros(len(starts), dtype=np.int64)
     for at, S in _start_walks(g, k, starts):
         counts += degree.take(at)
         for s in S & blocks:
-            counts -= present[blocker[s]].take(at)
+            counts -= table[blocker[s]].take(at) != n
     return counts
 
 
@@ -501,14 +504,6 @@ def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
     if fy:
         ya, yb = h - 1 - yb, h - 1 - ya
     return xa, xb, ya, yb
-
-
-def _map_vector(sym, dx: int, dy: int) -> tuple[int, int]:
-    """The image of the displacement (dx, dy) under the map `sym`."""
-    swap, fx, fy = sym
-    if swap:
-        dx, dy = dy, dx
-    return (-dx if fx else dx, -dy if fy else dy)
 
 
 def _grid_paths(g: UnitDistanceGraph, k: int, dims):
@@ -612,14 +607,13 @@ def max_pair_count(
     Ties break toward the lexicographically smallest (v, w).  The tuples come
     grouped by total displacement w - v, and inside one group |P_vw| is the
     depth of v: on a full grid the number of the group's start rectangles
-    covering v (see `_grid_paths`), all of them where they share a point, on
-    any other point set the group's tuples gathered at every start (see
-    `_group_depth`).  Groups are visited largest first, stopping once a group
-    has fewer tuples than the best depth found (`_largest_groups_first`).
-    On a full grid one group stands for its orbit: the images of its deepest
-    pairs under the grid maps are the deepest pairs of the other groups, so
-    the least of those images is its pair: the least low corner of the maps'
-    images of its intersection box, or else of its `_deepest_cells`.
+    covering v (see `_grid_paths`), on any other point set the group's tuples
+    gathered at every start (see `_group_depth`).  On a full grid one pass
+    scores every group whose rectangles share a point (Helly: depth = size),
+    and only the others are ranked, by `_deepest_cells`; a group stands for
+    its orbit, so its pair is the least (v, v + L d) over the maps L, v a low
+    corner of an image of its common box or deepest cells.  Groups are ranked
+    largest first from the best so far (`_largest_groups_first`).
     `workers` selects nothing: perfbench/job.py passes it, and it goes when
     the benchmark next changes.
     """
@@ -640,20 +634,18 @@ def max_pair_count(
         v = g.points[i]
         return v, (v[0] + int(dx[gi]), v[1] + int(dy[gi])), int(depth[i])
 
-    return _largest_groups_first(size, deepest)
+    return _largest_groups_first(size, deepest, (None, None, 0))
 
 
-def _largest_groups_first(size, deepest):
-    """(v, w, depth) of greatest depth over the displacement groups, ties
-    going to the smallest (v, w).  `deepest(i)` is the (v, w, depth) of
-    group i at its lexicographically smallest deepest pair.  Groups are
-    visited largest first and the visit stops once a group has fewer than
-    max(best depth, 1) tuples: depth never exceeds a group's size, and an
-    empty group has no pair."""
+def _largest_groups_first(size, deepest, best):
+    """(v, w, depth) of greatest depth, ties to the least (v, w): `best` or
+    a group's `deepest(i)`, the (v, w, depth) of group i at its least
+    deepest pair.  size[i] bounds that depth, and groups are visited largest
+    first until one falls below max(best depth, 1)."""
     import numpy as np
 
-    best = (None, None, 0)
-    for gi in np.argsort(-size, kind="stable").tolist():
+    hot = np.flatnonzero(size >= max(best[2], 1))  # only these can reach best
+    for gi in hot[np.argsort(-size[hot], kind="stable")].tolist():
         if size[gi] < max(best[2], 1):
             break
         found = deepest(gi)
@@ -680,23 +672,31 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
 
     x0, y0, w, h = dims
     dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k, dims)
-    syms = _grid_symmetries(w, h)
-    ends = np.cumsum(count).tolist()
+    ends = np.cumsum(count)
+    full = np.flatnonzero(count)
+    heads = (ends - count)[full]
+    # Helly: boxes share a point iff their x and their y projections do, and their depth is then their number
+    box = [op.reduceat(col, heads) for op, col in ((np.maximum, ax), (np.minimum, bx), (np.maximum, ay), (np.minimum, by))]
+    shared = (box[0] <= box[1]) & (box[2] <= box[3])
+
+    def least_pair(xa, xb, ya, yb, ex, ey):
+        # per map L, v is the low corner of a box's image and v + L e that of the image of the box moved by e
+        least = []
+        for sym in _grid_symmetries(w, h):
+            vx, _, vy, _ = _map_box(sym, w, h, xa, xb, ya, yb)
+            ux, _, uy, _ = _map_box(sym, w, h, xa + ex, xb + ex, ya + ey, yb + ey)
+            i = np.lexsort((uy, ux, vy, vx))[0]
+            least.append(((x0 + int(vx[i]), y0 + int(vy[i])), (x0 + int(ux[i]), y0 + int(uy[i]))))
+        return min(least)
 
     def deepest(gi):
-        lo, hi = ends[gi] - int(count[gi]), ends[gi]
-        rects = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
-        d = (int(dx[gi]), int(dy[gi]))
-        box = (int(rects[0].max()), int(rects[1].min()), int(rects[2].max()), int(rects[3].min()))
-        if box[0] <= box[1] and box[2] <= box[3]:
-            # Helly: boxes share a point iff their x and y projections do, and the deepest points are then the
-            # intersection box; the least point of each image is the image box's low corner
-            peak = hi - lo
-            least = [_map_box(sym, w, h, *box)[::2] for sym in syms]
-        else:
-            *cells, peak = _deepest_cells(*rects)
-            least = [min(zip(*(c.tolist() for c in _map_box(sym, w, h, *cells)[::2]))) for sym in syms]
-        (x, y), (ex, ey) = min((v, _map_vector(sym, *d)) for v, sym in zip(least, syms))
-        return (x0 + x, y0 + y), (x0 + x + ex, y0 + y + ey), peak
+        lo, hi = ends[gi] - count[gi], ends[gi]
+        *cells, peak = _deepest_cells(ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi])
+        return (*least_pair(*cells, dx[gi], dy[gi]), peak)
 
-    return _largest_groups_first(count, deepest)
+    top = count[full[shared]].max(initial=0)
+    at = np.flatnonzero(shared & (count[full] == top))
+    best = (*least_pair(*(c[at] for c in box), dx[full[at]], dy[full[at]]), int(top)) if top else (None, None, 0)
+    size = count - 1  # a group without a common point falls short of its size
+    size[full[shared]] = 0
+    return _largest_groups_first(size, deepest, best)

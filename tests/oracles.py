@@ -11,7 +11,7 @@ import functools
 import math
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 
 def trial_division_primes(limit: int) -> list[int]:
@@ -244,3 +244,45 @@ def unit_equation_solutions(coeffs, torsion_order: int, generators, height: int)
         if (sum(t[0] for t in terms), sum(t[1] for t in terms)) == (1, 0) and not has_vanishing_subsum(terms):
             found.append(tup)
     return found
+
+
+def max_pair_grid_loop(g, k: int):
+    """(v, w, depth) of the max pair on the full grid g, one displacement
+    group at a time: the per-group loop the grid route used before it scored
+    every group with a common point in one pass.  It reads the package's
+    rectangle cache and box helpers, and is the reference at sizes the DFS
+    oracle cannot reach.  Each kept group, largest first until one has fewer
+    rects than the best depth, is scored by Helly when its rects share a
+    point and by its deepest cells otherwise; its pair is the least image
+    pair (v, v + L d) over the maps L."""
+    from udl.paths import _deepest_cells, _grid_paths, _grid_symmetries, _map_box
+
+    x0, y0, w, h = g.grid
+    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k, g.grid)
+    syms = _grid_symmetries(w, h)
+    ends = list(accumulate(count.tolist()))
+
+    def map_vector(sym, ex, ey):
+        swap, fx, fy = sym
+        if swap:
+            ex, ey = ey, ex
+        return (-ex if fx else ex, -ey if fy else ey)
+
+    best = (None, None, 0)
+    for gi in sorted(range(len(count)), key=lambda i: -int(count[i])):
+        lo, hi = ends[gi] - int(count[gi]), ends[gi]
+        if hi - lo < max(best[2], 1):
+            break
+        rects = ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi]
+        box = (int(rects[0].max()), int(rects[1].min()), int(rects[2].max()), int(rects[3].min()))
+        if box[0] <= box[1] and box[2] <= box[3]:
+            peak = hi - lo
+            least = [_map_box(sym, w, h, *box)[::2] for sym in syms]
+        else:
+            *cells, peak = _deepest_cells(*rects)
+            least = [min(zip(*(c.tolist() for c in _map_box(sym, w, h, *cells)[::2]))) for sym in syms]
+        (x, y), (ex, ey) = min((v, map_vector(sym, int(dx[gi]), int(dy[gi]))) for v, sym in zip(least, syms))
+        found = (x0 + x, y0 + y), (x0 + x + ex, y0 + y + ey), peak
+        if found[2] > best[2] or (found[2] == best[2] > 0 and found[:2] < best[:2]):
+            best = found
+    return best

@@ -116,6 +116,18 @@ def test_step_budget_refusal_exits_2(capsys):
     assert code == 2 and "refused" in err
 
 
+def test_bad_step_budget_exits_2_naming_its_source(capsys, monkeypatch, tmp_path):
+    for argv in (["verify", "--n", "100", "--k-max", "2"], ["paths", "--n", "100", "--k", "2"]):
+        code, out, err = run(capsys, [*argv, "--step-budget", "-5"])
+        assert (code, out, err) == (2, "", "error: --step-budget must be a nonnegative integer, got -5\n"), argv
+    for bad in ("abc", "1e9", " ", "-1"):
+        monkeypatch.setenv("UDL_STEP_BUDGET", bad)
+        for argv in (["verify", "--n", "100", "--k-max", "2"], ["graph", "--n", "100", "--emit", str(tmp_path / "edges")]):
+            code, out, err = run(capsys, argv)
+            assert (code, out, err) == (2, "", f"error: UDL_STEP_BUDGET must be a nonnegative integer, got {bad!r}\n"), (bad, argv)
+    assert not (tmp_path / "edges").exists()
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, ["verify", "--bogus"])[0] == 2
     assert run(capsys, ["nonsense"])[0] == 2

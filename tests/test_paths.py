@@ -35,7 +35,7 @@ from udl.paths import (
 )
 from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
 
-from oracles import has_vanishing_subsum, irredundant_walk_count, two_squares_set, walks_from
+from oracles import has_vanishing_subsum, irredundant_walk_count, max_pair_grid_loop, two_squares_set, walks_from
 
 
 def grid(side):
@@ -249,25 +249,20 @@ def _lex_min_best(pairs):
 def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
     import udl.paths
 
-    # how the max pair scores each group it visits: by a common point, or ranked through `_box_depth`
+    # how the max pair scores a group: by a common point (the groups the Helly pass zeroes), or ranked by `deepest`
     routes = {"common point": 0, "ranked": 0}
-    calls = []
-    box_depth, visit = udl.paths._box_depth, udl.paths._largest_groups_first
+    sizes = []
+    visit = udl.paths._largest_groups_first
 
-    def counted_box_depth(*args):
-        calls.append(None)
-        return box_depth(*args)
+    def counted_visit(size, deepest, best):
+        sizes.append(size)
 
-    def counted_visit(size, deepest):
         def counted(gi):
-            before = len(calls)
-            found = deepest(gi)
-            routes["ranked" if len(calls) > before else "common point"] += 1
-            return found
+            routes["ranked"] += 1
+            return deepest(gi)
 
-        return visit(size, counted)
+        return visit(size, counted, best)
 
-    monkeypatch.setattr(udl.paths, "_box_depth", counted_box_depth)
     monkeypatch.setattr(udl.paths, "_largest_groups_first", counted_visit)
     rng = random.Random(2)
     ms = [1, 2, 4, 5, 8, 10, 13, 25, 65]
@@ -289,6 +284,8 @@ def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
         assert total == sum(pairs.values()), (w, h, m, k)
         best = max_pair_count(g, k)
         assert best == _lex_min_best(pairs), (w, h, m, k)
+        count = _grid_paths(g, k, g.grid)[2]
+        routes["common point"] += int(((sizes.pop() == 0) & (count > 0)).sum())
         assert all(type(c) is int for c in (*counts.values(), total, best[2]))
         # every offset as a start: repeated x and y values, boundary rows and columns
         per_start = dict.fromkeys(g.points, 0)
@@ -298,6 +295,41 @@ def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
         if (w, h, m, k) == (14, 14, 5, 2):
             assert sum(1 for c in pairs.values() if c == best[2]) > 1  # the tie-break decides
     assert routes["common point"] > 0 and routes["ranked"] > 0, routes
+
+
+def test_max_pair_pass_matches_the_per_group_loop():
+    # 100 x 100 at m = 1105 is beyond the DFS oracle
+    g = grid_graph(100, 1105)
+    for k in (2, 3, 4):
+        assert max_pair_count(g, k) == max_pair_grid_loop(g, k), k
+    # at k = 4 the top group has no common point: it is ranked, and falls short of its size
+    assert (_grid_paths(g, 4, g.grid)[2].max(), max_pair_count(g, 4)[2]) == (216, 188)
+    rng = random.Random(24)
+    ms = [1, 2, 5, 13, 25, 65, 85, 325, 1105]
+    cases = [(60, 90, 65, 3), (90, 60, 65, 3), (40, 120, 1105, 2), (33, 70, 325, 3), (50, 50, 65, 4)]
+    while len(cases) < 80:
+        w, m = rng.randint(1, 60), rng.choice(ms)
+        h = w if len(cases) % 3 == 0 else rng.randint(1, 60)
+        r = len(two_squares_set(m))
+        cases.append((w, h, m, rng.choice([k for k in range(1, 5) if r**k <= 200_000])))
+    for w, h, m, k in cases:
+        g = grid_graph(w, m, height=h, corner=(rng.randint(-50, 50), rng.randint(-50, 50)))
+        assert max_pair_count(g, k) == max_pair_grid_loop(g, k), (w, h, m, k)
+
+
+def test_all_tie_max_pair_ranks_no_group(monkeypatch):
+    import udl.paths
+
+    g = grid_graph(100, 1105)
+    expect = max_pair_grid_loop(g, 2)
+    count = _grid_paths(g, 2, g.grid)[2]
+    assert expect[2] == count.max() == 2 and (count == 2).sum() > 1  # the top groups tie
+
+    def refuse(*args):
+        raise AssertionError("a group was ranked")
+
+    monkeypatch.setattr(udl.paths, "_deepest_cells", refuse)
+    assert max_pair_count(g, 2) == expect
 
 
 def test_total_on_grids_past_int64_matches_a_tuple_oracle():
