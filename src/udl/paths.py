@@ -299,7 +299,7 @@ def _multisets(vectors, k: int, keep=None):
     idx[:, p] == idx[:, p + 1]; `_orderings(k, kind)` lists the distinct
     orderings, each an irredundant k-tuple of the same displacement.
     `keep(sx, sy)`, when given, masks the displacements to list; the rows
-    it drops are never sorted.
+    it drops are never built.
 
     All vectors share the norm m, so a vanishing subsum has an even number
     of terms: divided by the gcd of its coordinates, the norm is odd or 2
@@ -307,28 +307,61 @@ def _multisets(vectors, k: int, keep=None):
     them cannot cancel.  Four such terms that cancel form a rhombus, whose
     sides come in antipodal pairs.  So a multiset is irredundant exactly when it holds no
     antipodal pair and no zero-sum sub-multiset of even size 6 .. k.
+
+    The levels extend the empty multiset one index at a time, each row by
+    the indices from its last on that are not an antipode of one it holds,
+    `_GATHER_BUDGET` candidates at a time; the last level ANDs in `keep`
+    before any row is built, and the hexagon filter runs on the rows kept.
+    idx is int16 while R <= 2^15, and sx, sy are int32 while k times the
+    largest coordinate is below 2^31.
     """
     import numpy as np
 
     step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
     where = {v: j for j, v in enumerate(map(tuple, step.tolist()))}
     anti = np.array([where[-dx, -dy] for dx, dy in step.tolist()], dtype=np.intp)
-    idx = np.arange(len(step))[:, None]
-    for _ in range(k - 1):
-        allowed = np.arange(len(step)) >= idx[:, -1:]
-        allowed[np.arange(len(idx))[:, None], anti[idx]] = False
-        rows, cols = np.nonzero(allowed)
-        idx = np.concatenate([idx[rows], cols[:, None]], axis=1)
+    r = len(step)
+    itype = np.int16 if r <= 2**15 else np.intp
+    stype = np.int32 if k * int(np.abs(step).max(initial=0)) < 2**31 else np.int64
+    vx, vy = step.T.astype(stype)
+    every, chunk = np.arange(r), max(1, _GATHER_BUDGET // max(r, 1))
+
+    def join(parts):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+
+    def extend(idx, sx, sy, mask):
+        blocks, parts, held = [], [], 0
+        for lo in range(0, max(len(idx), 1), chunk):  # one chunk at least, so an empty level keeps its width
+            prev, px, py = idx[lo : lo + chunk], sx[lo : lo + chunk], sy[lo : lo + chunk]
+            allowed = every >= prev.max(axis=1, initial=0)[:, None]  # a row's last index is its largest
+            allowed[np.arange(len(prev))[:, None], anti[prev]] = False
+            if mask is not None:
+                allowed &= mask(px[:, None] + vx, py[:, None] + vy)
+            rows, cols = np.nonzero(allowed)
+            parts.append((np.column_stack((prev[rows], cols.astype(itype))), px[rows] + vx[cols], py[rows] + vy[cols]))
+            held += len(rows)
+            if held >= _GATHER_BUDGET * 64:  # parts joined in blocks of 2^20 rows leave their heap to the next parts
+                blocks.append(join(parts))
+                parts, held = [], 0
+        return join([*blocks, join(parts)])
+
+    idx, sx, sy = np.zeros((1, 0), dtype=itype), np.zeros(1, dtype=stype), np.zeros(1, dtype=stype)  # the empty multiset
+    for level in range(k):
+        idx, sx, sy = extend(idx, sx, sy, keep if level == k - 1 else None)
     closes = np.zeros(len(idx), dtype=bool)
     for s in range(6, k + 1, 2):
         for pos in map(list, combinations(range(k), s)):
             closes |= ~step[idx[:, pos]].sum(axis=1).any(axis=1)
-    sx, sy = step[idx, 0].sum(axis=1), step[idx, 1].sum(axis=1)
-    rows = np.flatnonzero(~closes if keep is None else keep(sx, sy) & ~closes)
-    order = np.lexsort((sy[rows], sx[rows]))  # stable: the level loop's order holds inside a displacement
-    rows = rows[order]
-    idx, sx, sy = idx[rows], sx[rows], sy[rows]
-    kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
+    if closes.any():
+        idx, sx, sy = idx[~closes], sx[~closes], sy[~closes]
+    order = np.lexsort((sy, sx))  # stable: the level loop's order holds inside a displacement
+    idx = idx[order]  # one column at a time, so one old column is freed as each is reordered
+    sx = sx[order]
+    sy = sy[order]
+    del order
+    kind = np.zeros(len(idx), dtype=np.int32)
+    for p in range(k - 1):
+        kind[idx[:, p] == idx[:, p + 1]] += 1 << p
     return idx, sx, sy, kind
 
 
@@ -542,7 +575,9 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
         size = _ordering_counts(k, kind)
         offset = np.cumsum(size) - size
-        rect = [np.empty(int(size.sum()), dtype=np.int64) for _ in range(4)]  # ax, bx, ay, by
+        # a side lies in [-k * reach, max(side - 1, k * reach)] before the cut, in [0, side - 1] after
+        wide = max(w - 1, h - 1, k * int(np.abs(step).max(initial=0))) >= 2**31
+        rect = [np.empty(int(size.sum()), dtype=np.int64 if wide else np.int32) for _ in range(4)]  # ax, bx, ay, by
         for c in np.flatnonzero(np.bincount(kind)).tolist():
             orders = _orderings(k, c)
             members = np.flatnonzero(kind == c)
@@ -578,7 +613,8 @@ def total_irredundant_paths(
 
     On a full grid this is the summed area of the start rectangles, each
     weighted by its group's orbit (see `_grid_paths`): a grid map carries a
-    rectangle to one of the same area.  Otherwise it sums the counts of one
+    rectangle to one of the same area, summed one `_GATHER_BUDGET` slice of
+    rows at a time.  Otherwise it sums the counts of one
     walk over the vector tuples for every start at once (see `_start_counts`).
     `workers` selects nothing: perfbench/job.py passes it, and it goes when
     the benchmark next changes.
@@ -591,12 +627,17 @@ def total_irredundant_paths(
         return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
     _, _, w, h = dims
     _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k, dims)
-    weight = np.repeat(orbit, count)
-    if len(ax) * w * h * 8 < 2**63:
-        return int((weight * (bx - ax + 1) * (by - ay + 1)).sum())
-    # every start may carry every tuple of all 8 images: an int64 sum could wrap
-    cols = (col.tolist() for col in (weight, ax, bx, ay, by))
-    return sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*cols))
+    weight = np.repeat(orbit.astype(np.int8), count)  # an orbit is at most 8
+    total = 0
+    for lo in range(0, len(ax), _GATHER_BUDGET):
+        part = slice(lo, lo + _GATHER_BUDGET)
+        if w * h * 8 < 2**63:  # a weighted area fits int64; a sum of them may not, and is then taken in Python ints
+            area = weight[part] * ((bx[part] - ax[part] + 1).astype(np.int64) * (by[part] - ay[part] + 1))
+            total += int(area.sum()) if len(area) * w * h * 8 < 2**63 else sum(area.tolist())
+        else:
+            cols = (col[part].tolist() for col in (weight, ax, bx, ay, by))
+            total += sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*cols))
+    return total
 
 
 def max_pair_count(
@@ -680,13 +721,17 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
     shared = (box[0] <= box[1]) & (box[2] <= box[3])
 
     def least_pair(xa, xb, ya, yb, ex, ey):
-        # per map L, v is the low corner of a box's image and v + L e that of the image of the box moved by e
+        # per map L, v is the low corner of a box's image and v + L e that of the image of the box moved by e;
+        # the least (v, v + L e) is read by narrowing the rows to the least of vx, then vy, then ux, then uy
+        ex, ey = np.broadcast_to(ex, xa.shape), np.broadcast_to(ey, ya.shape)
         least = []
         for sym in _grid_symmetries(w, h):
             vx, _, vy, _ = _map_box(sym, w, h, xa, xb, ya, yb)
-            ux, _, uy, _ = _map_box(sym, w, h, xa + ex, xb + ex, ya + ey, yb + ey)
-            i = np.lexsort((uy, ux, vy, vx))[0]
-            least.append(((x0 + int(vx[i]), y0 + int(vy[i])), (x0 + int(ux[i]), y0 + int(uy[i]))))
+            i = np.flatnonzero(vx == vx.min())
+            i = i[vy[i] == vy[i].min()]
+            ux, _, uy, _ = _map_box(sym, w, h, xa[i] + ex[i], xb[i] + ex[i], ya[i] + ey[i], yb[i] + ey[i])
+            u = int(ux.min())
+            least.append(((x0 + int(vx[i[0]]), y0 + int(vy[i[0]])), (x0 + u, y0 + int(uy[ux == u].min()))))
         return min(least)
 
     def deepest(gi):

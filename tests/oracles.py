@@ -286,3 +286,33 @@ def max_pair_grid_loop(g, k: int):
         if found[2] > best[2] or (found[2] == best[2] > 0 and found[:2] < best[:2]):
             best = found
     return best
+
+
+def multisets_whole_level(vectors, k: int):
+    """(idx, sx, sy, kind) of the irredundant k-multisets, built the way
+    `_multisets` did before it filtered inside its last level: every level
+    whole, then the hexagon filter, then one stable sort by displacement.
+    The reference for its row order and for the rows a displacement filter
+    keeps."""
+    import numpy as np
+    from itertools import combinations
+
+    step = np.array(vectors, dtype=np.int64).reshape(-1, 2)
+    where = {v: j for j, v in enumerate(map(tuple, step.tolist()))}
+    anti = np.array([where[-dx, -dy] for dx, dy in step.tolist()], dtype=np.intp)
+    idx = np.arange(len(step))[:, None]
+    for _ in range(k - 1):
+        allowed = np.arange(len(step)) >= idx[:, -1:]
+        allowed[np.arange(len(idx))[:, None], anti[idx]] = False
+        rows, cols = np.nonzero(allowed)
+        idx = np.concatenate([idx[rows], cols[:, None]], axis=1)
+    closes = np.zeros(len(idx), dtype=bool)
+    for s in range(6, k + 1, 2):
+        for pos in map(list, combinations(range(k), s)):
+            closes |= ~step[idx[:, pos]].sum(axis=1).any(axis=1)
+    idx = idx[~closes]
+    sx, sy = step[idx, 0].sum(axis=1), step[idx, 1].sum(axis=1)
+    order = np.lexsort((sy, sx))
+    idx, sx, sy = idx[order], sx[order], sy[order]
+    kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
+    return idx, sx, sy, kind

@@ -30,12 +30,20 @@ from udl.paths import (
     _grid_paths,
     _group_depth,
     _multisets,
+    _orbit_least,
     _ordering_counts,
     _orderings,
 )
 from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
 
-from oracles import has_vanishing_subsum, irredundant_walk_count, max_pair_grid_loop, two_squares_set, walks_from
+from oracles import (
+    has_vanishing_subsum,
+    irredundant_walk_count,
+    max_pair_grid_loop,
+    multisets_whole_level,
+    two_squares_set,
+    walks_from,
+)
 
 
 def grid(side):
@@ -353,6 +361,40 @@ def test_total_on_grids_past_int64_matches_a_tuple_oracle():
                     assert expect == 2 * g.edge_count, (m, w)
 
 
+def test_rect_columns_narrow_only_where_no_side_can_wrap():
+    # int32 rect columns on sides below 2^31, int64 past it: a count at a start far from every edge is every
+    # irredundant k-tuple (T_k does not depend on the start), the total is the summed extents, and the max pair,
+    # at the low corner, is the same on both sides.  w = 2^29 sums each slice of weighted areas in Python ints
+    import numpy as np
+
+    def extents(vectors, k):
+        for t in product(vectors, repeat=k):
+            if not has_vanishing_subsum(t):
+                pre = [(0, 0), *accumulate(t, lambda p, v: (p[0] + v[0], p[1] + v[1]))]
+                yield max(p[0] for p in pre) - min(p[0] for p in pre), max(p[1] for p in pre) - min(p[1] for p in pre)
+
+    for m in (5, 25):
+        vectors = sorted(two_squares_set(m))
+        for k in (1, 2, 3):
+            spans = list(extents(vectors, k))
+            pairs = []
+            for w, dtype in ((2**29, np.int32), (2**31 - 1, np.int32), (2**31 + 1, np.int64)):
+                g = grid_graph(w, m)
+                assert all(col.dtype == dtype for col in _grid_paths(g, k, g.grid)[4:]), (m, k, w)
+                start = (w // 2, w // 3)
+                assert count_irredundant_many(g, [start], k) == {start: len(spans)}, (m, k, w)
+                assert total_irredundant_paths(g, k) == sum((w - ex) * (w - ey) for ex, ey in spans), (m, k, w)
+                pairs.append(max_pair_count(g, k))
+            assert pairs[1] == pairs[2] and pairs[1][2] > 0, (m, k, pairs)
+    # a coordinate past 2^31 widens the columns on any side: at m = 5^27 some vectors have |dx| in
+    # (2^31, 2.8 * 10^9), whose start offsets an int32 column would wrap into the 2^31 - 1 grid
+    w, vectors = 2**31 - 1, lattice_vectors(5**27)
+    assert any(2**31 < abs(dx) and abs(dy) < w for dx, dy in vectors)
+    g = grid_graph(w, 5**27)
+    assert _grid_paths(g, 1, g.grid)[4].dtype == np.int64
+    assert total_irredundant_paths(g, 1) == sum(max(w - abs(dx), 0) * max(w - abs(dy), 0) for dx, dy in vectors)
+
+
 def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     # the n = 10^4 configuration's 32 vectors: each of the 480 unordered
     # non-opposite pairs {a, b} is a displacement group of depth 2 once the
@@ -520,6 +562,26 @@ def test_multisets_sort_by_displacement_then_index_row_at_any_norm():
                 assert 0 < rows.sum() < len(rows), (m, k)
                 for got, full in zip(_multisets(vecs, k, keep), (idx, sx, sy, kind)):
                     assert (got == full[rows]).all(), (m, k)
+
+
+def test_multisets_filtered_in_the_last_level_equal_the_whole_level_masked():
+    # `keep` drops rows before they are built, and the hexagon filter (k = 6) then runs on the rows kept: the
+    # same rows, in the same order, as building every level whole and masking afterwards; without `keep`
+    # (the point-set route) the arrays are the whole build's
+    import numpy as np
+
+    rules = [_orbit_least(9, 9), _orbit_least(9, 4)]  # dx <= dy <= 0, and dx <= 0 and dy <= 0
+    # at m = 5^28 a coordinate is about 6.1 * 10^9, so the sums need int64
+    for m, k_top in [(5, 6), (25, 6), (65, 6), (1105, 6), (5**28, 2), (None, 6)]:
+        vecs = lattice_vectors(m) if m else []
+        for k in range(1, k_top + 1):
+            whole = multisets_whole_level(vecs, k)
+            assert all(np.array_equal(got, ref) for got, ref in zip(_multisets(vecs, k), whole)), (m, k)
+            for keep in rules:
+                rows = keep(whole[1], whole[2])
+                assert m is None or 0 < rows.sum() < len(rows), (m, k)
+                assert all(np.array_equal(got, ref[rows]) for got, ref in zip(_multisets(vecs, k, keep), whole)), (m, k)
+    assert _multisets([], 3, rules[0])[0].shape == (0, 3)
 
 
 def test_multiset_and_tuple_counts_match_the_closed_forms():
