@@ -247,34 +247,44 @@ def two_squares_count(m: int) -> int:
     return count
 
 
-def _class_flags(x: int, cls: APClass):
-    """(odds, flags, two) for the class a mod d up to x: the odd members
-    a' + j * step <= x, their sieve flags, and whether 2 is a member.
+def _class_runs(x: int, cls: APClass):
+    """(small, runs) for the class a mod d up to x: `small` lists 2 and 3
+    where they are members, and each run is (members, flags), an ascending
+    range of odd members and their sieve flags, one stride of the sieve bytes.
 
-    a' is the odd one of a and a + d and step = lcm(2, d), so the flags sit
-    at a' >> 1 + j * (step >> 1), one stride of the sieve bytes.  So the
-    class is read straight off the flags, and no other number is looked at.
+    a' is the odd one of a and a + d and step = lcm(2, d), so the odd members
+    a' + j * step have their flags at a' >> 1 + j * (step >> 1).  When 3
+    divides d no member is a multiple of 3, and that is the one run.  Else
+    every third member is, so a wheel reads the two runs of stride 3 * step
+    that skip them, a third fewer numbers, and 3, the one prime it skips,
+    goes to `small`.  No other number is looked at.
     """
     d, a = cls.d, cls.a
     step = d if d % 2 == 0 else 2 * d
     odd = a if a % 2 else a + d
     flags = _table(max(x, 2))._flags
-    return range(odd, x + 1, step), flags[odd >> 1 : (x + 1) >> 1 : step >> 1], x >= 2 and 2 % d == a
+    if d % 3 == 0:
+        heads, stride = [odd], step
+    else:
+        heads, stride = [s for s in (odd, odd + step, odd + 2 * step) if s % 3], 3 * step
+    small = [p for p in (2, 3) if p <= x and p % d == a]
+    return small, [(range(s, x + 1, stride), flags[s >> 1 : (x + 1) >> 1 : stride >> 1]) for s in heads]
 
 
 def _class_primes(x: int, cls: APClass):
-    """Iterator over the primes p <= x with p = a (mod d), ascending."""
-    odds, flags, two = _class_flags(x, cls)
-    odd_primes = compress(odds, flags)
-    return chain((2,), odd_primes) if two else odd_primes
+    """The primes p <= x with p = a (mod d) as ascending iterators, `small`
+    and then one per run of `_class_runs`; the wheel's two runs interleave."""
+    small, runs = _class_runs(x, cls)
+    return [small, *(compress(*run) for run in runs)]
 
 
 def primes_in_ap(limit: int, cls: APClass) -> list[int]:
     """All primes p <= limit with p = a (mod d), ascending, read off the
-    shared sieve's flags one class stride at a time (see `_class_primes`)."""
+    shared sieve's flags one wheel run at a time (see `_class_runs`); the
+    runs are ascending, so `sorted` merges them in linear time."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    return list(_class_primes(limit, cls))
+    return sorted(chain.from_iterable(_class_primes(limit, cls)))
 
 
 def _prime_power_logs(primes, x: int, d: int, a: int):
@@ -302,19 +312,20 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     xf = math.floor(x)
     d, a = cls.d, cls.a
     if kind == "pi":
-        _, flags, two = _class_flags(xf, cls)
-        return flags.count(1) + two
+        small, runs = _class_runs(xf, cls)
+        return len(small) + sum(flags.count(1) for _, flags in runs)
     if kind == "theta":
-        return math.fsum(map(math.log, _class_primes(xf, cls)))
+        return math.fsum(map(math.log, chain.from_iterable(_class_primes(xf, cls))))
     if kind == "psi":
         # only a prime p <= sqrt(x) has a higher power <= x; above that the
         # terms are the theta terms.  fsum rounds the exact sum once, so the
-        # order of the terms does not change a bit of the result.
+        # order of the terms, and of the class's runs, does not change a bit
+        # of the result.
         root = math.isqrt(xf)
         return math.fsum(
             chain(
                 _prime_power_logs(_table(max(xf, 2)).primes_up_to(root), xf, d, a),
-                map(math.log, dropwhile(root.__ge__, _class_primes(xf, cls))),
+                map(math.log, chain.from_iterable(dropwhile(root.__ge__, run) for run in _class_primes(xf, cls))),
             )
         )
     raise ValueError(f"kind must be one of pi, theta, psi; got {kind!r}")

@@ -233,7 +233,7 @@ def count_irredundant_many(
         images = [_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]
         ix, iy = np.array([x for x, _ in images]), np.array([y for _, y in images])  # one row per map
         ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
-        field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count))
+        field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count), _rect_spans(g, k, dims))
         total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
         return dict(zip(starts, (total // len(syms)).tolist()))
     counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
@@ -604,6 +604,16 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         dx, dy = sx[heads], sy[heads]
         cache[k] = (dx, dy, count, _orbit_size(w, h, dx, dy), *rect)
     return cache[k]
+
+
+def _rect_spans(g: UnitDistanceGraph, k: int, dims):
+    """(lo, hi) bounds of each rectangle column of `_grid_paths`, in the
+    order ax, bx, ay, by.  A prefix box reaches at most k * reach offsets
+    from its start (reach: the largest vector coordinate), and a kept row
+    has 0 <= ax <= bx <= w - 1 and 0 <= ay <= by <= h - 1."""
+    _, _, w, h = dims
+    far = k * max((abs(c) for v in g.vectors for c in v), default=0)
+    return (0, min(far, w - 1)), (max(0, w - 1 - far), w - 1), (0, min(far, h - 1)), (max(0, h - 1 - far), h - 1)
 
 
 def total_irredundant_paths(

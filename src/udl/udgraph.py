@@ -208,18 +208,20 @@ def _distinct(values):
     return values[keep]
 
 
-def _box_depth(xa, xb, ya, yb, ux, uy, weight=1):
+def _box_depth(xa, xb, ya, yb, ux, uy, weight=1, spans=None):
     """depth[i, j]: the summed integer weights (one per row, or one for all) of
     the boxes [xa, xb] x [ya, yb], one per row, that hold (ux[i], uy[j]), for
     sorted distinct ux and uy.  Each side column is ranked by a table over its
     span when that span is no longer than the rows, else by searchsorted;
     `_GATHER_BUDGET` rows at a time then put +weight at two corners of their
     rank boxes and -weight at the other two, and one int64 field is summed
-    along both axes in place."""
+    along both axes in place.  `spans`, when given, holds a (lo, hi) per
+    side column, in the order xa, xb, ya, yb, that bounds all its values; a
+    column without one is read for its min and max."""
     import numpy as np
 
-    def ranker(col, u, side):  # a table never outnumbers the rows it ranks
-        lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+    def ranker(col, u, side, span):  # a table never outnumbers the rows it ranks
+        lo, hi = span or ((int(col.min()), int(col.max())) if len(col) else (0, 0))
         if hi - lo >= len(col):
             return lambda part: np.searchsorted(u, col[part], side)
         table = np.searchsorted(u, np.arange(lo, hi + 1), side)
@@ -228,7 +230,7 @@ def _box_depth(xa, xb, ya, yb, ux, uy, weight=1):
     cols = len(uy) + 1
     field = np.zeros((len(ux) + 1) * cols, dtype=np.int64)
     sides = (xa, ux, "left"), (xb, ux, "right"), (ya, uy, "left"), (yb, uy, "right")
-    ranks = [ranker(*side) for side in sides]
+    ranks = [ranker(*side, span) for side, span in zip(sides, spans or [None] * 4)]
     for lo in range(0, len(xa), _GATHER_BUDGET):
         part = slice(lo, lo + _GATHER_BUDGET)
         a, b, c, d = (rank(part) for rank in ranks)

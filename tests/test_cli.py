@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -235,6 +236,76 @@ def test_verify_does_not_load_numpy_ma():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _python(code, **env_changes):
+    """Run code in a fresh interpreter with src on the path; a None value unsets that variable."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for name, value in env_changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+_THREADS = (
+    "import os\n"
+    "from udl.cli import verify_all\n"
+    "verify_all(10**4, 4)\n"
+    "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    "if os.path.exists('/proc/self/status'):\n"
+    "    print(next(line for line in open('/proc/self/status') if line.startswith('Threads:')).split()[1])\n"
+)
+
+
+def test_verify_loads_numpy_with_one_blas_thread():
+    out = _python(_THREADS, OPENBLAS_NUM_THREADS=None)
+    assert out[0] == "1"
+    assert out[1:] in ([], ["1"])  # the process runs no thread but its own
+
+
+def test_a_callers_blas_thread_count_is_kept():
+    assert _python(_THREADS, OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
+_BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def _blas_uses(tree):
+    """(line, name) of each `@` and each call, attribute or import named in _BLAS_NAMES."""
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            names.append("@")
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names.append(node.func.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [part for alias in node.names for part in alias.name.split(".")]
+            names += (getattr(node, "module", None) or "").split(".")
+        yield from ((node.lineno, name) for name in names if name == "@" or name in _BLAS_NAMES)
+
+
+def test_udl_makes_no_blas_call():
+    # udl loads numpy with one BLAS thread (see udl/__init__.py), which costs nothing only while no BLAS routine runs
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "udl").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{line}: {name}" for line, name in _blas_uses(tree)]
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "form",
+    ["a @ b", "a @= b", "np.dot(a, b)", "a.T.matmul(b)", "np.linalg.norm(a)", "inner(a, b)", "from numpy import einsum", "import numpy.linalg"],
+)
+def test_the_blas_guard_sees_each_form(form):
+    assert list(_blas_uses(ast.parse(form)))
 
 
 def test_verify_probes_no_edges_on_the_config_grid(monkeypatch):

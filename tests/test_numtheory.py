@@ -8,6 +8,7 @@ from udl.numtheory import (
     _MR_EXACT_LIMIT,
     _MR_WITNESSES,
     APClass,
+    _class_runs,
     PrimeTable,
     chebyshev,
     euler_phi,
@@ -304,6 +305,22 @@ def test_chebyshev_is_bit_identical_to_the_listed_sums(d, a):
         # pi counts the class's flag bytes without listing the primes; the list agrees
         pi = chebyshev("pi", x, cls)
         assert type(pi) is int and pi == len(primes_in_ap(x, cls)), x
+
+
+@pytest.mark.parametrize("d, a", [(3, 1), (3, 2), (6, 5), (9, 4), (12, 7), (2, 1), (4, 1), (4, 3), (5, 3), (7, 2), (8, 3), (10, 3)])
+def test_the_wheel_matches_a_plain_sieve(d, a):
+    # 3 | d: one run with no multiple of 3; else two runs skip them, and 3 itself is listed apart
+    cls = APClass(d, a)
+    for x in (*range(40), 997, 10**4 + 1):
+        expect = [p for p in trial_division_primes(x) if p % d == a]
+        assert primes_in_ap(x, cls) == expect, x
+        for kind in ("pi", "theta", "psi"):
+            assert chebyshev(kind, x, cls) == chebyshev_sum(kind, x, d, a), (kind, x)
+        small, runs = _class_runs(x, cls)
+        members = range(a if a % 2 else a + d, x + 1, d if d % 2 == 0 else 2 * d)
+        drawn = [m for r, _ in runs for m in r]
+        assert sorted(drawn) == [m for m in members if m % 3 or d % 3 == 0], x
+        assert small == [p for p in expect if p <= 3], x
 
 
 def test_two_squares_count_matches_the_sweep():

@@ -33,6 +33,7 @@ from udl.paths import (
     _orbit_least,
     _ordering_counts,
     _orderings,
+    _rect_spans,
 )
 from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
 
@@ -395,6 +396,19 @@ def test_rect_columns_narrow_only_where_no_side_can_wrap():
     assert total_irredundant_paths(g, 1) == sum(max(w - abs(dx), 0) * max(w - abs(dy), 0) for dx, dy in vectors)
 
 
+def test_rect_spans_bound_every_rect_column():
+    # the sampled counts rank the rect columns by tables over these bounds, so a value outside one would be
+    # ranked at a wrong (wrapped) table entry; grids narrower than k * reach clip the bounds to the side
+    for m in (1, 5, 25, 65):
+        for k in (1, 2, 3, 4):
+            for w, h in ((2, 2), (3, 7), (9, 9), (30, 11), (40, 40)):
+                g = grid_graph(w, m, height=h)
+                rect = _grid_paths(g, k, g.grid)[4:]
+                for col, (lo, hi) in zip(rect, _rect_spans(g, k, g.grid)):
+                    assert 0 <= lo <= hi < max(w, h), (m, k, w, h)
+                    assert len(col) == 0 or lo <= col.min() <= col.max() <= hi, (m, k, w, h, lo, hi)
+
+
 def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     # the n = 10^4 configuration's 32 vectors: each of the 480 unordered
     # non-opposite pairs {a, b} is a displacement group of depth 2 once the
@@ -458,6 +472,12 @@ def test_box_depth_matches_a_bruteforce_count(monkeypatch):
         assert got.dtype == np.int64 and got.tolist() == bruteforce(boxes, [1] * rows, ux, uy), trial
         spans = [int(col.max() - col.min()) + 1 for col in (xa, xb, ya, yb)] if rows else []
         assert calls == [span if span <= rows else rows for span in spans], trial
+        if rows:  # a given (lo, hi) per column that holds its values, as `_rect_spans` gives, ranks the same
+            pad = random.Random(trial)  # its own draws, so the cases after this one stay as they were
+            given = [(int(col.min()) - pad.randint(0, 3), int(col.max()) + pad.randint(0, 3)) for col in (xa, xb, ya, yb)]
+            calls.clear()
+            assert _box_depth(xa, xb, ya, yb, ux, uy, spans=given).tolist() == got.tolist(), trial
+            assert sorted(calls) == sorted(hi - lo + 1 if hi - lo < rows else rows for lo, hi in given), trial
         if trial < 21:
             assert [span <= rows for span in spans] == [[True] * 4, [False] * 4, []][trial % 3], trial
         # one integer weight per row, as the sampled grid counts weight each rect by its group's orbit, and
