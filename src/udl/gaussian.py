@@ -71,6 +71,13 @@ class GaussFactorization:
         return out
 
 
+# (q, the quadratic nonresidues mod q) for the odd primes q up to 47
+_SMALL_NONRESIDUES = tuple(
+    (q, frozenset(range(1, q)) - {r * r % q for r in range(1, q)})
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+)
+
+
 def two_squares_prime(p: int) -> tuple[int, int]:
     """Decompose a prime p = 2 or p = 1 (mod 4) as x^2 + y^2, by Hermite-Serret.
 
@@ -84,8 +91,15 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     if p % 4 == 3:
         raise ValueError(f"{p} = 3 (mod 4) is not a sum of two squares")
     # square root of -1 mod p from a quadratic nonresidue, then Euclid until
-    # the remainder drops under sqrt(p)
+    # the remainder drops under sqrt(p).  For prime p = 1 (mod 4), 2 is a
+    # nonresidue iff p = 5 (mod 8), and by reciprocity an odd prime q is one
+    # iff p mod q is one mod q; past the table, search upwards from 2.
     c = 2
+    if p % 8 == 1:
+        for q, nonresidues in _SMALL_NONRESIDUES:
+            if p % q in nonresidues:
+                c = q
+                break
     while (z := pow(c, (p - 1) // 4, p)) * z % p != p - 1:
         c += 1
     a, b = p, z
@@ -99,6 +113,8 @@ def two_squares_prime(p: int) -> tuple[int, int]:
 
 
 _two_squares_cached = functools.cache(two_squares_prime)
+# GaussInt from an (a, b) pair without NamedTuple._make's Python frame
+_make_gauss = functools.partial(tuple.__new__, GaussInt)
 
 
 def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
@@ -108,9 +124,13 @@ def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
     q = 3 (mod 4), and times (x+iy)^s (x-iy)^(e-s), 0 <= s <= e, for p^e with
     p = x^2 + y^2 = 1 (mod 4).
     A q = 3 (mod 4) to an odd power leaves no points.  Unique factorisation
-    in Z[i] makes the 4 * prod (e+1) points distinct.
+    in Z[i] makes the 4 * prod (e+1) points distinct.  The set is closed
+    under conjugation, so the first p = 1 (mod 4) to the first power takes
+    x + iy alone and each product then stands for itself and its conjugate.
+    A higher power cannot be halved so (m = 25 would lose points).
     """
-    points = {(1, 0)}
+    points = [(1, 0)]
+    halve = True
     for p, e in factors.items():
         if p == 2:
             choices = [(1, 1)]
@@ -120,10 +140,22 @@ def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
             choices, e = [(p, 0)], e // 2
         else:
             x, y = _two_squares_cached(p)
-            choices = [(x, y), (x, -y)]
+            if halve and e == 1:
+                choices, halve = [(x, y)], False
+            else:
+                choices = [(x, y), (x, -y)]
         for _ in range(e):
-            points = {(a * c - b * d, a * d + b * c) for a, b in points for c, d in choices}
-    return [w for a, b in points for w in ((a, b), (-b, a), (-a, -b), (b, -a))]
+            points = [(a * c - b * d, a * d + b * c) for a, b in points for c, d in choices]
+            if e > 1:  # (x+iy)^s (x-iy)^(e-s) arises along many orders: keep one
+                points = set(points)
+    out = []
+    if halve:
+        for a, b in points:
+            out += ((a, b), (-b, a), (-a, -b), (b, -a))
+    else:
+        for a, b in points:
+            out += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
+    return out
 
 
 def representations(primes) -> set[GaussInt]:
@@ -143,7 +175,7 @@ def representations(primes) -> set[GaussInt]:
             ok = False
         if not ok:
             raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    points = set(map(GaussInt._make, _lattice_points(dict.fromkeys(primes, 1))))
+    points = set(map(_make_gauss, _lattice_points(dict.fromkeys(primes, 1))))
     assert len(points) == 1 << (len(primes) + 2), (primes, len(points))
     return points
 

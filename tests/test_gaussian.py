@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -71,10 +72,14 @@ def test_two_squares_prime_small_sweep():
 
 
 def test_two_squares_prime_descent_branch():
-    # Hermite-Serret descent on primes above 10^6 and up to 2^31
-    for p in (1_000_033, 1_000_037, 2_147_483_629):
+    # Hermite-Serret descent on primes above 10^6 and up to 2^31.  The
+    # nonresidue is 2 for p = 5 (mod 8) (1_000_037, 9_257_429); for
+    # 9_257_329 = 1 (mod 8) every prime up to 47 is a residue (its least
+    # nonresidue is 53), so it takes the upward search.
+    for p in (1_000_033, 1_000_037, 9_257_329, 9_257_429, 2_147_483_629):
         x, y = two_squares_prime(p)
         assert 0 < x < y and x * x + y * y == p
+        assert (x, y) in two_squares_set(p)
 
 
 def test_representations_cardinalities():
@@ -85,8 +90,20 @@ def test_representations_cardinalities():
 
 
 def test_representations_match_bruteforce():
-    for primes, m in [([], 1), ([5], 5), ([13], 13), ([5, 13], 65), ([5, 13, 17], 1105)]:
-        assert as_tuples(representations(primes)) == two_squares_set(m)
+    cases = [([], 1), ([5], 5), ([13], 13), ([5, 13], 65), ([5, 13, 17], 1105)]
+    # seeded squarefree products of 1-6 primes 1 (mod 4) in random order;
+    # every third holds 1_000_033 and at most two small primes
+    rng = random.Random(27)
+    pool = [5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97]
+    for trial in range(24):
+        t = rng.randint(1, 6)
+        primes = rng.sample(pool, t) if trial % 3 else [1_000_033, *rng.sample(pool, min(t, 3) - 1)]
+        rng.shuffle(primes)
+        cases.append((primes, math.prod(primes)))
+    for primes, m in cases:
+        points = representations(primes)
+        assert all(type(p) is GaussInt for p in points)
+        assert as_tuples(points) == two_squares_set(m), primes
 
 
 def test_representations_refuses_a_strong_pseudoprime():

@@ -29,7 +29,9 @@ def grid(side):
 
 def test_lattice_vectors_match_oracle():
     for m in (1, 2, 3, 4, 5, 25, 65, 325, 1105):
-        assert set(lattice_vectors(m)) == two_squares_set(m)
+        vectors = lattice_vectors(m)
+        assert all(type(v) is tuple for v in vectors)
+        assert set(vectors) == two_squares_set(m)
     assert lattice_vectors(3) == []
     with pytest.raises(ValueError):
         lattice_vectors(0)
