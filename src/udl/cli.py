@@ -30,7 +30,7 @@ SAMPLE_STARTS = 50
 ASYMPTOTIC_X = 10**6
 MAX_VERIFY_K = 6
 BRUTEFORCE_EDGE_LIMIT = 1000  # O(v^2) edge oracle only below this many vertices
-# `graph` prices the n * R lookups of its neighbour table against the step budget
+# `graph` prices the n * R table entries, located by box arithmetic or sorted keys, against the step budget
 GRAPH_WORK = ("neighbour-table lookups", "UDL_STEP_BUDGET")
 
 

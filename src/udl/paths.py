@@ -118,19 +118,6 @@ def is_irredundant(path) -> bool:
     return True
 
 
-def _resolve_start(g: UnitDistanceGraph, start) -> int:
-    key = (int(start[0]), int(start[1]))
-    if g.grid is None:
-        i = g.index.get(key)
-    else:
-        x0, y0, w, h = g.grid
-        ox, oy = key[0] - x0, key[1] - y0
-        i = ox * h + oy if 0 <= ox < w and 0 <= oy < h else None
-    if i is None:
-        raise ValueError(f"start vertex {key} is not in the graph")
-    return i
-
-
 def _walks(step, start, depth: int):
     """(trail, walks): every irredundant `depth`-edge walk from `start`.
 
@@ -181,8 +168,7 @@ def count_irredundant_from(
     g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None
 ) -> int:
     """Number of irredundant k-edge paths leaving `start`."""
-    _check_budget(projected_steps(g, k, [start]), step_budget)
-    i = _resolve_start(g, start)
+    _, (i,) = _checked_starts(g, [start], k, step_budget)
     step = _vertex_step(g)
     trail, walks = _walks(step, i, k - 1)
     # a last step to w is blocked exactly when u - w is in S
@@ -191,20 +177,26 @@ def count_irredundant_from(
 
 def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None):
     """Yield the PathRecords themselves; same pruning as the counter."""
-    _check_budget(projected_steps(g, k, [start]), step_budget)
-    i = _resolve_start(g, start)
-    pts = g.points
+    _, (i,) = _checked_starts(g, [start], k, step_budget)
     trail, walks = _walks(_vertex_step(g), i, k)
     for _ in walks:
-        yield PathRecord.from_vertices([pts[t] for t in trail])
+        yield PathRecord.from_vertices([g.point(t) for t in trail])
 
 
-def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None) -> dict[tuple[int, int], int]:
-    """{(x, y): vertex index} for the distinct `starts` in first-seen order,
-    budgeted before any is resolved."""
+def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None):
+    """(starts, at): the distinct `starts` in first-seen order and their
+    vertices by `g.locate`, budgeted first; the first not in g is refused.
+    A coordinate past int64 is located as -2^63, which no vertex has."""
+    import numpy as np
+
     starts = list(dict.fromkeys((int(s[0]), int(s[1])) for s in starts))
     _check_budget(projected_steps(g, k, starts), step_budget)
-    return {s: _resolve_start(g, s) for s in starts}
+    wide = [[c if abs(c) < 1 << 63 else -(1 << 63) for c in s] for s in starts]
+    at = g.locate(*np.array(wide, dtype=np.int64).reshape(-1, 2).T)
+    missing = np.flatnonzero(at == g.vertex_count)
+    if len(missing):
+        raise ValueError(f"start vertex {starts[missing[0]]} is not in the graph")
+    return starts, at
 
 
 def count_irredundant_many(
@@ -223,7 +215,7 @@ def count_irredundant_many(
     """
     import numpy as np
 
-    starts = _checked_starts(g, starts, k, step_budget)
+    starts, at = _checked_starts(g, starts, k, step_budget)
     dims = g.grid
     if dims is not None:
         x0, y0, w, h = dims
@@ -236,8 +228,7 @@ def count_irredundant_many(
         field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count), _rect_spans(g, k, dims))
         total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
         return dict(zip(starts, (total // len(syms)).tolist()))
-    counts = _start_counts(g, k, np.array(list(starts.values()), dtype=np.intp))
-    return dict(zip(starts, counts.tolist()))
+    return dict(zip(starts, _start_counts(g, k, at).tolist()))
 
 
 def per_pair_counts(
@@ -256,14 +247,12 @@ def per_pair_counts(
 
     if starts is None:  # priced before any point is listed; the points are distinct
         _check_budget(projected_steps(g, k, range(g.vertex_count)), step_budget)
-        starts = dict(zip(g.points, range(g.vertex_count)))
+        starts, at = g.points, np.arange(g.vertex_count)
     else:
-        starts = _checked_starts(g, starts, k, step_budget)
+        starts, at = _checked_starts(g, starts, k, step_budget)
     pairs: dict = {}
     if not starts:
         return pairs
-    at = np.array(list(starts.values()), dtype=np.intp)
-    from_at = list(starts)
     dx, dy, _, tuples = _displacement_groups(g.vectors, k)
     # every key is a new tuple the cyclic GC tracks, so it would run full
     # collections over the growing dict; keys of ints cannot form a cycle
@@ -274,7 +263,7 @@ def per_pair_counts(
             depth = _group_depth(g.neighbours, tuples(gi), at)
             hit = np.flatnonzero(depth)
             for i, c in zip(hit.tolist(), depth[hit].tolist()):
-                v = from_at[i]
+                v = starts[i]
                 pairs[(v, (v[0] + ddx, v[1] + ddy))] = c
     finally:
         if was_enabled:

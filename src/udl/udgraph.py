@@ -1,5 +1,5 @@
 """Unit-distance graphs on integer point sets, with exact squared-distance
-edges found by displacement-vector probing rather than pair scans."""
+edges located by box arithmetic or sorted keys rather than pair scans."""
 
 from __future__ import annotations
 
@@ -30,9 +30,10 @@ class UnitDistanceGraph:
     is the index of point i + vector j (vectors sorted), or n when absent,
     with column n all n; edges, edge count and degrees derive from it.
     `grid` is (x0, y0, width, height) when the vertices fill that box, else
-    None.  A graph made by `grid_graph` counts its edges in closed form and
-    builds its points, index and table only on first access, by the same
-    probing as `build_graph`.
+    None.  Points are located by box arithmetic or sorted keys (`locate`),
+    and every coordinate moved by any vector must fit in int64, so none is
+    -2^63.  A grid counts its edges in closed form and builds its table only
+    on first access, and one made by `grid_graph` its points too.
     """
 
     def __init__(
@@ -46,13 +47,18 @@ class UnitDistanceGraph:
     ):
         self.m = m
         self.vectors = vectors
-        self.grid = grid if points is None else _grid_dims(points)
+        box = grid if points is None else _bounding_box(points)
+        reach = max((max(abs(dx), abs(dy)) for dx, dy in vectors), default=0)
+        lo, hi = (min(box[:2]), max(box[0] + box[2], box[1] + box[3]) - 1) if box else (0, 0)
+        if max(-lo, hi) + reach >= 1 << 63:
+            raise ValueError(f"coordinates from {lo} to {hi}, moved by up to {reach}, do not fit in int64")
+        self.grid = box if points is None or box and box[2] * box[3] == len(points) else None
         self._points = points
         self._neighbours = neighbours
-        self._index: dict[tuple[int, int], int] | None = None
+        self._keys = None
         self._degrees = None
-        if neighbours is None:  # 1/2 * sum over vectors of (width - |dx|)+ (height - |dy|)+
-            twice = sum(max(grid[2] - abs(dx), 0) * max(grid[3] - abs(dy), 0) for dx, dy in vectors)
+        if self.grid is not None:  # 1/2 * sum over vectors of (width - |dx|)+ (height - |dy|)+
+            twice = sum(max(self.grid[2] - abs(dx), 0) * max(self.grid[3] - abs(dy), 0) for dx, dy in vectors)
         else:  # vectors are closed under negation, so each edge is in two columns
             twice = int(self.degrees.sum())
         self.edge_count = twice // 2
@@ -60,21 +66,49 @@ class UnitDistanceGraph:
     @property
     def points(self) -> list[tuple[int, int]]:
         if self._points is None:
-            x0, y0, w, h = self.grid
-            self._points = [(x, y) for x in range(x0, x0 + w) for y in range(y0, y0 + h)]
+            self._points = list(zip(*(c.tolist() for c in self._coordinates())))
         return self._points
-
-    @property
-    def index(self) -> dict[tuple[int, int], int]:
-        if self._index is None:
-            self._index = {p: i for i, p in enumerate(self.points)}
-        return self._index
 
     @property
     def neighbours(self):
         if self._neighbours is None:
-            self._neighbours = _probe(self.points, self.index, self.vectors)
+            self._neighbours = _neighbour_table(self)
         return self._neighbours
+
+    def _coordinates(self):
+        """(x, y): the int64 coordinate columns of the vertices, in order."""
+        import numpy as np
+
+        if self._points is not None:
+            return np.array(self._points, dtype=np.int64).reshape(-1, 2).T
+        i = np.arange(self.vertex_count, dtype=np.int64)
+        return self.grid[0] + i // self.grid[3], self.grid[1] + i % self.grid[3]
+
+    def locate(self, x, y):
+        """The vertex at each (x[i], y[i]) of the int64 arrays x and y, or n.
+        On a grid, offset (ox, oy) in the box is vertex ox * height + oy;
+        otherwise the sorted points' keys, rank of x * distinct ys + rank of
+        y, ascend and are searched, so no coordinate is packed and none wraps."""
+        import numpy as np
+
+        n = self.vertex_count
+        if self.grid is not None:
+            x0, y0, w, h = self.grid
+            inside = (x >= x0) & (x <= x0 + w - 1) & (y >= y0) & (y <= y0 + h - 1)  # no bound past int64
+            ox = x - x0 if n < 1 << 63 else (x - x0).astype(object)  # an index past int64 stays exact
+            return np.where(inside, ox * h + (y - y0), n)
+        if not n:
+            return np.zeros(len(x), dtype=np.intp)
+        if self._keys is None:
+            px, py = self._coordinates()
+            xs, ys = _distinct(px), _distinct(py)
+            self._keys = xs, ys, np.searchsorted(xs, px) * len(ys) + np.searchsorted(ys, py)
+        xs, ys, keys = self._keys
+        rx, ry = np.searchsorted(xs, x), np.searchsorted(ys, y)
+        key = rx * len(ys) + ry
+        at = np.searchsorted(keys, key)
+        hit = (xs.take(rx, mode="clip") == x) & (ys.take(ry, mode="clip") == y) & (keys.take(at, mode="clip") == key)
+        return np.where(hit, at, n)
 
     @property
     def degrees(self):
@@ -86,30 +120,27 @@ class UnitDistanceGraph:
 
     @property
     def vertex_count(self) -> int:
-        if self._points is None:
-            return self.grid[2] * self.grid[3]
-        return len(self._points)
+        return self.grid[2] * self.grid[3] if self._points is None else len(self._points)
 
     def point(self, i: int) -> tuple[int, int]:
         """The i-th vertex, without listing a lazy grid's points."""
-        if self._points is None:
-            x0, y0, _, h = self.grid
-            return (x0 + i // h, y0 + i % h)
-        return self._points[i]
+        if self._points is not None:
+            return self._points[i]
+        return self.grid[0] + i // self.grid[3], self.grid[1] + i % self.grid[3]
 
     def edges(self):
         """Canonical (p, q) pairs with p < q, ascending: each i's neighbours
-        j > i in vector order, which is the order of their points.  The
-        table is read one block of vertices at a time."""
+        j > i in vector order, which is the order of their points.  The table
+        and coordinate columns are read one block of vertices at a time."""
         import numpy as np
 
-        n, points, table = self.vertex_count, self.points, self.neighbours
+        n, table, (x, y) = self.vertex_count, self.neighbours, self._coordinates()
         block = max(1, _GATHER_BUDGET // max(len(self.vectors), 1))
         for lo in range(0, n, block):
             cols = table[:, lo : min(lo + block, n)].T
             later = (cols > np.arange(lo, lo + len(cols))[:, None]) & (cols != n)
-            for i, j in zip((np.nonzero(later)[0] + lo).tolist(), cols[later].tolist()):
-                yield (points[i], points[j])
+            i, j = np.nonzero(later)[0] + lo, cols[later]
+            yield from zip(zip(x[i].tolist(), y[i].tolist()), zip(x[j].tolist(), y[j].tolist()))
 
     def edge_lines(self):
         """One "x1 y1 x2 y2" line per edge, newline included, in `edges` order."""
@@ -137,32 +168,21 @@ class DegreeSummary:
     edge_count: int
 
 
-def _grid_dims(points) -> tuple[int, int, int, int] | None:
-    """(x0, y0, width, height) when the sorted, duplicate-free point list
-    fills its bounding box."""
-    if not points:
-        return None
-    x0, x1 = points[0][0], points[-1][0]
+def _bounding_box(points) -> tuple[int, int, int, int] | None:
+    """(x0, y0, width, height) of the sorted point list; None when empty."""
     ys = [p[1] for p in points]
-    y0, y1 = min(ys), max(ys)
-    w, h = x1 - x0 + 1, y1 - y0 + 1
-    if w * h == len(points):
-        return (x0, y0, w, h)
-    return None
+    return (points[0][0], min(ys), points[-1][0] - points[0][0] + 1, max(ys) - min(ys) + 1) if points else None
 
 
-def _probe(points, index, vectors):
-    """The (R, n+1) neighbour table of sorted `points` (see `UnitDistanceGraph`):
-    [j, i] is the index of point i + vector j in `index`, or n when absent.
-
-    Cost is O(n * R(m)) hash lookups instead of the O(n^2) pair scan.
-    """
+def _neighbour_table(g: UnitDistanceGraph):
+    """The (R, n+1) neighbour table of g (see `UnitDistanceGraph`): row j is
+    `g.locate` of every vertex moved by vector j, and column n is all n."""
     import numpy as np
 
-    n, get = len(points), index.get
-    table = np.full((len(vectors), n + 1), n, dtype=np.intp)
-    for j, (dx, dy) in enumerate(vectors):
-        table[j, :n] = [get((x + dx, y + dy), n) for x, y in points]
+    n, (x, y) = g.vertex_count, g._coordinates()
+    table = np.full((len(g.vectors), n + 1), n, dtype=np.intp)
+    for j, (dx, dy) in enumerate(g.vectors):
+        table[j, :n] = g.locate(x + dx, y + dy)
     return table
 
 
@@ -172,8 +192,8 @@ def grid_graph(
     """The graph on the width x height grid with lower-left corner `corner`
     (height defaults to width).
 
-    Points, index and neighbour table are built only when something asks
-    for them.
+    Points and neighbour table are built only when something asks for
+    them; vertices are located by box arithmetic.
     """
     height = width if height is None else height
     if width < 1 or height < 1:
@@ -182,20 +202,14 @@ def grid_graph(
 
 
 def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
-    """Probe each point against the displacement vectors of m.
-
-    A point set that fills its bounding box is handed to `grid_graph`.
-    Duplicate points are rejected.
+    """The graph of squared distance m on `points`, a grid when they fill
+    their bounding box.  Duplicate points, and coordinates that int64
+    cannot hold once moved by a vector of m, are rejected.
     """
     pts = sorted((int(x), int(y)) for x, y in points)
     if any(a == b for a, b in zip(pts, pts[1:])):
         raise ValueError("duplicate points in input")
-    dims = _grid_dims(pts)
-    if dims is not None:
-        x0, y0, w, h = dims
-        return grid_graph(w, m, height=h, corner=(x0, y0))
-    vectors = lattice_vectors(m)
-    return UnitDistanceGraph(pts, m, _probe(pts, {p: i for i, p in enumerate(pts)}, vectors), vectors)
+    return UnitDistanceGraph(pts, m, None, lattice_vectors(m))
 
 
 def _distinct(values):

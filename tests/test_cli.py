@@ -314,7 +314,7 @@ def test_verify_probes_no_edges_on_the_config_grid(monkeypatch):
     def refuse(*args):
         raise AssertionError("verify_all probed the grid for edges")
 
-    monkeypatch.setattr(udl.udgraph, "_probe", refuse)
+    monkeypatch.setattr(udl.udgraph, "_neighbour_table", refuse)
     report = verify_all(10**4, 3)
     assert report.passed and report.edge_count == 98_176
 
@@ -492,6 +492,20 @@ def test_graph_file_errors_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith("error:") and "absent.txt" in err
     code, out, err = run(capsys, ["graph", "--n", "100", "--emit", str(tmp_path / "no" / "dir" / "e.txt")])
     assert (code, out) == (2, "") and err.startswith("error:") and "e.txt" in err
+
+
+def test_graph_refuses_points_past_int64_with_one_line(tmp_path):
+    # m = 65 reaches 8: a coordinate is refused once it, moved by 8, passes int64
+    path = tmp_path / "points.txt"
+    for rows in (["0 0", f"{2**63 - 8} 3"], ["0 0", f"{10**30} 3"], [f"{-(2**63)} 0", "1 1"], ["5 5", "5 6", f"-3 {8 - 2**63}"]):
+        path.write_text("\n".join(rows) + "\n")
+        out = _run_cli("graph", "--points", str(path), "--m", "65", "--emit", str(tmp_path / "e.txt"))
+        assert (out.returncode, out.stdout) == (2, ""), rows
+        assert out.stderr.startswith("error: coordinates from ") and out.stderr.count("\n") == 1, out.stderr
+        assert not (tmp_path / "e.txt").exists()
+    path.write_text(f"0 0\n{2**63 - 9} 3\n")
+    out = _run_cli("graph", "--points", str(path), "--m", "65", "--emit", str(tmp_path / "e.txt"))
+    assert out.returncode == 0 and json.loads(out.stdout)["vertices"] == 2, out.stderr
 
 
 def test_graph_prices_its_neighbour_table_before_building_it_or_opening_the_file(capsys, tmp_path, monkeypatch):

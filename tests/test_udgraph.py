@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from udl.config import build_config, choose_params
-from udl.paths import count_irredundant_from, count_irredundant_many, max_pair_count, total_irredundant_paths
+from udl.paths import (
+    count_irredundant_from,
+    count_irredundant_many,
+    max_pair_count,
+    per_pair_counts,
+    total_irredundant_paths,
+)
 from udl.udgraph import (
     DegreeSummary,
     UnitDistanceGraph,
@@ -264,14 +270,14 @@ def test_one_probe_from_build_through_peel_to_the_path_statistics(monkeypatch):
     import udl.udgraph
 
     calls = []
-    original = udl.udgraph._probe
+    original = udl.udgraph._neighbour_table
 
-    def counted(*args):
-        calls.append(len(args[0]))
-        return original(*args)
+    def counted(g):
+        calls.append(g.vertex_count)
+        return original(g)
 
-    for module in (udl.udgraph, udl.paths):  # a module that imported the name would probe past one patch
-        monkeypatch.setattr(module, "_probe", counted, raising=False)
+    for module in (udl.udgraph, udl.paths):  # a module that imported the name would build past one patch
+        monkeypatch.setattr(module, "_neighbour_table", counted, raising=False)
     holed = [p for p in grid(12) if p not in {(5, 5), (6, 2), (9, 9)}]
     g = build_graph(holed, 5)
     h = peel(g, 4)
@@ -370,7 +376,111 @@ def test_grid_starts_are_checked_against_the_box():
     for start in [(2, 7), (-3, 7), (-2, 10), (-2, 6), (2, 9)]:
         with pytest.raises(ValueError):
             count_irredundant_many(g, [start], 1)
-    assert g._index is None
+    assert g._keys is None and g._neighbours is None
+
+
+def _locate_against_a_dict(g, pts, probes):
+    import numpy as np
+
+    index = {p: i for i, p in enumerate(pts)}  # the oracle: pts sorted, as the graph keeps them
+    x, y = np.array(probes, dtype=np.int64).reshape(-1, 2).T
+    assert g.locate(x, y).tolist() == [index.get(p, len(pts)) for p in probes]
+
+
+def test_locate_matches_a_dict_of_the_points():
+    rng = random.Random(61)
+    cases = [(pts, m) for pts, m in holed_point_sets(rng, 20)]
+    for shift in (2**61, -(2**61)):
+        cases += [(sorted((x + shift, y - shift) for x, y in pts), m) for pts, m in holed_point_sets(rng, 5)]
+    cases += [([(3, y) for y in range(0, 20, 2)], 4), ([(x, -7) for x in range(-9, 9, 3)], 9), ([(5, 5)], 25)]
+    for pts, m in cases:
+        g = build_graph(pts, m)
+        x0, y0 = min(p[0] for p in pts), min(p[1] for p in pts)
+        x1, y1 = max(p[0] for p in pts), max(p[1] for p in pts)
+        box = [(x, y) for x in range(x0 - 2, x1 + 3) for y in range(y0 - 2, y1 + 3)]  # hits, holes and the rim outside
+        far = [(x0 - 10**9, y0), (x0, y1 + 10**9), (x1 + 10**9, y1 + 10**9)]
+        _locate_against_a_dict(g, pts, box + far + [p for p in pts if rng.random() < 0.3])
+        assert (g.neighbours == oracle_graph(pts, m).neighbours).all(), m
+    empty = build_graph([], 5)
+    _locate_against_a_dict(empty, [], [(0, 0), (1, 2)])
+    _locate_against_a_dict(empty, [], [])
+    assert empty.neighbours.shape == (8, 1)
+
+
+def test_grid_locate_is_box_arithmetic_and_builds_no_keys():
+    for w, h, corner in [(1, 1, (0, 0)), (4, 3, (-2, 7)), (7, 5, (2**61, -(2**61)))]:
+        g = grid_graph(w, 5, height=h, corner=corner)
+        x0, y0 = corner
+        probes = [(x, y) for x in range(x0 - 3, x0 + w + 3) for y in range(y0 - 3, y0 + h + 3)]
+        _locate_against_a_dict(g, [(x0 + i, y0 + j) for i in range(w) for j in range(h)], probes)
+        assert g._keys is None and g._neighbours is None and g._points is None
+
+
+def test_duplicate_starts_are_counted_once_on_explicit_graphs():
+    rng = random.Random(67)
+    for pts, m in holed_point_sets(rng, 10):
+        g = build_graph(pts, m)
+        assert g.grid is None
+        starts = rng.sample(pts, min(4, len(pts)))
+        twice = starts + starts[::-1] + [starts[0]]
+        assert count_irredundant_many(g, twice, 2) == count_irredundant_many(g, starts, 2)
+        assert list(count_irredundant_many(g, twice, 2)) == starts
+        pairs = per_pair_counts(g, 2, starts=twice)
+        assert pairs == per_pair_counts(g, 2, starts=starts)
+        assert sum(pairs.values()) == sum(count_irredundant_many(g, starts, 2).values())
+
+
+def test_emitting_a_grids_edges_lists_none_of_its_points():
+    g = grid_graph(9, 25, height=6, corner=(-4, 11))
+    text = g.to_edge_text()
+    assert g._points is None
+    assert text == build_graph(sorted(g.points), 25).to_edge_text() == oracle_graph(g.points, 25).to_edge_text()
+
+
+def test_coordinates_past_int64_are_refused():
+    top = 2**63 - 1
+    reach = {5: 2, 65: 8, 3: 0}
+    for m, r in reach.items():
+        assert build_graph([(top - r, 0), (0, 1)], m).vertex_count == 2
+        assert build_graph([(1 - 2**63 + r, 5)], m).vertex_count == 1
+        for pts in ([(top - r + 1, 0), (0, 1)], [(0, -top + r - 1)], [(2**63, 0)], [(-(2**63), 0), (1, 1)], [(0, 10**30)]):
+            with pytest.raises(ValueError, match="do not fit in int64"):
+                build_graph(pts, m)
+        with pytest.raises(ValueError, match="do not fit in int64"):
+            grid_graph(3, m, corner=(top - r - 1, 0))
+        assert grid_graph(3, m, corner=(top - r - 2, -top + r)).vertex_count == 9
+    # a full box is refused as well as a holed set
+    with pytest.raises(ValueError, match="do not fit in int64"):
+        build_graph([(x, y) for x in (top - 1, top) for y in (0, 1)], 1)
+
+
+def test_a_start_past_int64_is_not_in_the_graph():
+    holed = [p for p in grid(6) if p != (2, 2)]
+    for g in (build_graph(holed, 5), grid_graph(6, 5), build_graph([], 5)):
+        for start in [(2**63, 0), (0, -(2**63) - 1), (10**40, 10**40), (-(2**63), 0)]:
+            with pytest.raises(ValueError, match=r"start vertex .* is not in the graph"):
+                count_irredundant_many(g, [(0, 0), start], 1) if g.vertex_count else count_irredundant_many(g, [start], 1)
+            with pytest.raises(ValueError, match=r"start vertex .* is not in the graph"):
+                count_irredundant_from(g, start, 1)
+
+
+def test_a_grid_of_more_than_int64_vertices_locates_its_starts_exactly():
+    # 2^64 vertices: an index past int64 is kept exact, and the counts at the
+    # corners and near the edges equal those of a small grid with the same corner
+    import numpy as np
+
+    def starts(w):
+        return [(-3, 5), (w - 4, 5), (-3, w + 4), (w - 4, w + 4), (-2, 6), (w - 5, 5)]
+
+    huge, small = grid_graph(2**32, 5, corner=(-3, 5)), grid_graph(20, 5, corner=(-3, 5))
+    assert huge.vertex_count > 2**63
+    for k in (1, 2, 3):
+        got = count_irredundant_many(huge, starts(2**32), k)
+        assert list(got.values()) == list(count_irredundant_many(small, starts(20), k).values()), k
+    one = np.array([2**31], dtype=np.int64)
+    assert huge.locate(one, one)[0] == (2**31 + 3) * 2**32 + 2**31 - 5
+    with pytest.raises(ValueError, match="not in the graph"):
+        count_irredundant_many(huge, [(2**32 - 3, 5)], 1)
 
 
 def test_points_with_a_full_box_count_but_a_hole_are_not_a_grid():
@@ -396,7 +506,7 @@ def test_work_on_the_config_grid_builds_no_adjacency():
         count_irredundant_many(h, starts, k)
         total_irredundant_paths(h, k)
         max_pair_count(h, k)
-    assert g._neighbours is None and g._index is None and g._points is None
+    assert g._neighbours is None and g._keys is None and g._points is None
 
 
 def test_vectors_are_computed_once_per_graph(monkeypatch):
