@@ -16,6 +16,7 @@ from .config import ConfigParams, choose_params, generators, rank_bounds, verify
 from .gaussian import GaussInt, representations
 from .numtheory import AP_1_MOD_4, chebyshev, factor, two_squares_count
 from .paths import (
+    TABLE_WORK,
     StepBudgetExceeded,
     _check_budget,
     count_irredundant_many,
@@ -30,8 +31,9 @@ SAMPLE_STARTS = 50
 ASYMPTOTIC_X = 10**6
 MAX_VERIFY_K = 6
 BRUTEFORCE_EDGE_LIMIT = 1000  # O(v^2) edge oracle only below this many vertices
-# `graph` prices the n * R table entries, located by box arithmetic or sorted keys, against the step budget
-GRAPH_WORK = ("neighbour-table lookups", "UDL_STEP_BUDGET")
+# `graph` prices the n * R lookups of a neighbour table against the step budget: the table of a point set,
+# or the rows a grid locates block by block as it emits its edges
+GRAPH_WORK = (TABLE_WORK, "UDL_STEP_BUDGET")
 
 
 @dataclass(frozen=True)
@@ -276,31 +278,38 @@ def _cmd_config(args) -> int:
 def _write_replacing(path: str, lines) -> None:
     """Write `lines` to a new file beside `path`, then move it onto `path`:
     on any error the new file is removed, so an existing `path` keeps its
-    bytes and a missing one is not created."""
+    bytes and a missing one is not created.  A file error names `path`,
+    not the new file."""
     head, tail = os.path.split(path)
     temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    fh = open(temporary, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.writelines(lines)
-        os.replace(temporary, path)
-    except BaseException:
-        os.remove(temporary)
-        raise
+        fh = open(temporary, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(lines)
+            os.replace(temporary, path)
+        except BaseException:
+            os.remove(temporary)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_graph(args) -> int:
-    if args.points:
-        if args.m is None:
-            print("error: --points needs --m", file=sys.stderr)
+    for wrong, message in (  # an option the run would ignore is refused, not dropped
+        (args.points and args.n is not None, "give --n or --points, not both"),
+        (args.points and args.m is None, "--points needs --m"),
+        (not args.points and args.n is None, "give --n or --points"),
+        (not args.points and args.m is not None, "--m needs --points: --n picks its own m"),
+    ):
+        if wrong:
+            print(f"error: {message}", file=sys.stderr)
             return 2
+    if args.points:
         points = _read_points(args.points)
         _check_budget(len(points) * two_squares_count(args.m), None, *GRAPH_WORK)
         g = build_graph(points, args.m)
     else:
-        if args.n is None:
-            print("error: give --n or --points", file=sys.stderr)
-            return 2
         params = choose_params(args.n)
         g = grid_graph(params.side, params.m)
     if args.emit:
@@ -360,8 +369,7 @@ def _cmd_verify(args) -> int:
     report = verify_all(args.n, args.k_max, seed=args.seed, step_budget=args.step_budget)
     text = report.to_json()
     if args.emit:
-        with open(args.emit, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_replacing(args.emit, [text])
     sys.stdout.write(text)
     return 0 if report.passed else 1
 

@@ -38,6 +38,7 @@ from .udgraph import _GATHER_BUDGET, UnitDistanceGraph, _box_depth, _distinct
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
+TABLE_WORK = "neighbour-table lookups"  # the n * R entries of a table, priced before it is built
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -63,6 +64,14 @@ def _check_budget(projected: int, budget: int | None, *message) -> None:
     limit = effective_step_budget(budget)
     if projected > limit:
         raise StepBudgetExceeded(projected, limit, *message)
+
+
+def _table(g: UnitDistanceGraph, step_budget: int | None):
+    """g's neighbour table.  A grid builds it only on first access, so its
+    n * R lookups are charged to the step budget first."""
+    if g._neighbours is None:
+        _check_budget(g.vertex_count * len(g.vectors), step_budget, TABLE_WORK)
+    return g.neighbours
 
 
 def projected_steps(g: UnitDistanceGraph, k: int, starts=None) -> int:
@@ -152,10 +161,10 @@ def _walks(step, start, depth: int):
     return trail, walk(start, depth) if depth else iter((S,))
 
 
-def _vertex_step(g: UnitDistanceGraph):
+def _vertex_step(g: UnitDistanceGraph, step_budget: int | None):
     """`step` for `_walks` over vertex indices: the moves out of vertex u as
-    (w, u - w), read from column u of the neighbour table."""
-    table, n = g.neighbours, g.vertex_count
+    (w, u - w), read from column u of the neighbour table (see `_table`)."""
+    table, n = _table(g, step_budget), g.vertex_count
     negs = [complex(-dx, -dy) for dx, dy in g.vectors]
 
     def step(u: int):
@@ -169,7 +178,7 @@ def count_irredundant_from(
 ) -> int:
     """Number of irredundant k-edge paths leaving `start`."""
     _, (i,) = _checked_starts(g, [start], k, step_budget)
-    step = _vertex_step(g)
+    step = _vertex_step(g, step_budget)
     trail, walks = _walks(step, i, k - 1)
     # a last step to w is blocked exactly when u - w is in S
     return sum(nz not in S for S in walks for _, nz in step(trail[-1]))
@@ -178,7 +187,7 @@ def count_irredundant_from(
 def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None):
     """Yield the PathRecords themselves; same pruning as the counter."""
     _, (i,) = _checked_starts(g, [start], k, step_budget)
-    trail, walks = _walks(_vertex_step(g), i, k)
+    trail, walks = _walks(_vertex_step(g, step_budget), i, k)
     for _ in walks:
         yield PathRecord.from_vertices([g.point(t) for t in trail])
 
@@ -225,7 +234,7 @@ def count_irredundant_many(
         images = [_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]
         ix, iy = np.array([x for x, _ in images]), np.array([y for _, y in images])  # one row per map
         ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
-        field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count), _rect_spans(g, k, dims))
+        field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count))
         total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
         return dict(zip(starts, (total // len(syms)).tolist()))
     return dict(zip(starts, _start_counts(g, k, at).tolist()))
@@ -253,6 +262,7 @@ def per_pair_counts(
     pairs: dict = {}
     if not starts:
         return pairs
+    table = _table(g, step_budget)
     dx, dy, _, tuples = _displacement_groups(g.vectors, k)
     # every key is a new tuple the cyclic GC tracks, so it would run full
     # collections over the growing dict; keys of ints cannot form a cycle
@@ -260,7 +270,7 @@ def per_pair_counts(
     gc.disable()
     try:
         for gi, (ddx, ddy) in enumerate(zip(dx.tolist(), dy.tolist())):
-            depth = _group_depth(g.neighbours, tuples(gi), at)
+            depth = _group_depth(table, tuples(gi), at)
             hit = np.flatnonzero(depth)
             for i, c in zip(hit.tolist(), depth[hit].tolist()):
                 v = starts[i]
@@ -593,16 +603,6 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
         dx, dy = sx[heads], sy[heads]
         cache[k] = (dx, dy, count, _orbit_size(w, h, dx, dy), *rect)
     return cache[k]
-
-
-def _rect_spans(g: UnitDistanceGraph, k: int, dims):
-    """(lo, hi) bounds of each rectangle column of `_grid_paths`, in the
-    order ax, bx, ay, by.  A prefix box reaches at most k * reach offsets
-    from its start (reach: the largest vector coordinate), and a kept row
-    has 0 <= ax <= bx <= w - 1 and 0 <= ay <= by <= h - 1."""
-    _, _, w, h = dims
-    far = k * max((abs(c) for v in g.vectors for c in v), default=0)
-    return (0, min(far, w - 1)), (max(0, w - 1 - far), w - 1), (0, min(far, h - 1)), (max(0, h - 1 - far), h - 1)
 
 
 def total_irredundant_paths(

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import random
@@ -575,6 +576,52 @@ def test_graph_malformed_points_line_names_the_file_and_line(capsys, tmp_path):
 def test_verify_emit_file_error_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["verify", "--n", "100", "--emit", str(tmp_path / "no" / "dir" / "r.json")])
     assert (code, out) == (2, "") and err.startswith("error:") and "r.json" in err
+
+
+def test_verify_emit_keeps_the_old_report_when_the_move_fails(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    path.write_text("kept\n")
+
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, out, err = run(capsys, ["verify", "--n", "100", "--k-max", "2", "--emit", str(path)])
+    assert (code, out) == (2, "") and str(path) in err and ".tmp" not in err, err
+    assert path.read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["report.json"]  # no temporary file is left behind
+
+
+def test_emit_errors_name_the_target_not_the_temporary(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "no" / "dir" / "out.txt"
+    for argv in (["graph", "--n", "100"], ["verify", "--n", "100", "--k-max", "1"]):
+        code, out, err = run(capsys, [*argv, "--emit", str(missing)])
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot write {missing}: {os.strerror(errno.ENOENT)}\n", argv
+
+    def refuse(src, dst):
+        raise OSError(errno.EACCES, os.strerror(errno.EACCES), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for argv in (["graph", "--n", "100"], ["verify", "--n", "100", "--k-max", "1"]):
+        code, out, err = run(capsys, [*argv, "--emit", str(tmp_path / "out.txt")])
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot write {tmp_path / 'out.txt'}: {os.strerror(errno.EACCES)}\n", argv
+    assert os.listdir(tmp_path) == []  # no temporary file is left behind
+
+
+def test_graph_refuses_options_it_would_ignore(capsys, tmp_path):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0 0\n3 4\n")
+    edges = tmp_path / "edges.txt"
+    for argv, message in (
+        (["graph", "--n", "100", "--m", "7"], "--m needs --points: --n picks its own m"),
+        (["graph", "--n", "100", "--points", str(pts), "--m", "5"], "give --n or --points, not both"),
+    ):
+        assert run(capsys, argv) == (2, "", f"error: {message}\n"), argv
+        assert run(capsys, [*argv, "--emit", str(edges)]) == (2, "", f"error: {message}\n"), argv
+        assert not edges.exists()
+    assert run(capsys, ["graph", "--points", str(pts), "--m", "5"])[0] == 0
 
 
 def test_non_finite_numbers_exit_2(capsys):

@@ -33,7 +33,6 @@ from udl.paths import (
     _orbit_least,
     _ordering_counts,
     _orderings,
-    _rect_spans,
 )
 from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
 
@@ -165,6 +164,55 @@ def test_step_budget_env_override(monkeypatch):
     g = build_graph(grid(10), 5)
     with pytest.raises(StepBudgetExceeded):
         count_irredundant_from(g, (0, 0), 3)
+
+
+def test_a_lazy_grids_table_is_priced_before_it_is_built():
+    # the 10 x 10 grid at m = 5 has n * R = 800 table entries; one start's DFS steps are far fewer
+    refusal = "projected 800 neighbour-table lookups exceed the budget of 799"
+    for call in (
+        lambda g, budget: count_irredundant_from(g, (5, 5), 3, step_budget=budget),
+        lambda g, budget: list(enumerate_irredundant_from(g, (5, 5), 3, step_budget=budget)),
+        lambda g, budget: per_pair_counts(g, 2, starts=[(5, 5)], step_budget=budget),
+    ):
+        g = grid_graph(10, 5)
+        with pytest.raises(StepBudgetExceeded, match=refusal):
+            call(g, 799)
+        assert g._neighbours is None
+        assert call(g, 800) == call(build_graph(grid(10), 5), 800)
+        assert g._neighbours is not None
+        assert call(g, 8**3) == call(build_graph(grid(10), 5), 800)  # 512 steps at most; a built table is not charged again
+
+
+def test_a_lazy_grids_table_is_refused_in_a_gibibyte():
+    # a 10^6 x 10^6 grid at m = 5: the table is 8 * 10^12 lookups, and its coordinate columns alone 7.28 TiB
+    # each, so the refusal must come before any allocation; the statistics that read no table still run
+    start = (500_000, 500_000)
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from udl.paths import StepBudgetExceeded, count_irredundant_from, count_irredundant_many\n"
+        "from udl.paths import enumerate_irredundant_from, per_pair_counts\n"
+        "from udl.udgraph import grid_graph\n"
+        "g = grid_graph(10**6, 5)\n"
+        f"for call in (lambda: count_irredundant_from(g, {start}, 3), lambda: next(enumerate_irredundant_from(g, {start}, 3)),\n"
+        f"             lambda: per_pair_counts(g, 2, starts=[{start}])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except StepBudgetExceeded as exc:\n"
+        "        print(exc)\n"
+        "assert g._neighbours is None\n"
+        f"print(count_irredundant_many(g, [{start}], 3)[{start}])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    env.pop("UDL_STEP_BUDGET", None)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    *refusals, count = out.stdout.splitlines()
+    refusal = "projected 8000000000000 neighbour-table lookups exceed the budget of 1000000000; raise --step-budget or UDL_STEP_BUDGET to force the run"
+    assert refusals == [refusal] * 3
+    assert int(count) == sum(is_irredundant(t) for t in product(sorted(two_squares_set(5)), repeat=3))
 
 
 def test_path_count_lower_bound_examples():
@@ -396,19 +444,6 @@ def test_rect_columns_narrow_only_where_no_side_can_wrap():
     assert total_irredundant_paths(g, 1) == sum(max(w - abs(dx), 0) * max(w - abs(dy), 0) for dx, dy in vectors)
 
 
-def test_rect_spans_bound_every_rect_column():
-    # the sampled counts rank the rect columns by tables over these bounds, so a value outside one would be
-    # ranked at a wrong (wrapped) table entry; grids narrower than k * reach clip the bounds to the side
-    for m in (1, 5, 25, 65):
-        for k in (1, 2, 3, 4):
-            for w, h in ((2, 2), (3, 7), (9, 9), (30, 11), (40, 40)):
-                g = grid_graph(w, m, height=h)
-                rect = _grid_paths(g, k, g.grid)[4:]
-                for col, (lo, hi) in zip(rect, _rect_spans(g, k, g.grid)):
-                    assert 0 <= lo <= hi < max(w, h), (m, k, w, h)
-                    assert len(col) == 0 or lo <= col.min() <= col.max() <= hi, (m, k, w, h, lo, hi)
-
-
 def test_max_pair_all_two_tuple_groups_tie_at_m1105():
     # the n = 10^4 configuration's 32 vectors: each of the 480 unordered
     # non-opposite pairs {a, b} is a displacement group of depth 2 once the
@@ -475,12 +510,6 @@ def test_box_depth_matches_a_bruteforce_count(monkeypatch):
         # by one call each; both groups in column order
         tabled = [span <= rows for span in spans]
         assert calls == [span for span, t in zip(spans, tabled) if t] + [rows for t in tabled if not t], trial
-        if rows:  # a given (lo, hi) per column that holds its values, as `_rect_spans` gives, ranks the same
-            pad = random.Random(trial)  # its own draws, so the cases after this one stay as they were
-            given = [(int(col.min()) - pad.randint(0, 3), int(col.max()) + pad.randint(0, 3)) for col in (xa, xb, ya, yb)]
-            calls.clear()
-            assert _box_depth(xa, xb, ya, yb, ux, uy, spans=given).tolist() == got.tolist(), trial
-            assert sorted(calls) == sorted(hi - lo + 1 if hi - lo < rows else rows for lo, hi in given), trial
         if trial < 21:
             assert [span <= rows for span in spans] == [[True] * 4, [False] * 4, []][trial % 3], trial
         # one integer weight per row, as the sampled grid counts weight each rect by its group's orbit, and

@@ -433,7 +433,7 @@ def test_duplicate_starts_are_counted_once_on_explicit_graphs():
 def test_emitting_a_grids_edges_lists_none_of_its_points():
     g = grid_graph(9, 25, height=6, corner=(-4, 11))
     text = g.to_edge_text()
-    assert g._points is None
+    assert g._points is None and g._neighbours is None  # its edges are located block by block, with no table
     assert text == build_graph(sorted(g.points), 25).to_edge_text() == oracle_graph(g.points, 25).to_edge_text()
 
 
