@@ -7,7 +7,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, dropwhile
+from itertools import chain, compress, count, islice
 
 # Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
 # than silently thrash.
@@ -34,6 +34,14 @@ _MR_BOUNDS = (
     3_317_044_064_679_887_385_961_981,
 )
 _MR_EXACT_LIMIT = _MR_BOUNDS[-1]
+
+# is_probable_prime reads the shared sieve's flags below this bound; that
+# sieve then holds at most 2**20 bytes of odd flags.
+_SIEVED_PRIMALITY_LIMIT = 1 << 21
+
+# theta and psi fold their logs this many at a time into an exact integer
+# (see `_exact_log_sum`)
+_FOLD_CHUNK = 4096
 
 # factor trial-divides by the primes up to this bound before Pollard-Brent rho
 _TRIAL_BOUND = 1 << 10
@@ -89,6 +97,9 @@ class PrimeTable:
             raise ValueError(f"sieve limit {limit} exceeds hard cap {SIEVE_HARD_LIMIT}")
         self.limit = limit
         self._flags = _odd_sieve_flags(limit)
+        # ((x, cls), sum) for the latest class sum of `_class_log_sum`: one
+        # entry, dropped with the table when a larger sieve replaces it
+        self._class_sum: tuple[tuple[int, APClass], int] | None = None
 
     @cached_property
     def primes(self) -> list[int]:
@@ -111,17 +122,35 @@ _cache: PrimeTable | None = None
 
 
 def _table(limit: int) -> PrimeTable:
-    """Shared table, grown geometrically so repeat callers reuse one sieve."""
+    """Shared table, grown geometrically so repeat callers reuse one sieve.
+
+    The old table is let go before the larger one is sieved, so a growth step
+    holds one sieve, not two.
+    """
     global _cache
     if _cache is None or _cache.limit < limit:
         target = max(limit, 1 << 16)
         if _cache is not None:
             target = max(target, min(2 * _cache.limit, SIEVE_HARD_LIMIT))
+        _cache = None
         _cache = PrimeTable(target)
     return _cache
 
 
 def is_probable_prime(n: int) -> bool:
+    """Primality of n, exact below 3.3e24 (`_MR_EXACT_LIMIT`).
+
+    Below 2**21 it reads the shared sieve's flags; above, it runs
+    `_miller_rabin`.
+    """
+    if n < 2:
+        return False
+    if n < _SIEVED_PRIMALITY_LIMIT:
+        return _table(n).is_prime(n)
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
     """Miller-Rabin, deterministic below 3.3e24 (`_MR_EXACT_LIMIT`).
 
     It runs the first j witnesses for the least j with n < psi_j, which
@@ -287,11 +316,44 @@ def primes_in_ap(limit: int, cls: APClass) -> list[int]:
     return sorted(chain.from_iterable(_class_primes(limit, cls)))
 
 
-def _prime_power_logs(primes, x: int, d: int, a: int):
-    """log p once for each power p^l <= x of the given primes with p^l = a (mod d)."""
-    for p in primes:
+def _exact_log_sum(logs) -> int:
+    """The exact sum of the floats logs, each >= 1/2, in units of 2**-53.
+
+    A float >= 1/2 is a multiple of 2**-53, and so is any sum of such floats.
+    Each chunk's exact sum T is folded into s = fsum(chunk), T correctly
+    rounded, and r = fsum(chunk + [-s]), T - s correctly rounded.  s is
+    itself >= 1/2, so T - s is a multiple of 2**-53; it is at most half an
+    ulp of s, and s < 2**17 (4 096 logs of numbers <= 10**8), so
+    |T - s| <= 2**-37 = 2**16 * 2**-53.  That fits in 53 bits, so r is
+    T - s exactly.  ldexp(s, 53) and ldexp(r, 53) are
+    then integer floats, and T * 2**53 = int(ldexp(s, 53)) + int(ldexp(r, 53)).
+    """
+    total = 0
+    logs = iter(logs)
+    while chunk := list(islice(logs, _FOLD_CHUNK)):
+        s = math.fsum(chunk)
+        chunk.append(-s)
+        total += int(math.ldexp(s, 53)) + int(math.ldexp(math.fsum(chunk), 53))
+    return total
+
+
+def _class_log_sum(x: int, cls: APClass) -> int:
+    """Sum of log p over the primes p <= x with p = a (mod d), in units of
+    2**-53 (`_exact_log_sum`); the shared table keeps the latest one."""
+    table = _table(max(x, 2))
+    if table._class_sum is None or table._class_sum[0] != (x, cls):
+        logs = map(math.log, chain.from_iterable(_class_primes(x, cls)))
+        table._class_sum = ((x, cls), _exact_log_sum(logs))
+    return table._class_sum[1]
+
+
+def _higher_power_logs(x: int, cls: APClass):
+    """log p once for each power p^l <= x with l >= 2 and p^l = a (mod d);
+    only a prime p <= sqrt(x) has one."""
+    d, a = cls.d, cls.a
+    for p in _table(max(x, 2)).primes_up_to(math.isqrt(x)):
         logp = math.log(p)
-        power = p
+        power = p * p
         while power <= x:
             if power % d == a:
                 yield logp
@@ -306,28 +368,24 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     satisfies p^l = a (mod d).  Note the psi congruence condition is on the
     power itself, not on p: 9 = 3^2 contributes log 3 to psi for the class
     1 mod 4 even though 3 = 3 (mod 4).
+
+    theta and psi are exact integer sums of their float terms in units of
+    2**-53, divided once: int true division rounds to nearest-even, as fsum
+    does, so each is the fsum of its terms to the bit, and psi reuses the
+    class sum theta read at the same x.
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
+    if x >= SIEVE_HARD_LIMIT + 1:
+        raise ValueError(f"x = {x} exceeds the sieve's hard cap {SIEVE_HARD_LIMIT}")
     xf = math.floor(x)
-    d, a = cls.d, cls.a
     if kind == "pi":
         small, runs = _class_runs(xf, cls)
         return len(small) + sum(flags.count(1) for _, flags in runs)
     if kind == "theta":
-        return math.fsum(map(math.log, chain.from_iterable(_class_primes(xf, cls))))
+        return _class_log_sum(xf, cls) / (1 << 53)
     if kind == "psi":
-        # only a prime p <= sqrt(x) has a higher power <= x; above that the
-        # terms are the theta terms.  fsum rounds the exact sum once, so the
-        # order of the terms, and of the class's runs, does not change a bit
-        # of the result.
-        root = math.isqrt(xf)
-        return math.fsum(
-            chain(
-                _prime_power_logs(_table(max(xf, 2)).primes_up_to(root), xf, d, a),
-                map(math.log, chain.from_iterable(dropwhile(root.__ge__, run) for run in _class_primes(xf, cls))),
-            )
-        )
+        return (_class_log_sum(xf, cls) + _exact_log_sum(_higher_power_logs(xf, cls))) / (1 << 53)
     raise ValueError(f"kind must be one of pi, theta, psi; got {kind!r}")
 
 

@@ -183,6 +183,15 @@ def test_chebyshev_subcommand(capsys):
     assert code == 0
 
 
+def test_chebyshev_refuses_x_past_the_sieve_cap_as_given(capsys):
+    # refused before x is floored: the message names 1e+300, not its 301-digit floor
+    for x, shown in (("1e300", "1e+300"), ("100000001", "100000001.0")):
+        for kind in ("pi", "theta", "psi"):
+            code, out, err = run(capsys, ["chebyshev", "--kind", kind, "--x", x])
+            assert (code, out) == (2, ""), (x, kind)
+            assert err == f"error: x = {shown} exceeds the sieve's hard cap 100000000\n", (x, kind)
+
+
 def test_bounds_subcommand_json_and_csv(capsys):
     code, out, _ = run(capsys, ["bounds", "--k", "3", "--r", "2", "--log-n", "1000"])
     assert code == 0

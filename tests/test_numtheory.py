@@ -2,13 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import udl.numtheory
 from udl.numtheory import (
+    _FOLD_CHUNK,
     _MR_BOUNDS,
     _MR_EXACT_LIMIT,
     _MR_WITNESSES,
+    _SIEVED_PRIMALITY_LIMIT,
+    AP_1_MOD_4,
     APClass,
     _class_runs,
+    _miller_rabin,
     PrimeTable,
     chebyshev,
     euler_phi,
@@ -278,12 +285,13 @@ def test_witness_table_is_the_strong_pseudoprime_bounds():
     assert list(_MR_BOUNDS) == sorted(_MR_BOUNDS)
     for j, n in enumerate(_MR_BOUNDS, 1):
         assert strong_probable_prime(n, _MR_WITNESSES[:j]), (j, n)
+        assert _miller_rabin(n) == (j == len(_MR_BOUNDS)), (j, n)
         assert is_probable_prime(n) == (j == len(_MR_BOUNDS)), (j, n)
 
 
 def test_witnesses_by_size_agree_with_all_thirteen_below_1e5():
     for n in range(10**5):
-        assert is_probable_prime(n) == strong_probable_prime(n, _MR_WITNESSES), n
+        assert _miller_rabin(n) == strong_probable_prime(n, _MR_WITNESSES), n
 
 
 def test_witnesses_by_size_agree_with_all_thirteen_in_each_band():
@@ -293,7 +301,37 @@ def test_witnesses_by_size_agree_with_all_thirteen_in_each_band():
             continue
         for _ in range(2000):
             n = rng.randrange(lo, hi)
-            assert is_probable_prime(n) == strong_probable_prime(n, _MR_WITNESSES), n
+            assert _miller_rabin(n) == strong_probable_prime(n, _MR_WITNESSES), n
+
+
+def test_sieved_primality_agrees_with_miller_rabin():
+    # below 2^21 is_probable_prime reads the sieve's flags, above it runs Miller-Rabin
+    assert _SIEVED_PRIMALITY_LIMIT == 1 << 21
+    for n in range(-3, 10**5):
+        assert is_probable_prime(n) == _miller_rabin(n), n
+    rng = random.Random(19)
+    edge = [(1 << 21) - 1, 1 << 21, (1 << 21) + 1, 1_373_653, 1_373_653 + 2, 2_097_143, 2_097_169]
+    drawn = [rng.randrange(10**5, 1 << 22) for _ in range(20_000)]
+    for n in edge + drawn:
+        assert is_probable_prime(n) == _miller_rabin(n), n
+    assert is_probable_prime(2_097_143) and is_probable_prime(2_097_169)
+    assert not is_probable_prime(1_373_653)
+
+
+def test_a_growing_table_lets_the_old_sieve_go_first(monkeypatch):
+    monkeypatch.setattr(udl.numtheory, "_cache", PrimeTable(1000))
+    held = []
+    original = PrimeTable.__init__
+
+    def spy(self, limit):
+        held.append(udl.numtheory._cache)
+        original(self, limit)
+
+    monkeypatch.setattr(PrimeTable, "__init__", spy)
+    table = udl.numtheory._table(5000)
+    assert held == [None]
+    assert udl.numtheory._cache is table and table.limit == 1 << 16
+    assert udl.numtheory._table(5000) is table and held == [None]
 
 
 @pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7), (3, 2), (5, 2), (12, 7)])
@@ -305,6 +343,70 @@ def test_chebyshev_is_bit_identical_to_the_listed_sums(d, a):
         # pi counts the class's flag bytes without listing the primes; the list agrees
         pi = chebyshev("pi", x, cls)
         assert type(pi) is int and pi == len(primes_in_ap(x, cls)), x
+
+
+def test_theta_and_psi_are_bit_identical_in_any_order_and_share_one_class_sum(monkeypatch):
+    cls = APClass(4, 3)
+    calls = []
+    original = udl.numtheory._class_primes
+
+    def counted(x, c):
+        calls.append((x, c))
+        return original(x, c)
+
+    monkeypatch.setattr(udl.numtheory, "_class_primes", counted)
+    for x in (10**4, 54_321):
+        theta, psi = chebyshev_sum("theta", x, 4, 3), chebyshev_sum("psi", x, 4, 3)
+        for kind in ("psi", "theta", "psi", "theta", "theta", "psi"):
+            assert chebyshev(kind, x, cls) == (theta if kind == "theta" else psi), (kind, x)
+        assert calls == [(x, cls)], calls
+        calls.clear()
+
+
+def test_the_class_sum_goes_with_the_table_it_was_read_from(monkeypatch):
+    # the cached sum lives on the table, so growing the sieve drops it
+    monkeypatch.setattr(udl.numtheory, "_cache", PrimeTable(3000))
+    cls = APClass(4, 1)
+    small = udl.numtheory._table(0)
+    expect = {x: (chebyshev_sum("theta", x, 4, 1), chebyshev_sum("psi", x, 4, 1)) for x in (2999, 10**5)}
+    assert (chebyshev("theta", 2999, cls), chebyshev("psi", 2999, cls)) == expect[2999]
+    assert small._class_sum[0] == (2999, cls)
+    assert (chebyshev("psi", 10**5, cls), chebyshev("theta", 10**5, cls)) == expect[10**5][::-1]
+    grown = udl.numtheory._table(0)
+    assert grown is not small and grown.limit >= 10**5 and grown._class_sum[0] == (10**5, cls)
+    assert (chebyshev("theta", 2999, cls), chebyshev("psi", 2999, cls)) == expect[2999]
+    assert udl.numtheory._table(0) is grown and grown._class_sum[0] == (2999, cls)
+
+
+@pytest.mark.parametrize("d, a", [(4, 1), (3, 2), (8, 3)])
+def test_theta_is_bit_identical_at_the_fold_chunk_edges(d, a):
+    # x at the class's 4 095th, 4 096th and 4 097th prime: the fold's last
+    # chunk is one short of full, exactly full, and one term
+    cls = APClass(d, a)
+    assert _FOLD_CHUNK == 4096
+    primes = primes_in_ap(4 * 10**5, cls)
+    for count in (_FOLD_CHUNK - 1, _FOLD_CHUNK, _FOLD_CHUNK + 1, 2 * _FOLD_CHUNK):
+        x = primes[count - 1]
+        assert len(primes_in_ap(x, cls)) == count
+        for kind in ("theta", "psi"):
+            assert chebyshev(kind, x, cls) == chebyshev_sum(kind, x, d, a), (kind, count)
+
+
+_CLASSES = [(4, 1), (4, 3), (3, 1), (3, 2), (5, 2), (8, 5), (10, 7), (12, 7), (2, 1), (9, 4)]
+
+
+@given(x=st.integers(0, 2 * 10**5), da=st.sampled_from(_CLASSES), psi_first=st.booleans())
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+def test_theta_and_psi_are_bit_identical_on_drawn_classes(x, da, psi_first):
+    d, a = da
+    kinds = ("psi", "theta") if psi_first else ("theta", "psi")
+    for kind in kinds:
+        assert chebyshev(kind, x, APClass(d, a)) == chebyshev_sum(kind, x, d, a), (kind, x, d, a)
+
+
+def test_theta_at_1e7_is_the_fsum_of_the_listed_logs():
+    for cls in (AP_1_MOD_4, APClass(3, 2)):
+        assert chebyshev("theta", 10**7, cls) == math.fsum(map(math.log, primes_in_ap(10**7, cls))), cls
 
 
 @pytest.mark.parametrize("d, a", [(3, 1), (3, 2), (6, 5), (9, 4), (12, 7), (2, 1), (4, 1), (4, 3), (5, 3), (7, 2), (8, 3), (10, 3)])
