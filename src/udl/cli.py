@@ -31,8 +31,8 @@ SAMPLE_STARTS = 50
 ASYMPTOTIC_X = 10**6
 MAX_VERIFY_K = 6
 BRUTEFORCE_EDGE_LIMIT = 1000  # O(v^2) edge oracle only below this many vertices
-# `graph` prices the n * R lookups of a neighbour table against the step budget: the table of a point set,
-# or the rows a grid locates block by block as it emits its edges
+# `graph` prices the n * R lookups of a neighbour table against the step budget once: the table of a point
+# set, or the rows a grid locates block by block as it emits its edges
 GRAPH_WORK = (TABLE_WORK, "UDL_STEP_BUDGET")
 
 
@@ -305,15 +305,16 @@ def _cmd_graph(args) -> int:
         if wrong:
             print(f"error: {message}", file=sys.stderr)
             return 2
-    if args.points:
+    if args.points:  # priced before its table is built; emitting reads that table, or locates as many on a full box
         points = _read_points(args.points)
         _check_budget(len(points) * two_squares_count(args.m), None, *GRAPH_WORK)
         g = build_graph(points, args.m)
-    else:
+    else:  # a grid locates its lookups only to emit its edges
         params = choose_params(args.n)
         g = grid_graph(params.side, params.m)
+        if args.emit:
+            _check_budget(g.vertex_count * len(g.vectors), None, *GRAPH_WORK)
     if args.emit:
-        _check_budget(g.vertex_count * len(g.vectors), None, *GRAPH_WORK)
         _write_replacing(args.emit, g.edge_lines())
     d = degree_summary(g)
     print(

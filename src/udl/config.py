@@ -36,21 +36,6 @@ class ConfigParams:
 
 
 @dataclass(frozen=True)
-class PointSet:
-    points: tuple[tuple[int, int], ...]
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def to_text(self) -> str:
-        """One "x y" pair per line, ascending row-major."""
-        return "\n".join(f"{x} {y}" for x, y in self.points) + "\n"
-
-
-@dataclass(frozen=True)
 class GeneratorSet:
     """Conjugate generator pairs (x_j + i y_j, x_j - i y_j), one per prime
     factor of m, plus the symbolic normalization exponent."""
@@ -95,10 +80,10 @@ def choose_params(n: int) -> ConfigParams:
     return ConfigParams(n=n, r=r, m=m, primes=tuple(primes), side=math.isqrt(n))
 
 
-def build_config(params: ConfigParams) -> PointSet:
-    """The side x side integer grid, ascending row-major."""
+def build_config(params: ConfigParams) -> tuple[tuple[int, int], ...]:
+    """The side x side integer grid's points, ascending row-major."""
     side = params.side
-    return PointSet(tuple((x, y) for x in range(side) for y in range(side)))
+    return tuple((x, y) for x in range(side) for y in range(side))
 
 
 def generators(params: ConfigParams) -> GeneratorSet:

@@ -49,26 +49,12 @@ class GaussInt(NamedTuple):
         return (self.a, self.b)
 
 
-UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
-
-
-def are_associates(u: GaussInt, v: GaussInt) -> bool:
-    """True when u = unit * v for one of the four units."""
-    return any(u == w * v for w in UNITS)
-
-
 @dataclass(frozen=True)
 class GaussFactorization:
     """A product expression unit * factors[0] * ... * factors[-1]."""
 
     unit: GaussInt
     factors: tuple[GaussInt, ...]
-
-    def element(self) -> GaussInt:
-        out = self.unit
-        for f in self.factors:
-            out = out * f
-        return out
 
 
 # (q, the quadratic nonresidues mod q) for the odd primes q up to 47

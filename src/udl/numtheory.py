@@ -6,7 +6,6 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, count, islice
 
 # Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
@@ -82,12 +81,11 @@ def _odd_sieve_flags(limit: int) -> bytearray:
 class PrimeTable:
     """Primality flags of the odd numbers up to a fixed limit, from a sieve
     of Eratosthenes; the odd number p sits at flag index p >> 1.
+    `primes_up_to` lists a prefix of the primes; `primes_in_ap` and
+    `chebyshev` read their class off the flags instead.
 
     Attributes:
         limit: inclusive sieve bound.
-        primes: sorted list of all primes <= limit, listed on first use;
-            `primes_in_ap` and `chebyshev` read their class off the flags
-            instead.
     """
 
     def __init__(self, limit: int):
@@ -100,10 +98,6 @@ class PrimeTable:
         # ((x, cls), sum) for the latest class sum of `_class_log_sum`: one
         # entry, dropped with the table when a larger sieve replaces it
         self._class_sum: tuple[tuple[int, APClass], int] | None = None
-
-    @cached_property
-    def primes(self) -> list[int]:
-        return self.primes_up_to(self.limit)
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:

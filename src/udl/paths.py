@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import gc
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
@@ -90,30 +89,14 @@ def projected_steps(g: UnitDistanceGraph, k: int, starts=None) -> int:
     return g.vertex_count * r**k
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    """Vertex sequence p_0 .. p_k plus the k displacement vectors (dx, dy)."""
-
-    vertices: tuple[tuple[int, int], ...]
-    vectors: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_vertices(cls, vertices) -> "PathRecord":
-        verts = tuple((int(x), int(y)) for x, y in vertices)
-        if not verts:
-            raise ValueError("a path needs at least one vertex")
-        vecs = tuple((b[0] - a[0], b[1] - a[1]) for a, b in zip(verts, verts[1:]))
-        return cls(vertices=verts, vectors=vecs)
-
-
 def is_irredundant(path) -> bool:
     """Exhaustive subset-sum check over the path's displacement vectors.
 
-    Accepts a PathRecord or any sequence of integer vectors of one length,
-    summed as int tuples, so exact at any size.  2^k - 1 subsets, so k is
-    capped at MAX_PATH_LENGTH.  The empty path is irredundant.
+    Takes any sequence of integer vectors of one length, summed as int
+    tuples, so exact at any size.  2^k - 1 subsets, so k is capped at
+    MAX_PATH_LENGTH.  The empty path is irredundant.
     """
-    vecs = [tuple(map(int, v)) for v in getattr(path, "vectors", path)]
+    vecs = [tuple(map(int, v)) for v in path]
     k = len(vecs)
     if k > MAX_PATH_LENGTH:
         raise ValueError(f"subset check needs k <= {MAX_PATH_LENGTH}, got {k}")
@@ -182,14 +165,6 @@ def count_irredundant_from(
     trail, walks = _walks(step, i, k - 1)
     # a last step to w is blocked exactly when u - w is in S
     return sum(nz not in S for S in walks for _, nz in step(trail[-1]))
-
-
-def enumerate_irredundant_from(g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None):
-    """Yield the PathRecords themselves; same pruning as the counter."""
-    _, (i,) = _checked_starts(g, [start], k, step_budget)
-    trail, walks = _walks(_vertex_step(g, step_budget), i, k)
-    for _ in walks:
-        yield PathRecord.from_vertices([g.point(t) for t in trail])
 
 
 def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None):

@@ -10,7 +10,7 @@ from .gaussian import _lattice_points
 from .numtheory import factor
 
 # positions one gather or scatter takes at once: box rows of `_box_depth`,
-# table entries of `edges`, and the path statistics' tuple blocks
+# table entries of `edge_lines`, and the path statistics' tuple blocks
 _GATHER_BUDGET = 1 << 14
 
 
@@ -131,12 +131,14 @@ class UnitDistanceGraph:
             return self._points[i]
         return self.grid[0] + i // self.grid[3], self.grid[1] + i % self.grid[3]
 
-    def edges(self):
-        """Canonical (p, q) pairs with p < q, ascending: each i's neighbours
-        j > i in vector order, which is the order of their points.  They are
-        found one block of vertices at a time: a grid locates the block moved
-        by every vector, so it never builds its table, and any other graph
-        reads the block's columns of its table."""
+    def edge_lines(self):
+        """The edge text, one "x1 y1 x2 y2" line per edge with p < q, in
+        blocks of whole lines: each i's neighbours j > i in vector order,
+        which is the order of their points, so the lines ascend.  Each block
+        of vertices gives one block of text (none when it has no edge),
+        formatted from its int64 coordinate columns at once.  A grid locates
+        the block moved by every vector, so it never builds its table, and
+        any other graph reads the block's columns of its table."""
         import numpy as np
 
         n, (x, y) = self.vertex_count, self._coordinates()
@@ -150,24 +152,8 @@ class UnitDistanceGraph:
                 cols = self.locate(x[lo:hi, None] + vx, y[lo:hi, None] + vy)
             later = (cols > np.arange(lo, hi)[:, None]) & (cols != n)
             i, j = np.nonzero(later)[0] + lo, cols[later]
-            yield from zip(zip(x[i].tolist(), y[i].tolist()), zip(x[j].tolist(), y[j].tolist()))
-
-    def edge_lines(self):
-        """One "x1 y1 x2 y2" line per edge, newline included, in `edges` order."""
-        for p, q in self.edges():
-            yield f"{p[0]} {p[1]} {q[0]} {q[1]}\n"
-
-    def to_edge_text(self) -> str:
-        """The edge lines joined: lexicographically sorted."""
-        return "".join(self.edge_lines())
-
-    def same_as(self, other: "UnitDistanceGraph") -> bool:
-        return (
-            self.points == other.points
-            and self.m == other.m
-            and self.edge_count == other.edge_count
-            and (self.neighbours == other.neighbours).all()
-        )
+            if len(i):
+                yield ("%d %d %d %d\n" * len(i)) % tuple(np.column_stack((x[i], y[i], x[j], y[j])).ravel().tolist())
 
 
 @dataclass(frozen=True)

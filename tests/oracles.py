@@ -108,6 +108,17 @@ def edge_set_bruteforce(points, m: int) -> set[tuple[tuple[int, int], tuple[int,
     return edges
 
 
+def edge_text(edges) -> str:
+    """One "x1 y1 x2 y2" line per (p, q) pair, each formatted on its own, sorted."""
+    return "".join(f"{p[0]} {p[1]} {q[0]} {q[1]}\n" for p, q in sorted(edges))
+
+
+def emitted_edges(g) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (p, q) pairs of g's emitted edge text, parsed a line at a time, in order."""
+    rows = (map(int, line.split()) for line in "".join(g.edge_lines()).splitlines())
+    return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in rows]
+
+
 def peel_adjacency(adj, threshold: float) -> set:
     """Drop nodes of current degree < threshold one at a time from a queue;
     return the survivors.  `adj` maps each node to its neighbours."""

@@ -533,13 +533,44 @@ def test_graph_prices_its_neighbour_table_before_building_it_or_opening_the_file
     assert path.read_text() == (GOLDEN / "edges_10x10_m5.txt").read_text()
 
 
+def test_graph_prices_its_lookups_once(capsys, tmp_path, monkeypatch):
+    # a point set is priced before it is built, and emitting it is not priced again;
+    # a grid is priced only when it emits, as only then does it locate its lookups
+    import udl.cli
+
+    priced = []
+    check = udl.cli._check_budget
+
+    def counted(projected, *rest):
+        priced.append(projected)
+        return check(projected, *rest)
+
+    monkeypatch.setattr(udl.cli, "_check_budget", counted)
+    full, holed, path = tmp_path / "full.txt", tmp_path / "holed.txt", tmp_path / "edges.txt"
+    full.write_text("".join(f"{x} {y}\n" for x in range(10) for y in range(10)))
+    holed.write_text("".join(f"{x} {y}\n" for x in range(10) for y in range(10) if (x, y) != (5, 5)))
+    for argv, expect in [
+        (["graph", "--points", str(full), "--m", "5", "--emit", str(path)], [800]),
+        (["graph", "--points", str(holed), "--m", "5", "--emit", str(path)], [792]),
+        (["graph", "--points", str(holed), "--m", "5"], [792]),
+        (["graph", "--n", "100", "--emit", str(path)], [800]),
+        (["graph", "--n", "100"], []),
+    ]:
+        priced.clear()
+        assert run(capsys, argv)[0] == 0, argv
+        assert priced == expect, argv
+        if "--n" in argv or argv[2] == str(full):
+            assert path.read_text() == (GOLDEN / "edges_10x10_m5.txt").read_text()
+
+
 def test_graph_emit_replaces_the_file_only_once_it_is_whole(capsys, tmp_path, monkeypatch):
     import udl.udgraph
 
     lines = udl.udgraph.UnitDistanceGraph.edge_lines
+    monkeypatch.setattr(udl.udgraph, "_GATHER_BUDGET", 80)  # R = 8: ten blocks of ten vertices
 
     def fail_midway(self):
-        yield from islice(lines(self), 100)
+        yield from islice(lines(self), 5)
         raise MemoryError()
 
     monkeypatch.setattr(udl.udgraph.UnitDistanceGraph, "edge_lines", fail_midway)

@@ -54,16 +54,10 @@ def test_build_config_shapes():
     params = choose_params(100)
     pts = build_config(params)
     assert len(pts) == 100
-    assert pts.points[0] == (0, 0) and pts.points[-1] == (9, 9)
-    assert len(set(pts.points)) == 100
+    assert pts[0] == (0, 0) and pts[-1] == (9, 9)
+    assert len(set(pts)) == 100
     assert all(0 <= x < 10 and 0 <= y < 10 for x, y in pts)
-    small = build_config(choose_params(4))
-    assert list(small) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_point_export_is_row_major_text():
-    txt = build_config(choose_params(10)).to_text()
-    assert txt == "0 0\n0 1\n0 2\n1 0\n1 1\n1 2\n2 0\n2 1\n2 2\n"
+    assert build_config(choose_params(4)) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_params_json_fields():

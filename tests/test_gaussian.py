@@ -4,9 +4,7 @@ import random
 import pytest
 
 from udl.gaussian import (
-    UNITS,
     GaussInt,
-    are_associates,
     factor_over,
     representations,
     two_squares_prime,
@@ -14,6 +12,9 @@ from udl.gaussian import (
 from udl.numtheory import is_probable_prime
 
 from oracles import gaussian_rational_mul, two_squares_set
+
+
+UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
 
 
 def as_tuples(points):
@@ -138,12 +139,6 @@ def test_representations_rejects_bad_input():
         representations([25])
 
 
-def test_are_associates_examples():
-    assert are_associates(GaussInt(1, 2), GaussInt(-2, 1))
-    assert not are_associates(GaussInt(1, 2), GaussInt(1, -2))
-    assert are_associates(GaussInt(0, 0), GaussInt(0, 0))
-
-
 def test_representations_split_into_associate_classes():
     # every representation set is a disjoint union of size-4 unit orbits, and
     # distinct sign-choice orbits are never associate to each other
@@ -160,7 +155,7 @@ def test_representations_split_into_associate_classes():
         assert len(orbits) == len(points) // 4
         for i, p in enumerate(orbits):
             for q in orbits[i + 1 :]:
-                assert not are_associates(p, q)
+                assert q not in {u * p for u in UNITS}
 
 
 def test_factor_over_examples():
@@ -168,7 +163,7 @@ def test_factor_over_examples():
     assert got is not None
     assert got.factors == (GaussInt(1, 2), GaussInt(2, 3))
     assert got.unit == GaussInt(1, 0)
-    assert got.element() == GaussInt(-4, 7)
+    assert got.unit * got.factors[0] * got.factors[1] == GaussInt(-4, 7)
 
     # 5 = (1+2i)(1-2i) needs both split factors; one atom cannot cover it
     assert factor_over(GaussInt(5, 0), [GaussInt(1, 2)]) is None
@@ -203,7 +198,7 @@ def test_factor_over_roundtrip_random():
             g = g * f
         got = factor_over(g, atoms)
         assert got is not None
-        assert got.element() == g
+        assert math.prod(got.factors, start=got.unit) == g
         # distinct prime norms make the sign choice per atom unique
         assert got.factors == tuple(expect)
         assert got.unit == unit

@@ -50,7 +50,7 @@ def test_apclass_validation():
 
 def test_prime_table_against_trial_division():
     table = PrimeTable(10_000)
-    assert table.primes == trial_division_primes(10_000)
+    assert table.primes_up_to(10_000) == trial_division_primes(10_000)
     assert table.is_prime(9973)
     assert not table.is_prime(9999)
     assert table.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -100,7 +100,6 @@ def test_prime_table_lists_each_prefix_off_its_flags():
     table = PrimeTable(1000)
     for x in (*range(12), 997, 998, 1000):
         assert table.primes_up_to(x) == trial_division_primes(x), x
-    assert table.primes == trial_division_primes(1000)
     with pytest.raises(ValueError):
         table.primes_up_to(1001)
 
@@ -271,8 +270,9 @@ def test_prime_table_at_every_small_limit():
     # index i of the odd-only sieve stands for 2i + 1: limits 0..3 sit on its edges
     for limit in range(301):
         table = PrimeTable(limit)
-        assert table.primes == trial_division_primes(limit), limit
-        assert [n for n in range(limit + 1) if table.is_prime(n)] == table.primes, limit
+        primes = table.primes_up_to(limit)
+        assert primes == trial_division_primes(limit), limit
+        assert [n for n in range(limit + 1) if table.is_prime(n)] == primes, limit
         assert all(table.is_prime(n) == is_prime_slow(n) for n in range(limit + 1)), limit
 
 

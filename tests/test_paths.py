@@ -11,15 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from udl.gaussian import GaussInt
 from udl.paths import (
     MAX_PATH_LENGTH,
-    PathRecord,
     StepBudgetExceeded,
     count_irredundant_from,
     count_irredundant_many,
     effective_step_budget,
-    enumerate_irredundant_from,
     is_irredundant,
     max_pair_count,
     path_count_lower_bound,
@@ -42,7 +39,6 @@ from oracles import (
     max_pair_grid_loop,
     multisets_whole_level,
     two_squares_set,
-    walks_from,
 )
 
 
@@ -50,18 +46,11 @@ def grid(side):
     return [(x, y) for x in range(side) for y in range(side)]
 
 
-def test_path_record_from_vertices():
-    rec = PathRecord.from_vertices([(0, 0), (1, 2), (2, 0)])
-    assert rec.vectors == (GaussInt(1, 2), GaussInt(1, -2))
-    with pytest.raises(ValueError):
-        PathRecord.from_vertices([])
-
-
 def test_is_irredundant_examples():
     assert not is_irredundant([(1, 0), (0, 1), (-1, 0)])  # 1st+3rd cancel
     assert is_irredundant([(1, 0), (0, 1), (1, 0)])  # repeats are fine
     assert not is_irredundant([(0, 0)])
-    assert is_irredundant(PathRecord.from_vertices([(0, 0), (1, 2)]))
+    assert is_irredundant([(1, 2)])
     assert is_irredundant([])
     # as complex floats 2^53 + 1 rounds to 2^53, and the pair would cancel
     assert is_irredundant([(2**53 + 1, 0), (-(2**53), 0)])
@@ -104,39 +93,6 @@ def test_count_matches_walk_filter_oracle():
             ), (side, m, k, start)
 
 
-def test_enumerated_paths_are_sound():
-    g = build_graph(grid(5), 5)
-    for start in [(0, 0), (2, 2)]:
-        for k in (1, 2, 3):
-            recs = list(enumerate_irredundant_from(g, start, k))
-            assert len(recs) == count_irredundant_from(g, start, k)
-            seen = set()
-            for rec in recs:
-                assert rec.vertices[0] == start
-                assert len(rec.vertices) == k + 1
-                assert is_irredundant(rec)
-                assert len(set(rec.vertices)) == len(rec.vertices)  # no revisits
-                # displacement identity: the vectors telescope to w - v
-                total = (
-                    sum(dx for dx, _ in rec.vectors),
-                    sum(dy for _, dy in rec.vectors),
-                )
-                assert total == (
-                    rec.vertices[-1][0] - start[0],
-                    rec.vertices[-1][1] - start[1],
-                )
-                assert all(dx * dx + dy * dy == 5 for dx, dy in rec.vectors)
-                seen.add(rec.vertices)
-            assert len(seen) == len(recs)
-            # every irredundant unpruned walk appears
-            oracle_walks = {
-                w
-                for w in walks_from(grid(5), 5, start, k)
-                if is_irredundant(PathRecord.from_vertices(w))
-            }
-            assert seen == oracle_walks
-
-
 def test_count_rejects_bad_inputs():
     g = build_graph(grid(4), 1)
     with pytest.raises(ValueError):
@@ -171,7 +127,6 @@ def test_a_lazy_grids_table_is_priced_before_it_is_built():
     refusal = "projected 800 neighbour-table lookups exceed the budget of 799"
     for call in (
         lambda g, budget: count_irredundant_from(g, (5, 5), 3, step_budget=budget),
-        lambda g, budget: list(enumerate_irredundant_from(g, (5, 5), 3, step_budget=budget)),
         lambda g, budget: per_pair_counts(g, 2, starts=[(5, 5)], step_budget=budget),
     ):
         g = grid_graph(10, 5)
@@ -190,12 +145,10 @@ def test_a_lazy_grids_table_is_refused_in_a_gibibyte():
     code = (
         "import resource\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from udl.paths import StepBudgetExceeded, count_irredundant_from, count_irredundant_many\n"
-        "from udl.paths import enumerate_irredundant_from, per_pair_counts\n"
+        "from udl.paths import StepBudgetExceeded, count_irredundant_from, count_irredundant_many, per_pair_counts\n"
         "from udl.udgraph import grid_graph\n"
         "g = grid_graph(10**6, 5)\n"
-        f"for call in (lambda: count_irredundant_from(g, {start}, 3), lambda: next(enumerate_irredundant_from(g, {start}, 3)),\n"
-        f"             lambda: per_pair_counts(g, 2, starts=[{start}])):\n"
+        f"for call in (lambda: count_irredundant_from(g, {start}, 3), lambda: per_pair_counts(g, 2, starts=[{start}])):\n"
         "    try:\n"
         "        call()\n"
         "    except StepBudgetExceeded as exc:\n"
@@ -211,7 +164,7 @@ def test_a_lazy_grids_table_is_refused_in_a_gibibyte():
     assert out.returncode == 0, out.stderr
     *refusals, count = out.stdout.splitlines()
     refusal = "projected 8000000000000 neighbour-table lookups exceed the budget of 1000000000; raise --step-budget or UDL_STEP_BUDGET to force the run"
-    assert refusals == [refusal] * 3
+    assert refusals == [refusal] * 2
     assert int(count) == sum(is_irredundant(t) for t in product(sorted(two_squares_set(5)), repeat=3))
 
 
@@ -923,14 +876,8 @@ def test_walker_routes_agree_with_oracles_on_holed_boxes():
         starts = rng.sample(pts, min(len(pts), 5))
         pairs = per_pair_counts(g, k, starts=starts)
         for s in starts:
-            recs = list(enumerate_irredundant_from(g, s, k))
-            expected = {
-                walk for walk in walks_from(pts, m, s, k) if is_irredundant(PathRecord.from_vertices(walk))
-            }
-            assert {rec.vertices for rec in recs} == expected, (m, k, s)
             counts = (
                 count_irredundant_from(g, s, k),
-                len(recs),
                 sum(c for (v, _), c in pairs.items() if v == s),
                 irredundant_walk_count(pts, m, s, k),
             )

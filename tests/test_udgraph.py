@@ -24,13 +24,29 @@ from udl.udgraph import (
     peel,
 )
 
-from oracles import adjacency_bruteforce, edge_set_bruteforce, peel_adjacency, two_squares_set
+from oracles import (
+    adjacency_bruteforce,
+    edge_set_bruteforce,
+    edge_text,
+    emitted_edges,
+    peel_adjacency,
+    two_squares_set,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def grid(side):
     return [(x, y) for x in range(side) for y in range(side)]
+
+
+def text(g):
+    return "".join(g.edge_lines())
+
+
+def same_graph(g, h):
+    """The same points and the same emitted edge text."""
+    return g.points == h.points and text(g) == text(h)
 
 
 def test_lattice_vectors_match_oracle():
@@ -90,12 +106,12 @@ def test_build_graph_matches_bruteforce_oracle():
     cases += [(rng.randint(3, 14), rng.randint(1, 10_000)) for _ in range(12)]
     for side, m in cases:
         g = build_graph(grid(side), m)
-        assert set(g.edges()) == edge_set_bruteforce(grid(side), m), (side, m)
+        assert emitted_edges(g) == sorted(edge_set_bruteforce(grid(side), m)), (side, m)
     # non-grid point set
     pts = sorted({(rng.randint(0, 30), rng.randint(0, 30)) for _ in range(150)})
     for m in (1, 5, 13, 50):
         g = build_graph(pts, m)
-        assert set(g.edges()) == edge_set_bruteforce(pts, m)
+        assert emitted_edges(g) == sorted(edge_set_bruteforce(pts, m))
 
 
 def test_adjacency_sorted_and_consistent():
@@ -136,7 +152,7 @@ def test_peel_adjacency_k4_plus_isolated():
 def test_peel_threshold_zero_is_identity():
     g = build_graph(grid(6), 5)
     h = peel(g, 0)
-    assert h.same_as(g)
+    assert same_graph(h, g)
 
 
 def test_peel_default_threshold_on_10x10():
@@ -170,11 +186,11 @@ def test_peel_postconditions_randomized():
         else:
             assert h.edge_count == g.edge_count
         # peeling is idempotent at a fixed threshold
-        assert peel(h, t).same_as(h)
+        assert same_graph(peel(h, t), h)
         # surviving adjacency is the induced one
         survivors = set(h.points)
         expect = edge_set_bruteforce(sorted(survivors), m)
-        assert set(h.edges()) == expect
+        assert emitted_edges(h) == sorted(expect)
 
 
 def chain(count):
@@ -200,7 +216,7 @@ def test_peel_matches_the_queue_peel_oracle():
             survivors = sorted(peel_adjacency(adj, t))
             h = peel(g, t)
             assert h.points == survivors, (m, t)
-            assert h.same_as(build_graph(survivors, m)), (m, t)
+            assert same_graph(h, build_graph(survivors, m)), (m, t)
     g = build_graph(chain(20_000), 5)
     assert peel(g, 1) is g and peel(g, 2).points == []
 
@@ -211,12 +227,46 @@ def test_edge_text_lists_the_bruteforce_edges_in_order(monkeypatch):
     rng = random.Random(59)
     budget = udl.udgraph._GATHER_BUDGET
     for pts, m in holed_point_sets(rng, 25):
-        lines = [f"{p[0]} {p[1]} {q[0]} {q[1]}\n" for p, q in sorted(edge_set_bruteforce(pts, m))]
+        expect = edge_text(edge_set_bruteforce(pts, m))
         g = build_graph(pts, m)
         # the table read in one block, and a few vertices (or one) at a time
         for entries in (budget, 3 * len(g.vectors) - 1, 1):
             monkeypatch.setattr(udl.udgraph, "_GATHER_BUDGET", entries)
-            assert g.to_edge_text() == "".join(lines) == "".join(g.edge_lines()), (m, entries)
+            assert text(g) == expect, (m, entries)
+
+
+def test_edge_lines_are_blocks_of_whole_lines_of_the_per_edge_text():
+    # each block is formatted at once from int64 columns; the oracle formats
+    # every brute-force edge on its own, from Python ints
+    import udl.udgraph
+
+    def box(w, h, x0=0, y0=0):
+        return [(x0 + i, y0 + j) for i in range(w) for j in range(h)]
+
+    rng = random.Random(71)
+    cases = [(build_graph(pts, m), pts, m) for pts, m in holed_point_sets(rng, 15)]
+    # oblong and offset lazy grids, two with a corner near +-2^62
+    lazy = [(9, 4, 0, 0, 5), (3, 11, -5, 12, 25), (12, 7, 2**62, -(2**62), 65), (8, 5, 7 - 2**62, 2**62 + 3, 5)]
+    for w, h, x0, y0, m in lazy:
+        cases.append((grid_graph(w, m, height=h, corner=(x0, y0)), box(w, h, x0, y0), m))
+    # vertex counts on either side of one and two vertex blocks: 32 vectors of 1105, so a block is 512 vertices
+    block = udl.udgraph._GATHER_BUDGET // len(lattice_vectors(1105))
+    assert block == 512
+    for w, h in [(7, 73), (16, 32), (9, 57), (31, 33), (32, 32), (25, 41)]:  # 2 blocks - 1, ..., 2 blocks + 1
+        cases.append((grid_graph(w, 1105, height=h), box(w, h), 1105))
+    for count in (block - 1, block, block + 1, 2 * block + 1):  # a 30 x 40 box cut short: not a grid
+        pts = box(30, 40)[:count]
+        cases.append((build_graph(pts, 1105), pts, 1105))
+    # no points, and points with no edge
+    cases += [(build_graph([], 5), [], 5), (build_graph(grid(2), 3), grid(2), 3), (grid_graph(3, 3), grid(3), 3)]
+    cases.append((grid_graph(1, 5, corner=(2**62, 2**62)), [(2**62, 2**62)], 5))
+    for g, pts, m in cases:
+        blocks = list(g.edge_lines())
+        assert all(b.endswith("\n") for b in blocks), (g.grid, m)
+        assert "".join(blocks) == edge_text(edge_set_bruteforce(pts, m)), (g.grid, len(pts), m)
+        per_block = max(1, udl.udgraph._GATHER_BUDGET // max(len(g.vectors), 1))
+        assert len(blocks) <= -(-g.vertex_count // per_block), (g.grid, len(pts), m)
+    assert sum(bool(list(g.edge_lines())) for g, _, m in cases if m == 1105) == 10  # none near a block edge is empty
 
 
 def test_config_graph_edge_sandwich():
@@ -231,14 +281,14 @@ def test_config_graph_edge_sandwich():
 
 
 def test_edge_text_golden():
-    got = build_graph(grid(10), 5).to_edge_text()
+    got = text(build_graph(grid(10), 5))
     assert got == (GOLDEN / "edges_10x10_m5.txt").read_text()
-    assert build_graph(grid(2), 3).to_edge_text() == ""
+    assert text(build_graph(grid(2), 3)) == ""
 
 
 def test_edge_text_is_sorted_numerically():
     g = build_graph(grid(12), 25)
-    rows = [tuple(map(int, line.split())) for line in g.to_edge_text().splitlines()]
+    rows = [tuple(map(int, line.split())) for line in text(g).splitlines()]
     assert rows == sorted(rows)
     assert all((r[0], r[1]) < (r[2], r[3]) for r in rows)
 
@@ -346,13 +396,13 @@ def test_grid_graph_matches_explicit_probing_on_random_boxes():
             got = peel(grid_graph(w, m, height=h, corner=(x0, y0)), t)
             survivors = sorted(peel_adjacency(adj, t))
             assert got.points == survivors, (w, h, m, t)
-            assert got.same_as(peel(ref, t))
-            assert set(got.edges()) == edge_set_bruteforce(survivors, m)
+            peeled = peel(ref, t)
+            assert same_graph(got, peeled) and (got.neighbours == peeled.neighbours).all()
+            assert emitted_edges(got) == sorted(edge_set_bruteforce(survivors, m))
             assert got.edge_count == len(edge_set_bruteforce(survivors, m))
             removals += len(survivors) < len(pts)
-        assert g.same_as(ref) and ref.same_as(g), (w, h, m)
-        assert g.to_edge_text() == ref.to_edge_text()
-        assert build_graph(reversed(pts), m).same_as(g)
+        assert same_graph(g, ref) and (g.neighbours == ref.neighbours).all(), (w, h, m)
+        assert same_graph(build_graph(reversed(pts), m), g)
     assert removals >= len(cases)
 
 
@@ -361,7 +411,7 @@ def test_grid_graph_validation_and_shapes():
     assert g.grid == (-1, 3, 4, 2) and g.vertex_count == 8
     assert g.point(0) == (-1, 3) and g.point(7) == (2, 4)
     assert [g.point(i) for i in range(8)] == g.points
-    assert grid_graph(10, 5).same_as(build_graph(grid(10), 5))
+    assert same_graph(grid_graph(10, 5), build_graph(grid(10), 5))
     for w, h in [(0, 3), (3, 0), (-1, -1)]:
         with pytest.raises(ValueError):
             grid_graph(w, 5, height=h)
@@ -432,9 +482,9 @@ def test_duplicate_starts_are_counted_once_on_explicit_graphs():
 
 def test_emitting_a_grids_edges_lists_none_of_its_points():
     g = grid_graph(9, 25, height=6, corner=(-4, 11))
-    text = g.to_edge_text()
+    got = text(g)
     assert g._points is None and g._neighbours is None  # its edges are located block by block, with no table
-    assert text == build_graph(sorted(g.points), 25).to_edge_text() == oracle_graph(g.points, 25).to_edge_text()
+    assert got == text(build_graph(sorted(g.points), 25)) == text(oracle_graph(g.points, 25))
 
 
 def test_coordinates_past_int64_are_refused():
@@ -489,7 +539,7 @@ def test_points_with_a_full_box_count_but_a_hole_are_not_a_grid():
     pts = [(0, 0), (0, 5), (1, -3), (1, 1)]
     g = build_graph(pts, 1)
     assert g.grid is None
-    assert set(g.edges()) == edge_set_bruteforce(pts, 1) == set()
+    assert emitted_edges(g) == [] and edge_set_bruteforce(pts, 1) == set()
     assert degree_summary(g) == DegreeSummary(0, 0, 4, 0)
     assert count_irredundant_many(g, [(0, 0)], 1) == {(0, 0): 0}
 
