@@ -239,13 +239,17 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     Exhaustive over the torsion times the exponent box |e| <= height.  Each
     slot's terms a_j z are formed once in the cyclotomic field and scaled to
     integer vectors over D, the lcm of all their coefficients' denominators.
-    A prefix carries its residual D * (1 - sum a_j z_j) as an int tuple, and
-    the last slot is found by looking that residual up among the scaled terms
-    a_k z.  Scaling by D > 0 maps zero to zero and nothing else to zero, so
-    the zero tests stay exact.  Every hit is re-verified posthoc against all
-    2^k - 1 subsums of its scaled terms (`is_irredundant`), independent of
-    how the enumeration found it; the solutions returned are the field's own
-    elements.
+    No residual D * (1 - sum a_j z_j) has a coefficient past bound = D + the
+    sum over slots of the largest |coefficient| of its terms, so each vector
+    is packed into one int as its digits in base 2 * bound + 1; packing is
+    linear and injective there, so a prefix carries its residual as one int
+    by one subtraction per slot, and the last slot is found by looking that
+    residual up among the packed terms a_k z.  The last two slots are closed
+    in one loop.  Scaling by D > 0 maps zero to zero and nothing else to
+    zero, so the zero tests stay exact.  Every hit is re-verified posthoc
+    against all 2^k - 1 subsums of its scaled int vectors (`is_irredundant`),
+    independent of how the enumeration found it; the solutions returned are
+    the field's own elements.
     """
     pairs = [_as_pair(a) for a in coeffs]
     k = len(pairs)
@@ -269,19 +273,27 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     terms = [[(a * z).coeffs for z in values] for a in (field.embed_pair(*p) for p in pairs)]
     scale = math.lcm(*(c.denominator for row in terms for term in row for c in term))
     scaled = [[tuple(c.numerator * (scale // c.denominator) for c in term) for term in row] for row in terms]
-    last = {term: j for j, term in enumerate(scaled[-1])}
+    bound = scale + sum(max(abs(c) for term in row for c in term) for row in scaled)
+    base = 2 * bound + 1
+    packed = [[_pack(term, base) for term in row] for row in scaled]
+    last = {term: j for j, term in enumerate(packed[-1])}
     hits = []
 
     def extend(residual, idx):
-        if len(idx) == k - 1:
-            j = last.get(residual)
-            if j is not None:
-                hits.append((*idx, j))
+        if len(idx) < k - 2:
+            for j, term in enumerate(packed[len(idx)]):
+                extend(residual - term, (*idx, j))
             return
-        for j, term in enumerate(scaled[len(idx)]):
-            extend(tuple(map(int.__sub__, residual, term)), (*idx, j))
+        # the last two slots at once: each term of the next-to-last slot
+        # leaves one residual, looked up among the last slot's terms
+        for j, h in enumerate(map(last.get, map(residual.__sub__, packed[-2]))):
+            if h is not None:
+                hits.append((*idx, j, h))
 
-    extend((scale,) + (0,) * (field.degree - 1), ())
+    if k == 1:
+        hits = [(last[scale],)] if scale in last else []
+    else:
+        extend(scale, ())
     # prefixes are walked in index order and values are sorted by coeffs, so
     # the hits come out in the order of their solutions' coeffs
     return [
@@ -289,6 +301,14 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
         for hit in hits
         if is_irredundant([scaled[slot][j] for slot, j in enumerate(hit)])
     ]
+
+
+def _pack(vector, base: int) -> int:
+    """sum_i vector[i] * base^i, one int per vector of digits |c| < base / 2."""
+    out = 0
+    for c in reversed(vector):
+        out = out * base + c
+    return out
 
 
 def _slot_values(group: GroupSpec, height: int, field: CyclotomicField) -> list[CycloElement]:

@@ -113,6 +113,11 @@ def _lambert_grid_stats() -> tuple[float, float]:
     return worst, bracketed / total
 
 
+def _check_sample_population(vertex_count: int) -> None:
+    if vertex_count > sys.maxsize:  # the largest population `random.sample` takes
+        raise ValueError(f"cannot sample starts among {vertex_count} vertices, more than {sys.maxsize}")
+
+
 def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
     """One stat row per k over the same seeded sample of at most
     SAMPLE_STARTS starts: sampled counts, the degree-product lower bound and
@@ -123,8 +128,7 @@ def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
     ks = list(ks)
     if not ks:
         return
-    if h.vertex_count > sys.maxsize:  # the largest population `random.sample` takes
-        raise ValueError(f"cannot sample starts among {h.vertex_count} vertices, more than {sys.maxsize}")
+    _check_sample_population(h.vertex_count)
     sample = random.Random(seed).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
     starts = [h.point(i) for i in sorted(sample)]
     for projected in [p for k in ks for p in (projected_steps(h, k, starts), projected_steps(h, k))]:
@@ -155,7 +159,8 @@ def verify_all(
     Checks that are undefined on the degenerate r = 1 path (no generators,
     no prime factors) are omitted, not faked.  A k_max whose path statistics
     exceed the step budget is refused before any of them runs (see
-    `_path_stats`).
+    `_path_stats`), and a k_max >= 2 on a grid of more than sys.maxsize
+    vertices, where no start sample can be drawn, before the grid is built.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
@@ -163,6 +168,8 @@ def verify_all(
         raise ValueError(f"need 1 <= k_max <= {MAX_VERIFY_K}, got {k_max}")
 
     params = choose_params(n)
+    if k_max >= 2:  # refuse an undrawable start sample before the grid is built
+        _check_sample_population(params.side**2)
     g = grid_graph(params.side, params.m)
     summary = degree_summary(g)
     h = peel(g)
@@ -334,6 +341,7 @@ def _cmd_graph(args) -> int:
 
 def _cmd_paths(args) -> int:
     params = choose_params(args.n)
+    _check_sample_population(params.side**2)
     h = peel(grid_graph(params.side, params.m))
     (stat,) = _path_stats(h, [args.k], degree_summary(h).min_degree, args.seed, args.step_budget)
     print(json.dumps(stat, indent=2))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .numtheory import is_probable_prime
@@ -99,8 +100,19 @@ def two_squares_prime(p: int) -> tuple[int, int]:
 
 
 _two_squares_cached = functools.cache(two_squares_prime)
-# GaussInt from an (a, b) pair without NamedTuple._make's Python frame
-_make_gauss = functools.partial(tuple.__new__, GaussInt)
+
+
+def _images(points, conjugates: bool) -> list[tuple[int, int]]:
+    """Each (a, b) times the four units and, when `conjugates` is set, its
+    conjugate times the four units."""
+    out = []
+    if conjugates:
+        for a, b in points:
+            out += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
+    else:
+        for a, b in points:
+            out += ((a, b), (-b, a), (-a, -b), (b, -a))
+    return out
 
 
 def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
@@ -134,14 +146,7 @@ def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
             points = [(a * c - b * d, a * d + b * c) for a, b in points for c, d in choices]
             if e > 1:  # (x+iy)^s (x-iy)^(e-s) arises along many orders: keep one
                 points = set(points)
-    out = []
-    if halve:
-        for a, b in points:
-            out += ((a, b), (-b, a), (-a, -b), (b, -a))
-    else:
-        for a, b in points:
-            out += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
-    return out
+    return _images(points, not halve)
 
 
 def representations(primes) -> set[GaussInt]:
@@ -149,19 +154,26 @@ def representations(primes) -> set[GaussInt]:
 
     The primes must be distinct and each 1 (mod 4).  The result has exactly
     2^(t+2) elements for t primes (the four units alone for the empty
-    product), built as unit * prod_j (x_j +- i y_j) over all sign choices.
+    product), built as unit * prod_j (x_j +- i y_j) over all sign choices:
+    the first sign is fixed and each product stands for itself and its
+    conjugate.
     """
     primes = list(primes)
     if len(set(primes)) != len(primes):
         raise ValueError(f"primes must be distinct, got {primes}")
+    pairs = []
     for p in primes:
         try:
-            ok = p % 4 == 1 and _two_squares_cached(p)
+            pair = p % 4 == 1 and _two_squares_cached(p)
         except ValueError:
-            ok = False
-        if not ok:
+            pair = False
+        if not pair:
             raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    points = set(map(_make_gauss, _lattice_points(dict.fromkeys(primes, 1))))
+        pairs.append(pair)
+    points = pairs[:1] or [(1, 0)]
+    for x, y in pairs[1:]:
+        points = [q for a, b in points for q in ((a * x - b * y, a * y + b * x), (a * x + b * y, b * x - a * y))]
+    points = set(map(tuple.__new__, repeat(GaussInt), _images(points, bool(pairs))))
     assert len(points) == 1 << (len(primes) + 2), (primes, len(points))
     return points
 

@@ -257,6 +257,42 @@ def unit_equation_solutions(coeffs, torsion_order: int, generators, height: int)
     return found
 
 
+def tuple_residual_solutions(coeffs, group, height: int):
+    """What `enumerate_nondegenerate` returns, found the way it did before it
+    packed residuals into ints: each prefix carries D * (1 - sum a_j z_j) as
+    an int tuple, one subtraction per slot and one recursive call per leaf,
+    and the last slot is looked up by that tuple.  The reference for its
+    packed residuals and its fused last two slots, hits in the same order."""
+    from udl.bounds import _as_pair, _slot_values
+    from udl.cyclotomic import CyclotomicField
+    from udl.paths import is_irredundant
+
+    field = CyclotomicField(group.conductor)
+    values = _slot_values(group, height, field)
+    k = len(coeffs)
+    terms = [[(field.embed_pair(*_as_pair(a)) * z).coeffs for z in values] for a in coeffs]
+    scale = math.lcm(*(c.denominator for row in terms for term in row for c in term))
+    scaled = [[tuple(c.numerator * (scale // c.denominator) for c in term) for term in row] for row in terms]
+    last = {term: j for j, term in enumerate(scaled[-1])}
+    hits = []
+
+    def extend(residual, idx):
+        if len(idx) == k - 1:
+            j = last.get(residual)
+            if j is not None:
+                hits.append((*idx, j))
+            return
+        for j, term in enumerate(scaled[len(idx)]):
+            extend(tuple(map(int.__sub__, residual, term)), (*idx, j))
+
+    extend((scale,) + (0,) * (field.degree - 1), ())
+    return [
+        tuple(values[j] for j in hit)
+        for hit in hits
+        if is_irredundant([scaled[slot][j] for slot, j in enumerate(hit)])
+    ]
+
+
 def max_pair_grid_loop(g, k: int):
     """(v, w, depth) of the max pair on the full grid g, one displacement
     group at a time: the per-group loop the grid route used before it scored

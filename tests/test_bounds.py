@@ -26,7 +26,7 @@ from udl.bounds import (
 from udl.bounds import _as_pair, _slot_values
 from udl.cyclotomic import CyclotomicField
 
-from oracles import lambert_w_bisect, unit_equation_solutions
+from oracles import lambert_w_bisect, tuple_residual_solutions, unit_equation_solutions
 
 
 def test_log2_solution_bound_examples():
@@ -335,6 +335,46 @@ def test_integer_route_returns_the_field_elements_of_the_field_route():
     assert all(type(c) is Fraction for t in got for z in t for c in z.coeffs)
     digest = hashlib.sha256(repr([[z.coeffs for z in t] for t in got]).encode()).hexdigest()
     assert digest == "3d68296863d2bb6da91f0239d04c6421b8fd3ea828514f24cee15aead28bd5c0"
+
+
+def test_packed_residuals_match_the_tuple_residual_recursion():
+    # drawn groups (torsion 1-12, 0-2 free generators, heights 0-2) and k =
+    # 1-4 terms, where k = 1 and 2 leave the fused last two slots no prefix
+    # or one slot alone; half the equations are built to hold at drawn
+    # values, with coefficients up to +-1000 (so residuals come near the
+    # packing bound), the other half drawn at random
+    rng = random.Random(32)
+    coeff_pool = [1, 1, 1, -1, 2, -3, 1000, -1000, (1, 1), (0, -1), (1000, -1000), (-999, 1), Fraction(1, 2)]
+    gen_pool = [(2, 0), (3, 0), (1, 1), (Fraction(1, 2), 0), (Fraction(3, 5), Fraction(4, 5)), (1, -2)]
+    cases, solutions = 0, dict.fromkeys(range(1, 5), 0)
+    while cases < 100:
+        torsion = rng.randint(1, 12)
+        gens = tuple(rng.sample(gen_pool, rng.randint(0, 2)))
+        height = rng.randint(0, 2)
+        k = rng.randint(1, 4)
+        group = GroupSpec(torsion, gens)
+        if (torsion * (2 * height + 1) ** len(gens)) ** (k - 1) > 8000:
+            continue
+        coeffs = [rng.choice(coeff_pool) for _ in range(k)]
+        if cases % 2:
+            # a_k = 1 - sum_{j<k} a_j z_j at drawn Gaussian-rational z_j, so
+            # that (z_1 .. z_{k-1}, 1) solves the equation
+            field = CyclotomicField(group.conductor)
+            gaussian = [z for z in _slot_values(group, height, field) if z.as_pair() is not None]
+            rest = field.one
+            for a in coeffs[:-1]:
+                rest = rest - field.embed_pair(*_as_pair(a)) * rng.choice(gaussian)
+            if rest.is_zero():
+                continue
+            coeffs[-1] = rest.as_pair()
+        cases += 1
+        expect = tuple_residual_solutions(coeffs, group, height)
+        got = enumerate_nondegenerate(coeffs, group, height)
+        assert [[z.coeffs for z in t] for t in got] == [[z.coeffs for z in t] for t in expect], (
+            coeffs, torsion, gens, height,
+        )
+        solutions[k] += len(expect)
+    assert min(solutions.values()) >= 10 and sum(solutions.values()) >= 200
 
 
 def test_enumerate_validation_and_budget():

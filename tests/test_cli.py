@@ -229,6 +229,29 @@ def test_path_stats_draw_no_sample_without_a_k_and_refuse_one_past_maxsize():
         next(_path_stats(Huge(), [2], 0, 0, None))
 
 
+def test_an_undrawable_start_sample_is_refused_before_the_grid_is_built(capsys, monkeypatch):
+    # at n = 10^20 the side^2 = 10^20 vertices pass sys.maxsize; k_max = 1
+    # draws no sample and goes on to build the grid
+    import udl.cli
+
+    class GridBuilt(Exception):
+        pass
+
+    def no_grid(*args):
+        raise GridBuilt
+
+    monkeypatch.setattr(udl.cli, "grid_graph", no_grid)
+    with pytest.raises(ValueError, match="cannot sample starts among 100000000000000000000 vertices"):
+        verify_all(10**20, 2)
+    for argv in (["verify", "--n", str(10**20), "--k-max", "2"], ["paths", "--n", str(10**20), "--k", "2"]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "") and "cannot sample starts" in err
+    with pytest.raises(GridBuilt):
+        verify_all(10**20, 1)
+    with pytest.raises(GridBuilt):
+        verify_all(10**18, 2)
+
+
 def test_importing_the_cli_does_not_load_numpy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

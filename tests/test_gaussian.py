@@ -10,8 +10,9 @@ from udl.gaussian import (
     two_squares_prime,
 )
 from udl.numtheory import is_probable_prime
+from udl.udgraph import lattice_vectors
 
-from oracles import gaussian_rational_mul, two_squares_set
+from oracles import gaussian_rational_mul, trial_division_primes, two_squares_set
 
 
 UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
@@ -61,8 +62,6 @@ def test_two_squares_prime_examples():
 
 
 def test_two_squares_prime_small_sweep():
-    from oracles import trial_division_primes
-
     for p in trial_division_primes(3000):
         if p % 4 != 1:
             continue
@@ -105,6 +104,18 @@ def test_representations_match_bruteforce():
         points = representations(primes)
         assert all(type(p) is GaussInt for p in points)
         assert as_tuples(points) == two_squares_set(m), primes
+
+
+def test_representations_are_the_lattice_builders_points():
+    # the direct sign products against the builder `lattice_vectors` runs over
+    # a factorisation, on seeded squarefree products of up to 8 primes
+    rng = random.Random(32)
+    pool = [p for p in trial_division_primes(400) if p % 4 == 1] + [1_000_033, 9_257_329]
+    for t in [*range(9), *(rng.randint(0, 8) for _ in range(40))]:
+        primes = rng.sample(pool, t)
+        assert lattice_vectors(math.prod(primes)) == sorted(representations(primes)), primes
+    units = representations([])
+    assert units == set(UNITS) and len(units) == 4 and all(type(u) is GaussInt for u in units)
 
 
 def test_representations_refuses_a_strong_pseudoprime():
