@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, count, islice
@@ -12,27 +11,11 @@ from itertools import chain, compress, count, islice
 # than silently thrash.
 SIEVE_HARD_LIMIT = 10**8
 
-# Miller-Rabin on the first j primes is exact below psi_j, the least strong
-# pseudoprime to all of them (Jaeschke 1993; Sorenson and Webster, Math. Comp.
-# 2017; OEIS A014233).  _MR_BOUNDS[j - 1] is psi_j; at and above psi_13 a pass
-# is only probable.
+# Miller-Rabin on the first 13 primes is exact below psi_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017; OEIS
+# A014233); at and above it a pass is only probable.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUNDS = (
-    2_047,
-    1_373_653,
-    25_326_001,
-    3_215_031_751,
-    2_152_302_898_747,
-    3_474_749_660_383,
-    341_550_071_728_321,
-    341_550_071_728_321,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461,
-    3_317_044_064_679_887_385_961_981,
-)
-_MR_EXACT_LIMIT = _MR_BOUNDS[-1]
+_MR_EXACT_LIMIT = 3_317_044_064_679_887_385_961_981
 
 # is_probable_prime reads the shared sieve's flags below this bound; that
 # sieve then holds at most 2**20 bytes of odd flags.
@@ -44,6 +27,12 @@ _FOLD_CHUNK = 4096
 
 # factor trial-divides by the primes up to this bound before Pollard-Brent rho
 _TRIAL_BOUND = 1 << 10
+
+# factor takes at most this many Pollard-Brent iterations in all (about 10 s
+# at 40 digits on a 2-vCPU Xeon VM): rho needs about sqrt(p) of them to split
+# off a prime p, so this splits prime factors up to about 10^13 and refuses a
+# composite it cannot split, where it would otherwise run for hours
+_RHO_ITERATIONS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -145,12 +134,8 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin, deterministic below 3.3e24 (`_MR_EXACT_LIMIT`).
-
-    It runs the first j witnesses for the least j with n < psi_j, which
-    decides exactly what all thirteen decide; at and above the limit it runs
-    all thirteen.
-    """
+    """Miller-Rabin to all thirteen witnesses, deterministic below 3.3e24
+    (`_MR_EXACT_LIMIT`)."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -159,7 +144,7 @@ def _miller_rabin(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES[: bisect_right(_MR_BOUNDS, n) + 1]:
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -187,14 +172,19 @@ def _trial_divide(m: int, out: Counter) -> int:
     return m
 
 
-def _rho_split(n: int) -> int:
-    """A nontrivial factor of the composite n by Pollard's rho with Brent's
-    cycle search and batched gcds (Brent 1980).  Deterministic: it iterates
-    x -> x^2 + c from x = 2 for c = 1, 2, ... until one c splits n."""
+def _rho_split(n: int, left: int) -> tuple[int, int]:
+    """(d, left): a nontrivial factor d of the composite n by Pollard's rho
+    with Brent's cycle search and batched gcds (Brent 1980), and how many of
+    the `left` iterations it may take are left; d is 1 when they run out
+    first.  Deterministic: it iterates x -> x^2 + c from x = 2 for
+    c = 1, 2, ... until one c splits n."""
     batch = 128
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if 2 * r > left:  # a round takes at most 2r iterations, and its replay at most one batch
+                return 1, left
+            left -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -213,7 +203,7 @@ def _rho_split(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = math.gcd(x - ys, n)
         if g != n:
-            return g
+            return g, left
 
 
 def factor(m: int) -> dict[int, int]:
@@ -224,18 +214,24 @@ def factor(m: int) -> dict[int, int]:
     parts are factored in turn; one that passes is prime when it is below
     `_MR_EXACT_LIMIT`, where the witness set is exact.  A part at or above
     that limit that passes cannot be certified and raises ValueError, so the
-    result is always exact.
+    result is always exact.  So does a composite part that rho has not split
+    when the call's `_RHO_ITERATIONS` run out.
     """
     if m < 1:
         raise ValueError(f"factor needs m >= 1, got {m}")
     out: Counter = Counter()
     pending = [_trial_divide(m, out)]
+    left = _RHO_ITERATIONS
     while pending:
         c = pending.pop()
         if c == 1:
             continue
         if not is_probable_prime(c):
-            d = _rho_split(c)
+            d, left = _rho_split(c, left)
+            if d == 1:
+                raise ValueError(
+                    f"cannot split the composite factor {c} of {m} within {_RHO_ITERATIONS} Pollard-Brent iterations"
+                )
             pending += [d, c // d]
             continue
         if c >= _MR_EXACT_LIMIT:

@@ -16,7 +16,7 @@ group by its orbit size, the counts add the group's depths at the images of
 each start, and the max pair scores the groups whose boxes share a point
 in one pass and ranks the rest.  Elsewhere the counts walk the vector tuples
 once for all starts, each node the array of the starts' positions
-(`_start_walks`), and the pair statistics gather each displacement group's
+(`_start_counts`), and the pair statistics gather each displacement group's
 tuples as one block (`_group_depth`), per-pair counts on a grid too.  That
 walk and the reference route, the per-start DFS over the columns of the
 neighbour table (`count_irredundant_from`), are one pruned DFS, `_walks`: it
@@ -32,6 +32,7 @@ import gc
 import os
 from functools import lru_cache
 from itertools import combinations
+from operator import index
 
 from .udgraph import _GATHER_BUDGET, UnitDistanceGraph, _box_depth, _distinct
 
@@ -111,17 +112,16 @@ def is_irredundant(path) -> bool:
 
 
 def _walks(step, start, depth: int):
-    """(trail, walks): every irredundant `depth`-edge walk from `start`.
+    """Yield (w, S) once per irredundant `depth`-edge walk from `start`: w
+    the walk's last node and S its nonempty prefix-subset sums, covering all
+    `depth` vectors.
 
     `step(u)` lists the moves out of node u as (w, u - w), with u - w a
     complex.  A node is whatever `step` takes: a vertex index, or the
-    positions of all starts at once (`_start_walks`).
-    `walks` yields the set S of nonempty prefix-subset sums once per walk,
-    S then covering all `depth` vectors, while `trail` holds the walk's
-    nodes start .. w.  A move with vector z is admissible exactly when -z
-    is not in S.  Both are live views: read them before the next step.
+    positions of all starts at once (`_start_counts`).  A move with vector
+    z is admissible exactly when -z is not in S.  S is one live set: read
+    it before the next walk is drawn.
     """
-    trail = [start]
     S: set[complex] = set()
 
     def walk(u, left: int):
@@ -133,47 +133,40 @@ def _walks(step, start, depth: int):
             added.add(z)
             added -= S
             S.update(added)
-            trail.append(w)
             if left > 1:
                 yield from walk(w, left - 1)
             else:
-                yield S
-            trail.pop()
+                yield w, S
             S.difference_update(added)
 
-    return trail, walk(start, depth) if depth else iter((S,))
+    return walk(start, depth) if depth else iter(((start, S),))
 
 
-def _vertex_step(g: UnitDistanceGraph, step_budget: int | None):
-    """`step` for `_walks` over vertex indices: the moves out of vertex u as
-    (w, u - w), read from column u of the neighbour table (see `_table`)."""
+def count_irredundant_from(
+    g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None
+) -> int:
+    """Number of irredundant k-edge paths leaving `start`, by the DFS over
+    vertex indices: the moves out of u are read from column u of the
+    neighbour table (see `_table`)."""
+    _, (i,) = _checked_starts(g, [start], k, step_budget)
     table, n = _table(g, step_budget), g.vertex_count
     negs = [complex(-dx, -dy) for dx, dy in g.vectors]
 
     def step(u: int):
         return [(w, nz) for w, nz in zip(table[:, u].tolist(), negs) if w != n]
 
-    return step
-
-
-def count_irredundant_from(
-    g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None
-) -> int:
-    """Number of irredundant k-edge paths leaving `start`."""
-    _, (i,) = _checked_starts(g, [start], k, step_budget)
-    step = _vertex_step(g, step_budget)
-    trail, walks = _walks(step, i, k - 1)
     # a last step to w is blocked exactly when u - w is in S
-    return sum(nz not in S for S in walks for _, nz in step(trail[-1]))
+    return sum(nz not in S for u, S in _walks(step, i, k - 1) for _, nz in step(u))
 
 
 def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None):
     """(starts, at): the distinct `starts` in first-seen order and their
-    vertices by `g.locate`, budgeted first; the first not in g is refused.
+    vertices by `g.locate`, budgeted first; the first not in g is refused,
+    and a coordinate that is not an integer (TypeError from `operator.index`).
     A coordinate past int64 is located as -2^63, which no vertex has."""
     import numpy as np
 
-    starts = list(dict.fromkeys((int(s[0]), int(s[1])) for s in starts))
+    starts = list(dict.fromkeys((index(s[0]), index(s[1])) for s in starts))
     _check_budget(projected_steps(g, k, starts), step_budget)
     wide = [[c if abs(c) < 1 << 63 else -(1 << 63) for c in s] for s in starts]
     at = g.locate(*np.array(wide, dtype=np.int64).reshape(-1, 2).T)
@@ -200,10 +193,9 @@ def count_irredundant_many(
     import numpy as np
 
     starts, at = _checked_starts(g, starts, k, step_budget)
-    dims = g.grid
-    if dims is not None:
-        x0, y0, w, h = dims
-        _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k, dims)
+    if g.grid is not None:
+        x0, y0, w, h = g.grid
+        _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k)
         syms = _grid_symmetries(w, h)
         sx, sy = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
         images = [_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]
@@ -432,45 +424,34 @@ def _group_depth(table, tuples, starts):
     return depth
 
 
-def _start_walks(g: UnitDistanceGraph, k: int, starts):
-    """Yield (at, S) once per irredundant (k-1)-tuple of vector indices:
-    `at` holds the positions the tuple reaches from every vertex in `starts`
-    (n once it left the set) and S its nonempty prefix-subset sums.  A node
-    of the walk is the positions one step back with the step's vector
-    index, so only the moves taken are gathered.
-    """
-    table = g.neighbours
-    moves = [(j, complex(-dx, -dy)) for j, (dx, dy) in enumerate(g.vectors)]
-
-    def land(node):
-        at, j = node
-        return at if j is None else table[j].take(at)
-
-    def step(node):
-        at = land(node)
-        return [((at, j), nz) for j, nz in moves]
-
-    trail, walks = _walks(step, (starts, None), k - 1)
-    for S in walks:
-        yield land(trail[-1]), S
-
-
 def _start_counts(g: UnitDistanceGraph, k: int, starts):
-    """counts[i]: irredundant k-paths from vertex starts[i].  Each walk of
-    `_start_walks` closes as `count_irredundant_from` does, vectorised over
-    the starts: the degree where it stands minus the moves whose negated
-    vector is a prefix-subset sum.
+    """counts[i]: irredundant k-paths from vertex starts[i], by one `_walks`
+    over the (k-1)-tuples of vector indices for all starts at once.  A node
+    is the positions one step back with the step's vector index, so only
+    the moves taken are gathered, and it lands on the positions the tuple
+    reaches from every start (n once it left the set).  Each walk closes as
+    `count_irredundant_from` does, vectorised over the starts: the degree
+    where it stands minus the moves whose negated vector is a prefix-subset
+    sum.
     """
     import numpy as np
 
     n, table = g.vertex_count, g.neighbours
     degree = np.append(g.degrees, 0)  # 0 at the sentinel column n
     blocker = {complex(-dx, -dy): j for j, (dx, dy) in enumerate(g.vectors)}
-    blocks = frozenset(blocker)
+
+    def land(at, j):
+        return at if j is None else table[j].take(at)
+
+    def step(node):
+        at = land(*node)
+        return [((at, j), nz) for nz, j in blocker.items()]
+
     counts = np.zeros(len(starts), dtype=np.int64)
-    for at, S in _start_walks(g, k, starts):
+    for node, S in _walks(step, (starts, None), k - 1):
+        at = land(*node)
         counts += degree.take(at)
-        for s in S & blocks:
+        for s in S & blocker.keys():
             counts -= table[blocker[s]].take(at) != n
     return counts
 
@@ -513,7 +494,7 @@ def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
     return xa, xb, ya, yb
 
 
-def _grid_paths(g: UnitDistanceGraph, k: int, dims):
+def _grid_paths(g: UnitDistanceGraph, k: int):
     """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, built once
     per k and cached on g.
 
@@ -544,7 +525,7 @@ def _grid_paths(g: UnitDistanceGraph, k: int, dims):
 
     cache = vars(g).setdefault("_grid_paths", {})
     if k not in cache:
-        _, _, w, h = dims
+        _, _, w, h = g.grid
         idx, sx, sy, kind = _multisets(g.vectors, k, _orbit_least(w, h))
         step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
         size = _ordering_counts(k, kind)
@@ -596,11 +577,10 @@ def total_irredundant_paths(
     import numpy as np
 
     _check_budget(projected_steps(g, k), step_budget)
-    dims = g.grid
-    if dims is None:
+    if g.grid is None:
         return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
-    _, _, w, h = dims
-    _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k, dims)
+    _, _, w, h = g.grid
+    _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k)
     weight = np.repeat(orbit.astype(np.int8), count)  # an orbit is at most 8
     total = 0
     for lo in range(0, len(ax), _GATHER_BUDGET):
@@ -635,9 +615,8 @@ def max_pair_count(
     import numpy as np
 
     _check_budget(projected_steps(g, k), step_budget)
-    dims = g.grid
-    if dims is not None:
-        return _max_pair_grid(g, k, dims)
+    if g.grid is not None:
+        return _max_pair_grid(g, k)
     if not g.vertex_count:
         return (None, None, 0)
     dx, dy, size, tuples = _displacement_groups(g.vectors, k)
@@ -682,11 +661,11 @@ def _deepest_cells(ax, bx, ay, by):
     return ux[i], ux[i + 1] - 1, uy[j], uy[j + 1] - 1, int(depth[i[0], j[0]])
 
 
-def _max_pair_grid(g: UnitDistanceGraph, k: int, dims):
+def _max_pair_grid(g: UnitDistanceGraph, k: int):
     import numpy as np
 
-    x0, y0, w, h = dims
-    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k, dims)
+    x0, y0, w, h = g.grid
+    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k)
     ends = np.cumsum(count)
     full = np.flatnonzero(count)
     heads = (ends - count)[full]

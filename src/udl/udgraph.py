@@ -4,6 +4,7 @@ edges located by box arithmetic or sorted keys rather than pair scans."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .gaussian import _lattice_points
@@ -200,9 +201,10 @@ def grid_graph(
 def build_graph(points: Iterable[tuple[int, int]], m: int) -> UnitDistanceGraph:
     """The graph of squared distance m on `points`, a grid when they fill
     their bounding box.  Duplicate points, and coordinates that int64
-    cannot hold once moved by a vector of m, are rejected.
+    cannot hold once moved by a vector of m, are rejected, and so is a
+    coordinate that is not an integer (TypeError from `operator.index`).
     """
-    pts = sorted((int(x), int(y)) for x, y in points)
+    pts = sorted((index(x), index(y)) for x, y in points)
     if any(a == b for a, b in zip(pts, pts[1:])):
         raise ValueError("duplicate points in input")
     return UnitDistanceGraph(pts, m, None, lattice_vectors(m))

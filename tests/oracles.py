@@ -305,7 +305,7 @@ def max_pair_grid_loop(g, k: int):
     from udl.paths import _deepest_cells, _grid_paths, _grid_symmetries, _map_box
 
     x0, y0, w, h = g.grid
-    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k, g.grid)
+    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k)
     syms = _grid_symmetries(w, h)
     ends = list(accumulate(count.tolist()))
 

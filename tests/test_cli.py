@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import udl.numtheory
 from udl.cli import BoundCheck, RunReport, _path_stats, _representation_defect, dispatch, verify_all
 from udl.gaussian import representations
 from udl.paths import (
@@ -417,6 +418,18 @@ def test_reps_refuses_a_factor_that_cannot_be_certified():
     out = _run_cli("reps", "--m", m)
     assert out.returncode == 2
     assert f"cannot certify the factor {m}" in out.stderr
+
+
+def test_a_semiprime_rho_cannot_split_is_refused_with_one_line(capsys, monkeypatch, tmp_path):
+    # (10^20 + 129)(10^20 + 193), both 1 mod 4: rho would need about 10^10 iterations, past any cap
+    m = 10000000000000000032200000000000000024897
+    monkeypatch.setattr(udl.numtheory, "_RHO_ITERATIONS", 1 << 12)
+    pts = tmp_path / "pts.txt"
+    pts.write_text("0 0\n")
+    for argv in (["reps", "--m", str(m)], ["graph", "--points", str(pts), "--m", str(m)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: cannot split the composite factor {m} of {m} within 4096 Pollard-Brent iterations\n"
 
 
 def _holed_box(w, h, holes):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import udl.numtheory
 from udl.numtheory import (
     _FOLD_CHUNK,
-    _MR_BOUNDS,
     _MR_EXACT_LIMIT,
     _MR_WITNESSES,
     _SIEVED_PRIMALITY_LIMIT,
@@ -259,6 +258,16 @@ def test_factor_drawn_products_of_two_large_primes():
     assert list(factor(7 * q**2 * p**3).items()) == [(7, 1), (p, 3), (q, 2)]
 
 
+def test_factor_refuses_a_composite_rho_cannot_split_within_its_iterations(monkeypatch):
+    # rho needs about sqrt(p) iterations to split off a prime p: 2^16 split (10^9 + 7)(10^9 + 9), 2^12 do not
+    m = 7 * (10**9 + 7) * (10**9 + 9)
+    monkeypatch.setattr(udl.numtheory, "_RHO_ITERATIONS", 1 << 12)
+    with pytest.raises(ValueError, match=f"cannot split the composite factor {m // 7} of {m} within 4096 "):
+        factor(m)
+    monkeypatch.setattr(udl.numtheory, "_RHO_ITERATIONS", 1 << 16)
+    assert factor(m) == {7: 1, 10**9 + 7: 1, 10**9 + 9: 1}
+
+
 def test_factor_rejects_nonpositive():
     with pytest.raises(ValueError):
         factor(0)
@@ -276,17 +285,36 @@ def test_prime_table_at_every_small_limit():
         assert all(table.is_prime(n) == is_prime_slow(n) for n in range(limit + 1)), limit
 
 
+# psi_j, the least strong pseudoprime to the first j primes (Jaeschke 1993;
+# Sorenson and Webster, Math. Comp. 2017; OEIS A014233)
+PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
+
+
 def test_witness_table_is_the_strong_pseudoprime_bounds():
     # psi_j passes the first j witnesses, so the j-witness test is not exact
     # there; is_probable_prime must still reject it.  psi_13 passes all
     # thirteen, which is why factor refuses it.
-    assert len(_MR_BOUNDS) == len(_MR_WITNESSES)
-    assert _MR_BOUNDS[-1] == _MR_EXACT_LIMIT
-    assert list(_MR_BOUNDS) == sorted(_MR_BOUNDS)
-    for j, n in enumerate(_MR_BOUNDS, 1):
+    assert len(PSI) == len(_MR_WITNESSES)
+    assert PSI[-1] == _MR_EXACT_LIMIT
+    assert list(PSI) == sorted(PSI)
+    for j, n in enumerate(PSI, 1):
         assert strong_probable_prime(n, _MR_WITNESSES[:j]), (j, n)
-        assert _miller_rabin(n) == (j == len(_MR_BOUNDS)), (j, n)
-        assert is_probable_prime(n) == (j == len(_MR_BOUNDS)), (j, n)
+        assert _miller_rabin(n) == (j == len(PSI)), (j, n)
+        assert is_probable_prime(n) == (j == len(PSI)), (j, n)
 
 
 def test_witnesses_by_size_agree_with_all_thirteen_below_1e5():
@@ -295,8 +323,9 @@ def test_witnesses_by_size_agree_with_all_thirteen_below_1e5():
 
 
 def test_witnesses_by_size_agree_with_all_thirteen_in_each_band():
+    # each band [psi_j, psi_j+1) is where the first j + 1 witnesses alone would be exact
     rng = random.Random(17)
-    for lo, hi in zip(_MR_BOUNDS, _MR_BOUNDS[1:]):
+    for lo, hi in zip(PSI, PSI[1:]):
         if lo == hi:
             continue
         for _ in range(2000):

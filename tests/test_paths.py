@@ -294,7 +294,7 @@ def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
         assert total == sum(pairs.values()), (w, h, m, k)
         best = max_pair_count(g, k)
         assert best == _lex_min_best(pairs), (w, h, m, k)
-        count = _grid_paths(g, k, g.grid)[2]
+        count = _grid_paths(g, k)[2]
         routes["common point"] += int(((sizes.pop() == 0) & (count > 0)).sum())
         assert all(type(c) is int for c in (*counts.values(), total, best[2]))
         # every offset as a start: repeated x and y values, boundary rows and columns
@@ -313,7 +313,7 @@ def test_max_pair_pass_matches_the_per_group_loop():
     for k in (2, 3, 4):
         assert max_pair_count(g, k) == max_pair_grid_loop(g, k), k
     # at k = 4 the top group has no common point: it is ranked, and falls short of its size
-    assert (_grid_paths(g, 4, g.grid)[2].max(), max_pair_count(g, 4)[2]) == (216, 188)
+    assert (_grid_paths(g, 4)[2].max(), max_pair_count(g, 4)[2]) == (216, 188)
     rng = random.Random(24)
     ms = [1, 2, 5, 13, 25, 65, 85, 325, 1105]
     cases = [(60, 90, 65, 3), (90, 60, 65, 3), (40, 120, 1105, 2), (33, 70, 325, 3), (50, 50, 65, 4)]
@@ -332,7 +332,7 @@ def test_all_tie_max_pair_ranks_no_group(monkeypatch):
 
     g = grid_graph(100, 1105)
     expect = max_pair_grid_loop(g, 2)
-    count = _grid_paths(g, 2, g.grid)[2]
+    count = _grid_paths(g, 2)[2]
     assert expect[2] == count.max() == 2 and (count == 2).sum() > 1  # the top groups tie
 
     def refuse(*args):
@@ -382,7 +382,7 @@ def test_rect_columns_narrow_only_where_no_side_can_wrap():
             pairs = []
             for w, dtype in ((2**29, np.int32), (2**31 - 1, np.int32), (2**31 + 1, np.int64)):
                 g = grid_graph(w, m)
-                assert all(col.dtype == dtype for col in _grid_paths(g, k, g.grid)[4:]), (m, k, w)
+                assert all(col.dtype == dtype for col in _grid_paths(g, k)[4:]), (m, k, w)
                 start = (w // 2, w // 3)
                 assert count_irredundant_many(g, [start], k) == {start: len(spans)}, (m, k, w)
                 assert total_irredundant_paths(g, k) == sum((w - ex) * (w - ey) for ex, ey in spans), (m, k, w)
@@ -393,7 +393,7 @@ def test_rect_columns_narrow_only_where_no_side_can_wrap():
     w, vectors = 2**31 - 1, lattice_vectors(5**27)
     assert any(2**31 < abs(dx) and abs(dy) < w for dx, dy in vectors)
     g = grid_graph(w, 5**27)
-    assert _grid_paths(g, 1, g.grid)[4].dtype == np.int64
+    assert _grid_paths(g, 1)[4].dtype == np.int64
     assert total_irredundant_paths(g, 1) == sum(max(w - abs(dx), 0) * max(w - abs(dy), 0) for dx, dy in vectors)
 
 
@@ -654,7 +654,7 @@ def _expanded_rects(g, k):
     is smaller than the number of maps."""
     _, _, w, h = g.grid
     maps = _box_maps(w, h)
-    dx, dy, count, orbit, *rect = _grid_paths(g, k, g.grid)
+    dx, dy, count, orbit, *rect = _grid_paths(g, k)
     rows, small, lo = [], 0, 0
     for d, c, o in zip(zip(dx.tolist(), dy.tolist()), count.tolist(), orbit.tolist()):
         group = list(zip(*(col[lo : lo + c].tolist() for col in rect)))
@@ -699,7 +699,7 @@ def test_grid_rects_match_clipped_prefix_box_oracle():
                 expected = sorted(r for r in clipped if r[2] <= r[3] and r[4] <= r[5])
                 got, _ = _expanded_rects(g, k)
                 assert sorted(got) == expected, (w, h, m, k)
-                dx, dy, count, *_ = _grid_paths(g, k, g.grid)
+                dx, dy, count, *_ = _grid_paths(g, k)
                 assert len(set(zip(dx.tolist(), dy.tolist()))) == len(dx), (w, h, m, k)
     for side, m in [(6, 5), (5, 1)]:
         g = build_graph(grid(side), m)
@@ -775,7 +775,7 @@ def test_grid_route_on_grids_with_no_path_and_with_empty_groups():
             assert set(count_irredundant_many(g, g.points[:5], k).values()) == {0}, (g.grid, g.m, k)
     # (1, 2) twice moves 4 along y, more than a 3 x 3 grid holds: a group of no rows
     g = build_graph(grid(3), 5)
-    dx, dy, count, *_ = _grid_paths(g, 2, g.grid)
+    dx, dy, count, *_ = _grid_paths(g, 2)
     assert (count == 0).any() and (count > 0).any()
     # the group stands for its orbit, whose lex-least displacement is (-4, -2)
     assert (-4, -2) in set(zip(dx[count == 0].tolist(), dy[count == 0].tolist()))

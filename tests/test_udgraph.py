@@ -100,6 +100,25 @@ def test_build_graph_rejects_duplicates():
         build_graph([(0, 0), (1, 1), (0, 0)], 5)
 
 
+def test_non_integral_coordinates_are_refused_not_truncated():
+    import numpy as np
+
+    for points in ([(2.7, 0), (0, 0), (1, 0)], [(0.5, 0), (0, 0)], [(0, np.float64(1.0))]):
+        with pytest.raises(TypeError):
+            build_graph(points, 1)
+    g = grid_graph(5, 5)
+    for starts in ([(1.9, 1.9)], [(1, 1.0)], [(np.float64(1), 1)]):
+        with pytest.raises(TypeError):
+            count_irredundant_many(g, starts, 2)
+        with pytest.raises(TypeError):
+            count_irredundant_from(g, starts[0], 2)
+        with pytest.raises(TypeError):
+            per_pair_counts(g, 2, starts)
+    # numpy integers are integers
+    assert build_graph([(np.int64(0), np.int32(0)), (1, 0)], 1).points == [(0, 0), (1, 0)]
+    assert count_irredundant_many(g, [np.array([1, 1])], 2) == {(1, 1): count_irredundant_from(g, (1, 1), 2)}
+
+
 def test_build_graph_matches_bruteforce_oracle():
     rng = random.Random(11)
     cases = [(3, 1), (5, 5), (8, 25), (12, 65), (7, 2), (6, 4)]
