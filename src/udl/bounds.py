@@ -4,6 +4,7 @@ nondegenerate unit-equation solutions over explicit groups."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,23 @@ def _resolve_log_n(n=None, log_n=None) -> float:
     return math.log(n)
 
 
+def _in_float_range(fn):
+    """fn, refusing with ValueError the (k, r) whose value overflows a float."""
+
+    @functools.wraps(fn)
+    def checked(k, r, *args, **kwargs):
+        try:
+            value = fn(k, r, *args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not value < math.inf:
+            raise ValueError(f"{fn.__name__} at this k and r is past the float range")
+        return value
+
+    return checked
+
+
+@_in_float_range
 def log2_solution_bound(k: int, r: int) -> float:
     """log2 of the solution-count bound (8k)^(4k^4(k + kr + 1)) for k-term
     unit equations over a rank-r group."""
@@ -45,6 +63,7 @@ def log2_solution_bound(k: int, r: int) -> float:
     return 4.0 * k**4 * (k + k * r + 1) * math.log2(8 * k)
 
 
+@_in_float_range
 def epsilon_rhs(k: int, r: int, n=None, *, log_n=None) -> float:
     """Upper bound 5 r k^4 log k / log n + 3/(2k) on the admissible exponent
     excess for path length k and rank r."""
@@ -57,15 +76,26 @@ def epsilon_rhs(k: int, r: int, n=None, *, log_n=None) -> float:
 
 
 def lambert_w(x: float) -> float:
-    """Principal-branch Lambert W on x >= 0 by Halley iteration from log(1+x).
+    """Principal-branch Lambert W on finite x >= 0 by Halley iteration from
+    log(1+x).
 
     Stops when |W e^W - x| <= 1e-13 * max(x, 1), an order tighter than the
-    1e-12 contract.
+    1e-12 contract.  Above 1e300, where W e^W and Halley's step overflow,
+    it runs Newton on W + log W = log x from log x - log log x instead.
     """
-    if x < 0:
-        raise ValueError(f"principal branch needs x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"Lambert W needs a finite x >= 0, got {x}")
     if x == 0:
         return 0.0
+    if x > 1e300:
+        big_l = math.log(x)
+        w = big_l - math.log(big_l)
+        for _ in range(80):
+            step = (w + math.log(w) - big_l) * w / (w + 1.0)
+            w -= step
+            if abs(step) <= 1e-15 * w:
+                break
+        return w
     w = math.log1p(x)
     for _ in range(80):
         e = math.exp(w)

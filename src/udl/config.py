@@ -15,9 +15,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .gaussian import GaussFactorization, GaussInt, factor_over, two_squares_prime
-from .numtheory import APClass, kth_prime_in_ap
-
-_CLS_1_MOD_4 = APClass(4, 1)
+from .numtheory import AP_1_MOD_4, kth_prime_in_ap
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,7 @@ def choose_params(n: int) -> ConfigParams:
     m = 1
     r = 1
     while True:
-        p = kth_prime_in_ap(r, _CLS_1_MOD_4)
+        p = kth_prime_in_ap(r, AP_1_MOD_4)
         if 4 * m * p > n:
             break
         m *= p

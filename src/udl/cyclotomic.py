@@ -49,18 +49,17 @@ class CyclotomicField:
         self.n = n
         self.poly = cyclotomic_poly(n)
         self.degree = len(self.poly) - 1
-        # reduction rows: zeta^j as an integer vector, for j in [deg, 2*deg-2]
-        rows: list[tuple[int, ...]] = []
+        # zeta^j as an integer vector, for 0 <= j < max(n, 2*deg - 1): `zeta`
+        # reads entry j mod n, and `__mul__` reduces zeta^deg .. zeta^(2*deg-2)
         base = [-c for c in self.poly[:-1]]  # zeta^deg
-        cur = list(base)
-        rows.append(tuple(cur))
-        for _ in range(self.degree - 2):
+        cur = [1] + [0] * (self.degree - 1)
+        self._powers = [tuple(cur)]
+        for _ in range(max(n, 2 * self.degree - 1) - 1):
             top = cur[-1]
             cur = [0] + cur[:-1]
             if top:
                 cur = [c + top * b for c, b in zip(cur, base)]
-            rows.append(tuple(cur))
-        self._rows = rows
+            self._powers.append(tuple(cur))
 
     def element(self, coeffs) -> "CycloElement":
         vals = [Fraction(c) for c in coeffs]
@@ -78,20 +77,7 @@ class CyclotomicField:
         return self.element([1])
 
     def zeta(self, power: int = 1) -> "CycloElement":
-        power %= self.n
-        k = min(power, self.degree - 1)
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[k] = Fraction(1)
-        out = CycloElement(self, tuple(coeffs))
-        base = self._rows[0] if self._rows else ()
-        for _ in range(power - k):
-            cs = list(out.coeffs)
-            top = cs[-1]
-            cs = [Fraction(0)] + cs[:-1]
-            if top:
-                cs = [c + top * b for c, b in zip(cs, base)]
-            out = CycloElement(self, tuple(cs))
-        return out
+        return CycloElement(self, tuple(map(Fraction, self._powers[power % self.n])))
 
     def embed_pair(self, re, im) -> "CycloElement":
         """Gaussian rational re + im*i with i = zeta^(n/4); needs 4 | n."""
@@ -135,12 +121,11 @@ class CycloElement:
                     if b:
                         conv[i + j] += a * b
         out = conv[:deg]
-        rows = self.field._rows
+        powers = self.field._powers
         for j in range(deg, 2 * deg - 1):
             c = conv[j]
             if c:
-                row = rows[j - deg]
-                for i, r in enumerate(row):
+                for i, r in enumerate(powers[j]):
                     if r:
                         out[i] += c * r
         return CycloElement(self.field, tuple(out))

@@ -65,6 +65,7 @@ _SMALL_NONRESIDUES = tuple(
 )
 
 
+@functools.cache
 def two_squares_prime(p: int) -> tuple[int, int]:
     """Decompose a prime p = 2 or p = 1 (mod 4) as x^2 + y^2, by Hermite-Serret.
 
@@ -97,9 +98,6 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     if y * y != rem:
         raise RuntimeError(f"descent failed for {p}")  # unreachable for prime input
     return (min(b, y), max(b, y))
-
-
-_two_squares_cached = functools.cache(two_squares_prime)
 
 
 def _images(points, conjugates: bool) -> list[tuple[int, int]]:
@@ -137,7 +135,7 @@ def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
                 return []
             choices, e = [(p, 0)], e // 2
         else:
-            x, y = _two_squares_cached(p)
+            x, y = two_squares_prime(p)
             if halve and e == 1:
                 choices, halve = [(x, y)], False
             else:
@@ -164,7 +162,7 @@ def representations(primes) -> set[GaussInt]:
     pairs = []
     for p in primes:
         try:
-            pair = p % 4 == 1 and _two_squares_cached(p)
+            pair = p % 4 == 1 and two_squares_prime(p)
         except ValueError:
             pair = False
         if not pair:
@@ -205,22 +203,20 @@ def factor_over(g: GaussInt, atoms) -> GaussFactorization | None:
     if g.norm() != norm_product:
         return None
 
-    chosen: list[GaussInt] = []
-
-    def descend(i: int, cur: GaussInt) -> GaussInt | None:
-        if i == len(atoms):
-            return cur if cur.is_unit() else None
-        for cand in (atoms[i], atoms[i].conj()):
-            q = _exact_div(cur, cand)
+    # Each atom is a Gaussian prime.  When it divides what is left but an
+    # expression takes its conjugate here, it divides the conjugate itself
+    # or a later factor, an associate of it; taking the atom here and that
+    # factor's conjugate there changes the product by a unit only.  So one
+    # pass finds an expression whenever one exists, and what is left at the
+    # end has norm 1.
+    factors = []
+    for atom in atoms:
+        for cand in (atom, atom.conj()):
+            q = _exact_div(g, cand)
             if q is not None:
-                chosen.append(cand)
-                unit = descend(i + 1, q)
-                if unit is not None:
-                    return unit
-                chosen.pop()
-        return None
-
-    unit = descend(0, g)
-    if unit is None:
-        return None
-    return GaussFactorization(unit=unit, factors=tuple(chosen))
+                factors.append(cand)
+                g = q
+                break
+        else:
+            return None
+    return GaussFactorization(unit=g, factors=tuple(factors))

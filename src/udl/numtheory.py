@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, compress, count, islice
 
 # Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
@@ -67,57 +68,33 @@ def _odd_sieve_flags(limit: int) -> bytearray:
     return flags
 
 
-class PrimeTable:
-    """Primality flags of the odd numbers up to a fixed limit, from a sieve
-    of Eratosthenes; the odd number p sits at flag index p >> 1.
-    `primes_up_to` lists a prefix of the primes; `primes_in_ap` and
-    `chebyshev` read their class off the flags instead.
+# the shared sieve's odd flags, covering the numbers up to 2 * len(_flags)
+_flags = bytearray()
 
-    Attributes:
-        limit: inclusive sieve bound.
+
+def _sieve(limit: int) -> bytearray:
+    """The shared sieve's odd flags, covering at least the numbers <= limit;
+    index i stands for 2i + 1.
+
+    The sieve grows geometrically, so repeat callers reuse one, and the old
+    flags are let go before the larger sieve runs, so a growth step holds
+    one sieve, not two.  A limit past `SIEVE_HARD_LIMIT` is refused.
     """
-
-    def __init__(self, limit: int):
-        if limit < 0:
-            raise ValueError(f"sieve limit must be nonnegative, got {limit}")
+    global _flags
+    if 2 * len(_flags) < limit:
         if limit > SIEVE_HARD_LIMIT:
             raise ValueError(f"sieve limit {limit} exceeds hard cap {SIEVE_HARD_LIMIT}")
-        self.limit = limit
-        self._flags = _odd_sieve_flags(limit)
-        # ((x, cls), sum) for the latest class sum of `_class_log_sum`: one
-        # entry, dropped with the table when a larger sieve replaces it
-        self._class_sum: tuple[tuple[int, APClass], int] | None = None
-
-    def is_prime(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise ValueError(f"{n} is outside the sieved range [0, {self.limit}]")
-        return n == 2 or bool(n & 1 and self._flags[n >> 1])
-
-    def primes_up_to(self, x: int) -> list[int]:
-        if x > self.limit:
-            raise ValueError(f"{x} is outside the sieved range [0, {self.limit}]")
-        if x < 2:
-            return []
-        return [2, *compress(range(1, x + 1, 2), self._flags[: (x + 1) >> 1])]
+        target = max(limit, 1 << 16, min(4 * len(_flags), SIEVE_HARD_LIMIT))
+        _flags = bytearray()
+        _flags = _odd_sieve_flags(target)
+    return _flags
 
 
-_cache: PrimeTable | None = None
-
-
-def _table(limit: int) -> PrimeTable:
-    """Shared table, grown geometrically so repeat callers reuse one sieve.
-
-    The old table is let go before the larger one is sieved, so a growth step
-    holds one sieve, not two.
-    """
-    global _cache
-    if _cache is None or _cache.limit < limit:
-        target = max(limit, 1 << 16)
-        if _cache is not None:
-            target = max(target, min(2 * _cache.limit, SIEVE_HARD_LIMIT))
-        _cache = None
-        _cache = PrimeTable(target)
-    return _cache
+def primes_up_to(x: int) -> list[int]:
+    """The primes p <= x, ascending, off the shared sieve's flags."""
+    if x < 2:
+        return []
+    return [2, *compress(range(1, x + 1, 2), _sieve(x)[: (x + 1) >> 1])]
 
 
 def is_probable_prime(n: int) -> bool:
@@ -129,7 +106,7 @@ def is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
     if n < _SIEVED_PRIMALITY_LIMIT:
-        return _table(n).is_prime(n)
+        return n == 2 or bool(n & 1 and _sieve(n)[n >> 1])
     return _miller_rabin(n)
 
 
@@ -206,8 +183,12 @@ def _rho_split(n: int, left: int) -> tuple[int, int]:
             return g, left
 
 
+@lru_cache(maxsize=1)
 def factor(m: int) -> dict[int, int]:
     """Prime factorisation {p: e} of m >= 1, in ascending p.
+
+    The latest result is kept, so pricing r_2(m) and then listing the
+    vectors of m factor it once; callers read the dict and never change it.
 
     Trial division takes out the primes up to `_TRIAL_BOUND`.  A cofactor
     that Miller-Rabin proves composite is split by Pollard-Brent rho and its
@@ -281,7 +262,7 @@ def _class_runs(x: int, cls: APClass):
     d, a = cls.d, cls.a
     step = d if d % 2 == 0 else 2 * d
     odd = a if a % 2 else a + d
-    flags = _table(max(x, 2))._flags
+    flags = _sieve(x)
     if d % 3 == 0:
         heads, stride = [odd], step
     else:
@@ -327,21 +308,18 @@ def _exact_log_sum(logs) -> int:
     return total
 
 
+@lru_cache(maxsize=1)
 def _class_log_sum(x: int, cls: APClass) -> int:
     """Sum of log p over the primes p <= x with p = a (mod d), in units of
-    2**-53 (`_exact_log_sum`); the shared table keeps the latest one."""
-    table = _table(max(x, 2))
-    if table._class_sum is None or table._class_sum[0] != (x, cls):
-        logs = map(math.log, chain.from_iterable(_class_primes(x, cls)))
-        table._class_sum = ((x, cls), _exact_log_sum(logs))
-    return table._class_sum[1]
+    2**-53 (`_exact_log_sum`); the latest one is kept for psi at the same x."""
+    return _exact_log_sum(map(math.log, chain.from_iterable(_class_primes(x, cls))))
 
 
 def _higher_power_logs(x: int, cls: APClass):
     """log p once for each power p^l <= x with l >= 2 and p^l = a (mod d);
     only a prime p <= sqrt(x) has one."""
     d, a = cls.d, cls.a
-    for p in _table(max(x, 2)).primes_up_to(math.isqrt(x)):
+    for p in primes_up_to(math.isqrt(x)):
         logp = math.log(p)
         power = p * p
         while power <= x:

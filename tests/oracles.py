@@ -212,6 +212,32 @@ def lambert_w_bisect(x: float, iters: int = 200) -> float:
     return (lo + hi) / 2
 
 
+def factor_over_backtracking(g, atoms):
+    """(unit, factors) with g = unit * prod factors, factors[i] being atoms[i]
+    or its conjugate, found by depth-first search over both choices at each
+    atom (the atom first), or None; atoms and g are GaussInt."""
+    if g.norm() != math.prod(a.norm() for a in atoms):
+        return None
+    chosen = []
+
+    def descend(i, cur):
+        if i == len(atoms):
+            return cur if cur.is_unit() else None
+        for cand in (atoms[i], atoms[i].conj()):
+            num = cur * cand.conj()
+            n = cand.norm()
+            if num.a % n == 0 and num.b % n == 0:
+                chosen.append(cand)
+                unit = descend(i + 1, type(g)(num.a // n, num.b // n))
+                if unit is not None:
+                    return unit
+                chosen.pop()
+        return None
+
+    unit = descend(0, g)
+    return None if unit is None else (unit, tuple(chosen))
+
+
 def gaussian_rational_mul(u, v):
     """(a+bi)(c+di) over exact rationals, as coefficient pairs."""
     a, b = Fraction(u[0]), Fraction(u[1])

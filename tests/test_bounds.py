@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -91,6 +92,31 @@ def test_lambert_w_reference_points():
     assert lambert_w(500.0) == pytest.approx(4.672840885119040, abs=1e-9)
     with pytest.raises(ValueError):
         lambert_w(-0.5)
+
+
+def test_lambert_w_above_1e300_up_to_the_float_max():
+    # there w e^w and the Halley step overflow: W solves w + log w = log x
+    xs = [1e300 * 10 ** (8.25 * i / 99) for i in range(100)]
+    for x in (*xs, math.nextafter(1e300, math.inf), 3.7e302, 3e305, sys.float_info.max):
+        w = lambert_w(x)
+        assert abs(w + math.log(w) - math.log(x)) <= 1e-12 * math.log(x), x
+    assert lambert_w(1e303) == pytest.approx(lambert_w_bisect(1e303), abs=1e-10)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite x >= 0"):
+            lambert_w(bad)
+
+
+def test_a_bound_past_the_float_range_is_refused():
+    # k^4 or r past a float raised OverflowError, and k = 10^70 printed an infinite log2 bound
+    for k, r in ((10**78, 1), (3, 10**309), (10**70, 1)):
+        with pytest.raises(ValueError, match="at this k and r is past the float range"):
+            bound_row(BoundParams(k=k, r=r, n=100))
+    with pytest.raises(ValueError, match="past the float range"):
+        log2_solution_bound(10**70, 1)
+    with pytest.raises(ValueError, match="past the float range"):
+        epsilon_rhs(3, 10**309, log_n=1.0)
+    row = bound_row(BoundParams(k=10**60, r=1, n=100))
+    assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
 
 
 def test_lambert_w_identity_bracket_and_oracle_agreement():

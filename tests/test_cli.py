@@ -1,6 +1,7 @@
 import ast
 import errno
 import json
+import math
 import os
 import random
 import subprocess
@@ -25,7 +26,7 @@ from udl.paths import (
 )
 from udl.udgraph import build_graph
 
-from oracles import two_squares_set
+from oracles import is_prime_slow, two_squares_set
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,6 +205,24 @@ def test_bounds_subcommand_json_and_csv(capsys):
     assert values.split(",")[0] == "3"
     # exactly one of --n / --log-n
     assert run(capsys, ["bounds", "--k", "3", "--r", "2"])[0] == 2
+
+
+def test_bounds_at_the_edge_of_the_float_range_print_strict_json_or_refuse(capsys):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # k_star reads W of 5 log n: past 3.7e302 it came out wrong, past 3e305 NaN
+    for log_n in ("1e303", "1e306"):
+        code, out, _ = run(capsys, ["bounds", "--k", "3", "--r", "1", "--log-n", log_n])
+        assert code == 0
+        w = 5 * math.log(json.loads(out, parse_constant=refuse)["k_star"])
+        assert abs(w + math.log(w) - math.log(5 * float(log_n))) <= 1e-12 * math.log(5 * float(log_n))
+    # 5 log n overflows, k^4 and r pass a float, the log2 bound overflows: one error line, exit 2
+    for k, r, log_n in (("3", "1", "1e308"), (str(10**78), "1", None), ("3", str(10**309), None), (str(10**70), "1", None)):
+        scale = ["--log-n", log_n] if log_n else ["--n", "100"]
+        code, out, err = run(capsys, ["bounds", "--k", k, "--r", r, *scale])
+        assert (code, out) == (2, ""), (k, r, log_n)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_paths_subcommand(capsys):
@@ -571,17 +590,23 @@ def test_graph_prices_its_neighbour_table_before_building_it_or_opening_the_file
 
 def test_graph_prices_its_lookups_once(capsys, tmp_path, monkeypatch):
     # a point set is priced before it is built, and emitting it is not priced again;
-    # a grid is priced only when it emits, as only then does it locate its lookups
+    # a grid is priced only when it emits, as only then does it locate its lookups.
+    # Either factors m once: pricing r_2(m) and listing its vectors share one factorisation
     import udl.cli
 
-    priced = []
-    check = udl.cli._check_budget
+    priced, factored = [], []
+    check, trial_divide = udl.cli._check_budget, udl.numtheory._trial_divide
 
     def counted(projected, *rest):
         priced.append(projected)
         return check(projected, *rest)
 
+    def counted_trial_divide(m, out):
+        factored.append(m)
+        return trial_divide(m, out)
+
     monkeypatch.setattr(udl.cli, "_check_budget", counted)
+    monkeypatch.setattr(udl.numtheory, "_trial_divide", counted_trial_divide)
     full, holed, path = tmp_path / "full.txt", tmp_path / "holed.txt", tmp_path / "edges.txt"
     full.write_text("".join(f"{x} {y}\n" for x in range(10) for y in range(10)))
     holed.write_text("".join(f"{x} {y}\n" for x in range(10) for y in range(10) if (x, y) != (5, 5)))
@@ -593,10 +618,31 @@ def test_graph_prices_its_lookups_once(capsys, tmp_path, monkeypatch):
         (["graph", "--n", "100"], []),
     ]:
         priced.clear()
+        factored.clear()
+        udl.numtheory.factor.cache_clear()
         assert run(capsys, argv)[0] == 0, argv
-        assert priced == expect, argv
+        assert priced == expect and factored == [5], argv
         if "--n" in argv or argv[2] == str(full):
             assert path.read_text() == (GOLDEN / "edges_10x10_m5.txt").read_text()
+
+
+def test_graph_prices_a_huge_r2_from_the_factorisation_before_listing_its_vectors(capsys, tmp_path, monkeypatch):
+    # m, the product of the first 28 primes = 1 (mod 4), trial-divides at once, but
+    # r_2(m) = 4 * 2^28 > 10^9: one point is refused before ~10^9 vectors are listed
+    import udl.udgraph
+
+    primes = [p for p in range(5, 300, 4) if is_prime_slow(p)][:28]
+    assert len(primes) == 28
+    path = tmp_path / "points.txt"
+    path.write_text("0 0\n")
+
+    def unlisted(factors):
+        raise AssertionError("lattice vectors listed before the run was priced")
+
+    monkeypatch.setattr(udl.udgraph, "_lattice_points", unlisted)
+    code, out, err = run(capsys, ["graph", "--points", str(path), "--m", str(math.prod(primes))])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"refused: projected {4 << 28} ") and err.count("\n") == 1, err
 
 
 def test_graph_emit_replaces_the_file_only_once_it_is_whole(capsys, tmp_path, monkeypatch):

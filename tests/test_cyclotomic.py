@@ -56,6 +56,18 @@ def test_zeta_powers_cycle_and_multiply():
             assert powers[j] * powers[k] == field.zeta(j + k)
 
 
+def test_zeta_powers_match_repeated_multiplication_by_zeta():
+    # zeta is x mod Phi_n, built here without the field's table of powers:
+    # zeta^m by m multiplications is zeta^(m - 2n), as zeta^(2n) = 1
+    for n in range(1, 61):
+        field = CyclotomicField(n)
+        z = field.element([0, 1]) if field.degree > 1 else field.element([-field.poly[0]])
+        walk = field.one
+        for m in range(4 * n + 1):
+            assert field.zeta(m - 2 * n) == walk, (n, m - 2 * n)
+            walk = walk * z
+
+
 def test_embedded_i_squares_to_minus_one():
     for n in (4, 12, 20, 44):
         field = CyclotomicField(n)

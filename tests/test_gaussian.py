@@ -12,7 +12,7 @@ from udl.gaussian import (
 from udl.numtheory import is_probable_prime
 from udl.udgraph import lattice_vectors
 
-from oracles import gaussian_rational_mul, trial_division_primes, two_squares_set
+from oracles import factor_over_backtracking, gaussian_rational_mul, trial_division_primes, two_squares_set
 
 
 UNITS = (GaussInt(1, 0), GaussInt(-1, 0), GaussInt(0, 1), GaussInt(0, -1))
@@ -135,7 +135,7 @@ def test_representations_checks_each_prime_once(monkeypatch):
 
     monkeypatch.setattr(udl.gaussian, "is_probable_prime", counted)
     p = 1_000_000_009
-    udl.gaussian._two_squares_cached.cache_clear()
+    two_squares_prime.cache_clear()
     for _ in range(3):
         assert len(representations([5, p])) == 16
     assert seen.count(p) == 1
@@ -217,3 +217,33 @@ def test_factor_over_roundtrip_random():
 
 def test_factor_over_norm_mismatch_is_failure_value():
     assert factor_over(GaussInt(6, 7), [GaussInt(1, 2)]) is None
+
+
+def test_factor_over_agrees_with_the_backtracking_search():
+    # atoms drawn with repeats, conjugates, associates and 1 + i, so a slot
+    # may divide by both choices.  g is a unit times a drawn choice per slot,
+    # or any point of the atoms' norm product m (by unique factorisation it
+    # has an expression too), or a point of norm 5m or 13m, which has none
+    rng = random.Random(41)
+    pool = [GaussInt(*two_squares_prime(p)) for p in (2, 5, 13, 17)]
+    found = missed = 0
+    for _ in range(3000):
+        atoms = []
+        for _ in range(rng.randint(0, 5)):
+            a = rng.choice(pool)
+            atoms.append(rng.choice(UNITS) * (a if rng.random() < 0.5 else a.conj()))
+        m = math.prod(a.norm() for a in atoms)
+        draw = rng.randrange(3)
+        if draw == 0:
+            g = math.prod((a if rng.random() < 0.5 else a.conj() for a in atoms), start=rng.choice(UNITS))
+        else:
+            g = GaussInt(*rng.choice(sorted(two_squares_set(m * (1 if draw == 1 else rng.choice((5, 13)))))))
+        got = factor_over(g, atoms)
+        assert (got and (got.unit, got.factors)) == factor_over_backtracking(g, atoms), (g, atoms)
+        assert (got is None) == (draw == 2), (g, atoms)
+        if got:
+            found += 1
+            assert math.prod(got.factors, start=got.unit) == g
+        else:
+            missed += 1
+    assert found > 1500 and missed > 500, (found, missed)

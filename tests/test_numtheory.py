@@ -15,13 +15,14 @@ from udl.numtheory import (
     APClass,
     _class_runs,
     _miller_rabin,
-    PrimeTable,
+    _odd_sieve_flags,
     chebyshev,
     euler_phi,
     factor,
     is_probable_prime,
     kth_prime_in_ap,
     primes_in_ap,
+    primes_up_to,
     two_squares_count,
 )
 
@@ -47,16 +48,13 @@ def test_apclass_validation():
         APClass(1, 1)
 
 
-def test_prime_table_against_trial_division():
-    table = PrimeTable(10_000)
-    assert table.primes_up_to(10_000) == trial_division_primes(10_000)
-    assert table.is_prime(9973)
-    assert not table.is_prime(9999)
-    assert table.primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    with pytest.raises(ValueError):
-        table.is_prime(10_001)
-    with pytest.raises(ValueError):
-        PrimeTable(10**8 + 1)
+def test_primes_up_to_against_trial_division():
+    assert primes_up_to(10_000) == trial_division_primes(10_000)
+    assert is_probable_prime(9973)
+    assert not is_probable_prime(9999)
+    assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    with pytest.raises(ValueError, match="sieve limit 100000001 exceeds hard cap 100000000"):
+        primes_up_to(10**8 + 1)
 
 
 def test_euler_phi_examples_and_bruteforce():
@@ -95,12 +93,15 @@ def test_primes_in_ap_reads_each_class_off_a_larger_table():
     assert primes_in_ap(1, APClass(3, 2)) == []
 
 
-def test_prime_table_lists_each_prefix_off_its_flags():
-    table = PrimeTable(1000)
+def test_primes_up_to_lists_each_prefix_off_the_flags(monkeypatch):
+    # a sieve of the odd numbers up to 1000 serves every x <= 1000 as it is;
+    # x = 1001 grows it
+    monkeypatch.setattr(udl.numtheory, "_flags", _odd_sieve_flags(1000))
     for x in (*range(12), 997, 998, 1000):
-        assert table.primes_up_to(x) == trial_division_primes(x), x
-    with pytest.raises(ValueError):
-        table.primes_up_to(1001)
+        assert primes_up_to(x) == trial_division_primes(x), x
+        assert len(udl.numtheory._flags) == 500, x
+    assert primes_up_to(1001) == trial_division_primes(1001)
+    assert len(udl.numtheory._flags) == 1 << 15
 
 
 def test_chebyshev_pi_example():
@@ -275,14 +276,16 @@ def test_factor_rejects_nonpositive():
         factor(-12)
 
 
-def test_prime_table_at_every_small_limit():
-    # index i of the odd-only sieve stands for 2i + 1: limits 0..3 sit on its edges
+def test_the_sieve_at_every_small_limit(monkeypatch):
+    # index i of the odd-only sieve stands for 2i + 1: limits 0..3 sit on its
+    # edges; each limit's sieve is read as it is, never grown
     for limit in range(301):
-        table = PrimeTable(limit)
-        primes = table.primes_up_to(limit)
+        monkeypatch.setattr(udl.numtheory, "_flags", _odd_sieve_flags(limit))
+        primes = primes_up_to(limit)
         assert primes == trial_division_primes(limit), limit
-        assert [n for n in range(limit + 1) if table.is_prime(n)] == primes, limit
-        assert all(table.is_prime(n) == is_prime_slow(n) for n in range(limit + 1)), limit
+        assert [n for n in range(limit + 1) if is_probable_prime(n)] == primes, limit
+        assert all(is_probable_prime(n) == is_prime_slow(n) for n in range(limit + 1)), limit
+        assert len(udl.numtheory._flags) == (limit + 1) // 2, limit
 
 
 # psi_j, the least strong pseudoprime to the first j primes (Jaeschke 1993;
@@ -347,20 +350,29 @@ def test_sieved_primality_agrees_with_miller_rabin():
     assert not is_probable_prime(1_373_653)
 
 
-def test_a_growing_table_lets_the_old_sieve_go_first(monkeypatch):
-    monkeypatch.setattr(udl.numtheory, "_cache", PrimeTable(1000))
+def test_a_growing_sieve_lets_the_old_flags_go_first(monkeypatch):
+    monkeypatch.setattr(udl.numtheory, "_flags", _odd_sieve_flags(1000))
     held = []
-    original = PrimeTable.__init__
+    original = udl.numtheory._odd_sieve_flags
 
-    def spy(self, limit):
-        held.append(udl.numtheory._cache)
-        original(self, limit)
+    def spy(limit):
+        held.append((limit, len(udl.numtheory._flags)))
+        return original(limit)
 
-    monkeypatch.setattr(PrimeTable, "__init__", spy)
-    table = udl.numtheory._table(5000)
-    assert held == [None]
-    assert udl.numtheory._cache is table and table.limit == 1 << 16
-    assert udl.numtheory._table(5000) is table and held == [None]
+    monkeypatch.setattr(udl.numtheory, "_odd_sieve_flags", spy)
+    flags = udl.numtheory._sieve(5000)
+    assert held == [(1 << 16, 0)]
+    assert udl.numtheory._flags is flags and len(flags) == 1 << 15
+    assert udl.numtheory._sieve(5000) is flags and udl.numtheory._sieve(1 << 16) is flags and len(held) == 1
+    # each growth step at least doubles the limit, up to the cap, and past the cap it refuses
+    udl.numtheory._sieve((1 << 16) + 1)
+    assert held[1:] == [(1 << 17, 0)]
+    monkeypatch.setattr(udl.numtheory, "SIEVE_HARD_LIMIT", 200_000)
+    udl.numtheory._sieve((1 << 17) + 1)
+    assert held[2:] == [(200_000, 0)]
+    with pytest.raises(ValueError, match="sieve limit 200001 exceeds hard cap 200000"):
+        udl.numtheory._sieve(200_001)
+    assert len(held) == 3 and len(udl.numtheory._flags) == 100_000
 
 
 @pytest.mark.parametrize("d, a", [(4, 1), (4, 3), (3, 1), (8, 5), (10, 7), (3, 2), (5, 2), (12, 7)])
@@ -392,19 +404,23 @@ def test_theta_and_psi_are_bit_identical_in_any_order_and_share_one_class_sum(mo
         calls.clear()
 
 
-def test_the_class_sum_goes_with_the_table_it_was_read_from(monkeypatch):
-    # the cached sum lives on the table, so growing the sieve drops it
-    monkeypatch.setattr(udl.numtheory, "_cache", PrimeTable(3000))
+def test_theta_and_psi_are_bit_identical_in_either_order_across_a_growth_step(monkeypatch):
+    # the latest class sum is kept apart from the sieve: a sum read off a
+    # small sieve serves the other kind after the sieve grows, and a sum read
+    # afresh off the larger sieve is the same
     cls = APClass(4, 1)
-    small = udl.numtheory._table(0)
-    expect = {x: (chebyshev_sum("theta", x, 4, 1), chebyshev_sum("psi", x, 4, 1)) for x in (2999, 10**5)}
-    assert (chebyshev("theta", 2999, cls), chebyshev("psi", 2999, cls)) == expect[2999]
-    assert small._class_sum[0] == (2999, cls)
-    assert (chebyshev("psi", 10**5, cls), chebyshev("theta", 10**5, cls)) == expect[10**5][::-1]
-    grown = udl.numtheory._table(0)
-    assert grown is not small and grown.limit >= 10**5 and grown._class_sum[0] == (10**5, cls)
-    assert (chebyshev("theta", 2999, cls), chebyshev("psi", 2999, cls)) == expect[2999]
-    assert udl.numtheory._table(0) is grown and grown._class_sum[0] == (2999, cls)
+    for x in (2999, 3000):
+        expect = {"theta": chebyshev_sum("theta", x, 4, 1), "psi": chebyshev_sum("psi", x, 4, 1)}
+        for first, second in (("theta", "psi"), ("psi", "theta")):
+            monkeypatch.setattr(udl.numtheory, "_flags", _odd_sieve_flags(3000))
+            udl.numtheory._class_log_sum.cache_clear()
+            got = {first: chebyshev(first, x, cls)}
+            primes_up_to(10**5)
+            assert len(udl.numtheory._flags) >= 10**5 // 2
+            got[second] = chebyshev(second, x, cls)
+            assert got == expect and udl.numtheory._class_log_sum.cache_info().hits == 1, (x, first)
+            udl.numtheory._class_log_sum.cache_clear()
+            assert {kind: chebyshev(kind, x, cls) for kind in (second, first)} == expect, (x, first)
 
 
 @pytest.mark.parametrize("d, a", [(4, 1), (3, 2), (8, 3)])
