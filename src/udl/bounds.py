@@ -26,16 +26,18 @@ MAX_EXPONENT_HEIGHT = 8
 DEFAULT_ENUM_BUDGET = 200_000
 
 
-def _resolve_log_n(n=None, log_n=None) -> float:
+def _checked_log_n(log_n) -> float:
+    if not 0 < log_n < math.inf:
+        raise ValueError(f"log n must be finite and positive, got {log_n}")
+    return float(log_n)
+
+
+def _resolve_log_n(n, log_n) -> float:
     if (n is None) == (log_n is None):
         raise ValueError("give exactly one of n and log_n")
-    if log_n is not None:
-        if not 0 < log_n < math.inf:
-            raise ValueError(f"log n must be finite and positive, got {log_n}")
-        return float(log_n)
-    if not 3 <= n < math.inf:
+    if n is not None and not 3 <= n < math.inf:
         raise ValueError(f"need a finite n >= 3, got {n}")
-    return math.log(n)
+    return _checked_log_n(log_n if n is None else math.log(n))
 
 
 def _in_float_range(fn):
@@ -64,14 +66,14 @@ def log2_solution_bound(k: int, r: int) -> float:
 
 
 @_in_float_range
-def epsilon_rhs(k: int, r: int, n=None, *, log_n=None) -> float:
+def epsilon_rhs(k: int, r: int, *, log_n: float) -> float:
     """Upper bound 5 r k^4 log k / log n + 3/(2k) on the admissible exponent
     excess for path length k and rank r."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
-    big_l = _resolve_log_n(n, log_n)
+    big_l = _checked_log_n(log_n)
     return 5.0 * r * k**4 * math.log(k) / big_l + 3.0 / (2.0 * k)
 
 
@@ -81,21 +83,14 @@ def lambert_w(x: float) -> float:
 
     Stops when |W e^W - x| <= 1e-13 * max(x, 1), an order tighter than the
     1e-12 contract.  Above 1e300, where W e^W and Halley's step overflow,
-    it runs Newton on W + log W = log x from log x - log log x instead.
+    it solves W + log W = log x instead (`_lambert_w_of_log`).
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"Lambert W needs a finite x >= 0, got {x}")
     if x == 0:
         return 0.0
     if x > 1e300:
-        big_l = math.log(x)
-        w = big_l - math.log(big_l)
-        for _ in range(80):
-            step = (w + math.log(w) - big_l) * w / (w + 1.0)
-            w -= step
-            if abs(step) <= 1e-15 * w:
-                break
-        return w
+        return _lambert_w_of_log(math.log(x))
     w = math.log1p(x)
     for _ in range(80):
         e = math.exp(w)
@@ -107,9 +102,23 @@ def lambert_w(x: float) -> float:
     return w
 
 
+def _lambert_w_of_log(big_l: float) -> float:
+    """W(e^L) for L > 690 by Newton on w + log w = L from L - log L."""
+    w = big_l - math.log(big_l)
+    for _ in range(80):
+        step = (w + math.log(w) - big_l) * w / (w + 1.0)
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
+
+
 def k_star(log_n: float, r: int, c2: float = 1.0) -> float:
-    """exp(W(5 c2 log n / r) / 5), the path length that balances the bound."""
-    return math.exp(lambert_w(5.0 * c2 * log_n / r) / 5.0)
+    """exp(W(5 c2 log n / r) / 5), the path length that balances the bound;
+    where 5 c2 log n / r overflows, W is solved from its log."""
+    x = 5.0 * c2 * log_n / r
+    w = _lambert_w_of_log(math.log(5.0 * c2) + math.log(log_n) - math.log(r)) if x == math.inf else lambert_w(x)
+    return math.exp(w / 5.0)
 
 
 class KWindow(NamedTuple):
@@ -118,14 +127,14 @@ class KWindow(NamedTuple):
     k_hi: float
 
 
-def optimal_k_window(n=None, r: int = 1, c2: float = 1.0, *, log_n=None) -> KWindow:
+def optimal_k_window(*, log_n: float, r: int = 1, c2: float = 1.0) -> KWindow:
     """k_star = exp(W(5 c2 log n / r)/5) with the calibrated sandwich
     k_lo <= k_star <= k_hi, both proportional to (log n / r)^(1/5)."""
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     if c2 <= 0:
         raise ValueError(f"c2 must be positive, got {c2}")
-    big_l = _resolve_log_n(n, log_n)
+    big_l = _checked_log_n(log_n)
     base = (big_l / r) ** 0.2
     window = KWindow(k_star(big_l, r, c2), K_WINDOW_LO * base, K_WINDOW_HI * base)
     if not window.k_lo <= window.k_star <= window.k_hi:
@@ -136,9 +145,9 @@ def optimal_k_window(n=None, r: int = 1, c2: float = 1.0, *, log_n=None) -> KWin
     return window
 
 
-def k_feasible(k: int, epsilon: float, n=None, *, log_n=None) -> bool:
+def k_feasible(k: int, epsilon: float, *, log_n: float) -> bool:
     """Whether k < epsilon * log n / log 2 - 1."""
-    big_l = _resolve_log_n(n, log_n)
+    big_l = _checked_log_n(log_n)
     return k < epsilon * big_l / math.log(2) - 1.0
 
 
@@ -156,10 +165,10 @@ def calibrate_k_window(log_n_values, r_values, k_range=range(2, 65)):
     return min(ratios), max(ratios)
 
 
-def max_rank_coefficient(epsilon: float, n=None, *, log_n=None, k_range=range(2, 65)):
+def max_rank_coefficient(epsilon: float, *, k_range=range(2, 65)):
     """Largest c such that rank r = c log n still satisfies the epsilon
-    inequality for some k in the scan range; returns (c, k) or (0.0, None)."""
-    _resolve_log_n(n, log_n)  # validates
+    inequality for some k in the scan range; returns (c, k) or (0.0, None).
+    c does not depend on n: at r = c log n the bound is 5 c k^4 log k + 3/(2k)."""
     best_c, best_k = 0.0, None
     for k in k_range:
         margin = epsilon - 3.0 / (2.0 * k)
@@ -171,13 +180,12 @@ def max_rank_coefficient(epsilon: float, n=None, *, log_n=None, k_range=range(2,
     return best_c, best_k
 
 
-def absorption_sides(k: int, r: int, n=None, *, epsilon: float | None = None, log_n=None) -> dict:
+def absorption_sides(k: int, r: int, *, log_n: float) -> dict:
     """Evaluate ((k+1/2)eps - 3/2) log n <= k log 4 + 4k^4(k+kr+1) log(8k)
     <= 5 r k^5 log k and report both comparisons (informational; the right
     absorption is expected to fail for small k)."""
-    big_l = _resolve_log_n(n, log_n)
-    if epsilon is None:
-        epsilon = epsilon_rhs(k, r, log_n=big_l)
+    big_l = _checked_log_n(log_n)
+    epsilon = epsilon_rhs(k, r, log_n=big_l)
     lhs = ((k + 0.5) * epsilon - 1.5) * big_l
     mid = k * math.log(4) + 4.0 * k**4 * (k + k * r + 1) * math.log(8 * k)
     rhs = 5.0 * r * k**5 * math.log(k)
@@ -190,29 +198,20 @@ def absorption_sides(k: int, r: int, n=None, *, epsilon: float | None = None, lo
     }
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    k: int
-    r: int
-    n: float | None = None
-    log_n: float | None = None
-    epsilon: float | None = None
-    c2: float = 1.0
-
-
-def bound_row(params: BoundParams) -> dict:
-    """One report row: inputs, the log2 solution bound, the epsilon bound,
-    k_star, and the feasibility flag."""
-    big_l = _resolve_log_n(params.n, params.log_n)
-    eps = params.epsilon if params.epsilon is not None else epsilon_rhs(params.k, params.r, log_n=big_l)
+def bound_row(k: int, r: int, *, n=None, log_n=None) -> dict:
+    """The `udl bounds` row for path length k and rank r at exactly one of n
+    and log n: log n, the log2 solution bound, the epsilon bound, k_star at
+    rank max(r, 1) and whether k is feasible at that epsilon."""
+    big_l = _resolve_log_n(n, log_n)
+    eps = epsilon_rhs(k, r, log_n=big_l)
     return {
-        "k": params.k,
-        "r": params.r,
+        "k": k,
+        "r": r,
         "log_n": big_l,
-        "log2_solution_bound": log2_solution_bound(params.k, params.r),
+        "log2_solution_bound": log2_solution_bound(k, r),
         "epsilon_rhs": eps,
-        "k_star": k_star(big_l, max(params.r, 1), params.c2),
-        "feasible_k": k_feasible(params.k, eps, log_n=big_l),
+        "k_star": k_star(big_l, max(r, 1)),
+        "feasible_k": k_feasible(k, eps, log_n=big_l),
     }
 
 

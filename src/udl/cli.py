@@ -364,7 +364,7 @@ def _cmd_chebyshev(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    row = bounds_mod.bound_row(bounds_mod.BoundParams(k=args.k, r=args.r, n=args.n, log_n=args.log_n))
+    row = bounds_mod.bound_row(args.k, args.r, n=args.n, log_n=args.log_n)
     if args.csv:
         keys = list(row)
         print(",".join(keys))

@@ -494,9 +494,10 @@ def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
     return xa, xb, ya, yb
 
 
+@lru_cache(maxsize=1)
 def _grid_paths(g: UnitDistanceGraph, k: int):
-    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, built once
-    per k and cached on g.
+    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, kept for
+    the latest (g, k): the statistics of one k run before the next k.
 
     The norm-m vectors are closed under the maps of the grid box onto itself
     (`_grid_symmetries`, the group G: the 8 of the square on a square grid,
@@ -523,42 +524,39 @@ def _grid_paths(g: UnitDistanceGraph, k: int):
     """
     import numpy as np
 
-    cache = vars(g).setdefault("_grid_paths", {})
-    if k not in cache:
-        _, _, w, h = g.grid
-        idx, sx, sy, kind = _multisets(g.vectors, k, _orbit_least(w, h))
-        step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
-        size = _ordering_counts(k, kind)
-        offset = np.cumsum(size) - size
-        # a side lies in [-k * reach, max(side - 1, k * reach)] before the cut, in [0, side - 1] after
-        wide = max(w - 1, h - 1, k * int(np.abs(step).max(initial=0))) >= 2**31
-        rect = [np.empty(int(size.sum()), dtype=np.int64 if wide else np.int32) for _ in range(4)]  # ax, bx, ay, by
-        for c in np.flatnonzero(np.bincount(kind)).tolist():
-            orders = _orderings(k, c)
-            members = np.flatnonzero(kind == c)
-            chunk = max(1, _GATHER_BUDGET // len(orders))
-            for i in range(0, len(members), chunk):
-                ms = members[i : i + chunk]
-                at = offset[ms, None] + np.arange(len(orders))
-                for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
-                    # prefix boxes of every ordering: running sum, min and max over the k positions
-                    pre = np.zeros(at.shape, dtype=np.int64)
-                    lo, hi = pre.copy(), pre.copy()
-                    for j in range(k):
-                        pre += coord[:, orders[:, j]]
-                        np.minimum(lo, pre, out=lo)
-                        np.maximum(hi, pre, out=hi)
-                    first[at], last[at] = -lo, side - 1 - hi
-        keep = rect[0] <= rect[1]
-        keep &= rect[2] <= rect[3]
-        heads = _group_heads(sx, sy)
-        count = np.add.reduceat(keep, offset[heads], dtype=np.intp)
-        if not keep.all():
-            for i in range(4):  # one column at a time, so one full column is freed as each is cut
-                rect[i] = rect[i][keep]
-        dx, dy = sx[heads], sy[heads]
-        cache[k] = (dx, dy, count, _orbit_size(w, h, dx, dy), *rect)
-    return cache[k]
+    _, _, w, h = g.grid
+    idx, sx, sy, kind = _multisets(g.vectors, k, _orbit_least(w, h))
+    step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
+    size = _ordering_counts(k, kind)
+    offset = np.cumsum(size) - size
+    # a side lies in [-k * reach, max(side - 1, k * reach)] before the cut, in [0, side - 1] after
+    wide = max(w - 1, h - 1, k * int(np.abs(step).max(initial=0))) >= 2**31
+    rect = [np.empty(int(size.sum()), dtype=np.int64 if wide else np.int32) for _ in range(4)]  # ax, bx, ay, by
+    for c in np.flatnonzero(np.bincount(kind)).tolist():
+        orders = _orderings(k, c)
+        members = np.flatnonzero(kind == c)
+        chunk = max(1, _GATHER_BUDGET // len(orders))
+        for i in range(0, len(members), chunk):
+            ms = members[i : i + chunk]
+            at = offset[ms, None] + np.arange(len(orders))
+            for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
+                # prefix boxes of every ordering: running sum, min and max over the k positions
+                pre = np.zeros(at.shape, dtype=np.int64)
+                lo, hi = pre.copy(), pre.copy()
+                for j in range(k):
+                    pre += coord[:, orders[:, j]]
+                    np.minimum(lo, pre, out=lo)
+                    np.maximum(hi, pre, out=hi)
+                first[at], last[at] = -lo, side - 1 - hi
+    keep = rect[0] <= rect[1]
+    keep &= rect[2] <= rect[3]
+    heads = _group_heads(sx, sy)
+    count = np.add.reduceat(keep, offset[heads], dtype=np.intp)
+    if not keep.all():
+        for i in range(4):  # one column at a time, so one full column is freed as each is cut
+            rect[i] = rect[i][keep]
+    dx, dy = sx[heads], sy[heads]
+    return (dx, dy, count, _orbit_size(w, h, dx, dy), *rect)
 
 
 def total_irredundant_paths(

@@ -10,7 +10,6 @@ import pytest
 from udl.bounds import (
     K_WINDOW_HI,
     K_WINDOW_LO,
-    BoundParams,
     GroupSpec,
     absorption_sides,
     bound_row,
@@ -52,7 +51,6 @@ def test_epsilon_rhs_examples():
     assert epsilon_rhs(2, 0, log_n=100) == 0.75
     assert epsilon_rhs(2, 1, log_n=100) == pytest.approx(1.3045177444479563, rel=1e-12)
     assert epsilon_rhs(4, 2, log_n=1000) == pytest.approx(3.92391356446692, rel=1e-12)
-    assert epsilon_rhs(3, 1, n=10**6) == epsilon_rhs(3, 1, log_n=math.log(10**6))
 
 
 def test_epsilon_rhs_limits_and_validation():
@@ -64,9 +62,9 @@ def test_epsilon_rhs_limits_and_validation():
         epsilon_rhs(1, 1, log_n=10)
     with pytest.raises(ValueError):
         epsilon_rhs(2, -1, log_n=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         epsilon_rhs(2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         epsilon_rhs(2, 1, n=100, log_n=10)
     with pytest.raises(ValueError):
         epsilon_rhs(2, 1, log_n=0)
@@ -75,13 +73,13 @@ def test_epsilon_rhs_limits_and_validation():
 def test_non_finite_n_and_log_n_are_rejected():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            bound_row(BoundParams(k=2, r=1, n=bad))
+            bound_row(2, 1, n=bad)
         with pytest.raises(ValueError, match="finite"):
-            bound_row(BoundParams(k=2, r=1, log_n=bad))
+            bound_row(2, 1, log_n=bad)
         with pytest.raises(ValueError, match="finite"):
             k_feasible(2, 0.5, log_n=bad)
     # an integer n beyond the float range is finite and keeps working
-    assert bound_row(BoundParams(k=2, r=1, n=10**400))["log_n"] == pytest.approx(400 * math.log(10))
+    assert bound_row(2, 1, n=10**400)["log_n"] == pytest.approx(400 * math.log(10))
 
 
 def test_lambert_w_reference_points():
@@ -110,12 +108,12 @@ def test_a_bound_past_the_float_range_is_refused():
     # k^4 or r past a float raised OverflowError, and k = 10^70 printed an infinite log2 bound
     for k, r in ((10**78, 1), (3, 10**309), (10**70, 1)):
         with pytest.raises(ValueError, match="at this k and r is past the float range"):
-            bound_row(BoundParams(k=k, r=r, n=100))
+            bound_row(k, r, n=100)
     with pytest.raises(ValueError, match="past the float range"):
         log2_solution_bound(10**70, 1)
     with pytest.raises(ValueError, match="past the float range"):
         epsilon_rhs(3, 10**309, log_n=1.0)
-    row = bound_row(BoundParams(k=10**60, r=1, n=100))
+    row = bound_row(10**60, 1, n=100)
     assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
 
 
@@ -136,7 +134,6 @@ def test_optimal_k_window_frozen_example():
     assert win.k_lo <= win.k_star <= win.k_hi
     assert win.k_lo == pytest.approx(K_WINDOW_LO * 100 ** 0.2, rel=1e-12)
     assert win.k_hi == pytest.approx(K_WINDOW_HI * 100 ** 0.2, rel=1e-12)
-    assert optimal_k_window(n=10**6, r=2) == optimal_k_window(log_n=math.log(10**6), r=2)
 
 
 def test_optimal_k_window_scan_calibration():
@@ -167,11 +164,11 @@ def test_k_feasible_threshold():
 
 
 def test_max_rank_coefficient_example():
-    c, k = max_rank_coefficient(1.0, log_n=100)
+    c, k = max_rank_coefficient(1.0)
     assert k == 2
     assert c == pytest.approx(0.25 / (80 * math.log(2)), rel=1e-12)
     # epsilon too small for any k leaves nothing
-    assert max_rank_coefficient(1e-9, log_n=100) == (0.0, None)
+    assert max_rank_coefficient(1e-9) == (0.0, None)
 
 
 def test_absorption_sides_report():
@@ -183,14 +180,36 @@ def test_absorption_sides_report():
 
 
 def test_bound_row_consistency():
-    row = bound_row(BoundParams(k=3, r=2, log_n=1000.0))
+    row = bound_row(3, 2, log_n=1000.0)
     assert row["log2_solution_bound"] == log2_solution_bound(3, 2)
     assert row["epsilon_rhs"] == epsilon_rhs(3, 2, log_n=1000)
     assert row["k_star"] == optimal_k_window(log_n=1000, r=2).k_star
     assert row["feasible_k"] is True
-    fixed = bound_row(BoundParams(k=3, r=2, log_n=1000.0, epsilon=0.001))
-    assert fixed["epsilon_rhs"] == 0.001
-    assert fixed["feasible_k"] is False
+    assert k_feasible(3, 0.001, log_n=1000.0) is False
+
+
+LOG_N_TAKERS = [(epsilon_rhs, (3, 1)), (optimal_k_window, ()), (k_feasible, (3, 0.5)), (absorption_sides, (3, 1)), (bound_row, (3, 1))]
+
+
+@pytest.mark.parametrize("fn, args", LOG_N_TAKERS, ids=[fn.__name__ for fn, _ in LOG_N_TAKERS])
+def test_log_n_is_keyword_only_finite_and_positive(fn, args):
+    fn(*args, log_n=100.0)
+    for bad in (0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="log n must be finite and positive"):
+            fn(*args, log_n=bad)
+    # an n passed by position is refused, not read as log n
+    with pytest.raises(TypeError):
+        fn(*args, 100)
+
+
+def test_k_star_where_5_log_n_overflows():
+    # W(5 log n) solves w + log w = L = log 5 + log log n; 5 log n itself is past the float range
+    for log_n, expect in ((1e308, 1.47996e61), (sys.float_info.max, 1.66387e61)):
+        ks = k_star(log_n, 1)
+        w, big_l = 5 * math.log(ks), math.log(5) + math.log(log_n)
+        assert abs(w + math.log(w) - big_l) <= 1e-12 * big_l, log_n
+        assert ks == pytest.approx(expect, rel=1e-5)
+        assert bound_row(3, 1, log_n=log_n)["k_star"] == ks
 
 
 def test_group_spec_validation():
@@ -422,5 +441,6 @@ def test_k_star_is_the_one_formula_every_caller_reads():
         expect = math.exp(lambert_w(5.0 * c2 * log_n / r) / 5.0)
         assert k_star(log_n, r, c2) == expect  # bit for bit
         assert optimal_k_window(log_n=log_n, r=r, c2=c2).k_star == expect
-        assert bound_row(BoundParams(k=3, r=r, log_n=log_n, c2=c2))["k_star"] == expect
-    assert bound_row(BoundParams(k=3, r=0, log_n=100.0))["k_star"] == k_star(100.0, 1)
+        if c2 == 1.0:  # the row reads k_star at c2 = 1
+            assert bound_row(3, r, log_n=log_n)["k_star"] == expect
+    assert bound_row(3, 0, log_n=100.0)["k_star"] == k_star(100.0, 1)

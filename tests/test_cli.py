@@ -211,17 +211,17 @@ def test_bounds_at_the_edge_of_the_float_range_print_strict_json_or_refuse(capsy
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    # k_star reads W of 5 log n: past 3.7e302 it came out wrong, past 3e305 NaN
-    for log_n in ("1e303", "1e306"):
+    # k_star reads W of 5 log n: past 3.7e302 it came out wrong, past 3e305 NaN, and at 1e308 5 log n overflows
+    for log_n in ("1e303", "1e306", "1e308"):
         code, out, _ = run(capsys, ["bounds", "--k", "3", "--r", "1", "--log-n", log_n])
         assert code == 0
         w = 5 * math.log(json.loads(out, parse_constant=refuse)["k_star"])
-        assert abs(w + math.log(w) - math.log(5 * float(log_n))) <= 1e-12 * math.log(5 * float(log_n))
-    # 5 log n overflows, k^4 and r pass a float, the log2 bound overflows: one error line, exit 2
-    for k, r, log_n in (("3", "1", "1e308"), (str(10**78), "1", None), ("3", str(10**309), None), (str(10**70), "1", None)):
-        scale = ["--log-n", log_n] if log_n else ["--n", "100"]
-        code, out, err = run(capsys, ["bounds", "--k", k, "--r", r, *scale])
-        assert (code, out) == (2, ""), (k, r, log_n)
+        big_l = math.log(5) + math.log(float(log_n))
+        assert abs(w + math.log(w) - big_l) <= 1e-12 * big_l
+    # k^4 and r pass a float, the log2 bound overflows: one error line, exit 2
+    for k, r in ((str(10**78), "1"), ("3", str(10**309)), (str(10**70), "1")):
+        code, out, err = run(capsys, ["bounds", "--k", k, "--r", r, "--n", "100"])
+        assert (code, out) == (2, ""), (k, r)
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
