@@ -19,11 +19,9 @@ from .paths import (
     TABLE_WORK,
     StepBudgetExceeded,
     _check_budget,
-    count_irredundant_many,
-    max_pair_count,
     path_count_lower_bound,
+    path_statistics,
     projected_steps,
-    total_irredundant_paths,
 )
 from .udgraph import DegreeSummary, build_graph, degree_summary, grid_graph, peel
 
@@ -119,12 +117,12 @@ def _check_sample_population(vertex_count: int) -> None:
 
 
 def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
-    """One stat row per k over the same seeded sample of at most
-    SAMPLE_STARTS starts: sampled counts, the degree-product lower bound and
-    the total.  Before the first statistic runs, every k is validated and
-    then its counts and its total (whose projection the max pair shares)
-    are priced against the step budget, so an oversized k refuses the whole
-    run up front.  No k draws no sample."""
+    """One (stat row, max pair) per k from one `path_statistics` over the same
+    seeded sample of at most SAMPLE_STARTS starts; the row holds the sampled
+    counts, the degree-product lower bound and the total.  Before the first
+    statistic runs, every k is validated and its counts and total (whose
+    projection the max pair shares) priced against the step budget, so an
+    oversized k refuses the whole run up front.  No k draws no sample."""
     ks = list(ks)
     if not ks:
         return
@@ -134,8 +132,7 @@ def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
     for projected in [p for k in ks for p in (projected_steps(h, k, starts), projected_steps(h, k))]:
         _check_budget(projected, step_budget)
     for k in ks:
-        counts = count_irredundant_many(h, starts, k, step_budget=step_budget)
-        total = total_irredundant_paths(h, k, step_budget=step_budget)
+        counts, total, best = path_statistics(h, k, starts, step_budget=step_budget)
         yield {
             "k": k,
             "sample_size": len(starts),
@@ -143,7 +140,7 @@ def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
             "max_count": max(counts.values()),
             "lower_bound": path_count_lower_bound(min_degree, k),
             "total_paths": total,
-        }
+        }, best
 
 
 def verify_all(
@@ -222,10 +219,9 @@ def verify_all(
 
     report = RunReport(params, g.edge_count, summary, peeled, rank_window)
 
-    for stat in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, step_budget):
+    for stat, (pv, pw, peak) in _path_stats(h, range(2, k_max + 1), h_summary.min_degree, seed, step_budget):
         k = stat["k"]
         checks.append(BoundCheck(f"path_count_lower_k{k}", stat["lower_bound"], stat["min_count"]))
-        pv, pw, peak = max_pair_count(h, k, step_budget=step_budget)
         # v and w are None when the graph has no irredundant k-path
         stat["max_pair"] = {"v": pv and list(pv), "w": pw and list(pw), "count": peak}
         lhs = math.log2(peak) if peak > 0 else 0.0
@@ -343,7 +339,7 @@ def _cmd_paths(args) -> int:
     params = choose_params(args.n)
     _check_sample_population(params.side**2)
     h = peel(grid_graph(params.side, params.m))
-    (stat,) = _path_stats(h, [args.k], degree_summary(h).min_degree, args.seed, args.step_budget)
+    ((stat, _),) = _path_stats(h, [args.k], degree_summary(h).min_degree, args.seed, args.step_budget)
     print(json.dumps(stat, indent=2))
     return 0
 

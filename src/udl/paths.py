@@ -11,10 +11,11 @@ irredundant k-tuples of that displacement.  A k-path is a tuple placed at a
 start whose prefix points all lie in the point set.  On a full grid the
 counts, total and max pair take that as a box test (`_grid_paths`), and
 only for one displacement group per orbit of the box's symmetries (the 8 of
-the square, or the 4 flips of an oblong box): the total weights each kept
-group by its orbit size, the counts add the group's depths at the images of
-each start, and the max pair scores the groups whose boxes share a point
-in one pass and ranks the rest.  Elsewhere the counts walk the vector tuples
+the square, or the 4 flips of an oblong box), all three in one pass over
+the boxes of one k (`_grid_stats`), which keeps nothing: the total weights
+each kept group by its orbit size, the counts add the group's depths at the
+images of each start, and the max pair scores the groups whose boxes share
+a point at once and ranks the rest.  Elsewhere the counts walk the vector tuples
 once for all starts, each node the array of the starts' positions
 (`_start_counts`), and the pair statistics gather each displacement group's
 tuples as one block (`_group_depth`), per-pair counts on a grid too.  That
@@ -179,32 +180,29 @@ def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | Non
 def count_irredundant_many(
     g: UnitDistanceGraph, starts, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> dict[tuple[int, int], int]:
-    """Counts for several start vertices: on a full grid the `_box_depth` of
-    the start rectangles of `_grid_paths` at the starts' images, on other
-    point sets one walk over the vector tuples for all starts at once (see
-    `_start_counts`).  `workers` selects nothing: perfbench/job.py passes
-    it, and it goes when the benchmark next changes.
-
-    On the grid, group d holds as many paths from L v as its image L d
-    holds from v, for each of the |G| maps L; so
-    |G| * count(v) = sum over kept groups d of orbit(d) * sum over L of
-    depth_d(L v), and the division is exact.
-    """
-    import numpy as np
-
+    """Counts for several start vertices: on a full grid the counts of
+    `_grid_stats`, on other point sets one walk over the vector tuples for
+    all starts at once (see `_start_counts`).  `workers` selects nothing:
+    perfbench/job.py passes it, and it goes when the benchmark next changes."""
     starts, at = _checked_starts(g, starts, k, step_budget)
+    counts = _start_counts(g, k, at) if g.grid is None else _grid_stats(g, k, starts)[0]
+    return dict(zip(starts, counts.tolist()))
+
+
+def path_statistics(g: UnitDistanceGraph, k: int, starts, *, step_budget: int | None = None):
+    """(counts, total, best): what `count_irredundant_many`, `total_irredundant_paths`
+    and `max_pair_count` return, priced before any runs (the counts, then the
+    total, whose projection the max pair shares).  On a full grid all three
+    come from one `_grid_stats`; elsewhere each takes its own route."""
+    starts, at = _checked_starts(g, starts, k, step_budget)
+    _check_budget(projected_steps(g, k), step_budget)
     if g.grid is not None:
-        x0, y0, w, h = g.grid
-        _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k)
-        syms = _grid_symmetries(w, h)
-        sx, sy = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
-        images = [_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]
-        ix, iy = np.array([x for x, _ in images]), np.array([y for _, y in images])  # one row per map
-        ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
-        field = _box_depth(ax, bx, ay, by, ux, uy, np.repeat(orbit, count))
-        total = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0)
-        return dict(zip(starts, (total // len(syms)).tolist()))
-    return dict(zip(starts, _start_counts(g, k, at).tolist()))
+        counts, total, best = _grid_stats(g, k, starts)
+    else:
+        counts = _start_counts(g, k, at)
+        total = total_irredundant_paths(g, k, step_budget=step_budget)
+        best = max_pair_count(g, k, step_budget=step_budget)
+    return dict(zip(starts, counts.tolist())), total, best
 
 
 def per_pair_counts(
@@ -494,10 +492,9 @@ def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
     return xa, xb, ya, yb
 
 
-@lru_cache(maxsize=1)
 def _grid_paths(g: UnitDistanceGraph, k: int):
-    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, kept for
-    the latest (g, k): the statistics of one k run before the next k.
+    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, built
+    afresh on each call and read by `_grid_stats` alone.
 
     The norm-m vectors are closed under the maps of the grid box onto itself
     (`_grid_symmetries`, the group G: the 8 of the square on a square grid,
@@ -562,59 +559,35 @@ def _grid_paths(g: UnitDistanceGraph, k: int):
 def total_irredundant_paths(
     g: UnitDistanceGraph, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> int:
-    """Total irredundant k-edge paths over all start vertices.
-
-    On a full grid this is the summed area of the start rectangles, each
-    weighted by its group's orbit (see `_grid_paths`): a grid map carries a
-    rectangle to one of the same area, summed one `_GATHER_BUDGET` slice of
-    rows at a time.  Otherwise it sums the counts of one
-    walk over the vector tuples for every start at once (see `_start_counts`).
-    `workers` selects nothing: perfbench/job.py passes it, and it goes when
-    the benchmark next changes.
-    """
+    """Total irredundant k-edge paths over all start vertices: on a full grid
+    the total of `_grid_stats`, elsewhere the summed `_start_counts` of every
+    start.  `workers` selects nothing: perfbench/job.py passes it, and it
+    goes when the benchmark next changes."""
     import numpy as np
 
     _check_budget(projected_steps(g, k), step_budget)
-    if g.grid is None:
-        return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
-    _, _, w, h = g.grid
-    _, _, count, orbit, ax, bx, ay, by = _grid_paths(g, k)
-    weight = np.repeat(orbit.astype(np.int8), count)  # an orbit is at most 8
-    total = 0
-    for lo in range(0, len(ax), _GATHER_BUDGET):
-        part = slice(lo, lo + _GATHER_BUDGET)
-        if w * h * 8 < 2**63:  # a weighted area fits int64; a sum of them may not, and is then taken in Python ints
-            area = weight[part] * ((bx[part] - ax[part] + 1).astype(np.int64) * (by[part] - ay[part] + 1))
-            total += int(area.sum()) if len(area) * w * h * 8 < 2**63 else sum(area.tolist())
-        else:
-            cols = (col[part].tolist() for col in (weight, ax, bx, ay, by))
-            total += sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*cols))
-    return total
+    if g.grid is not None:
+        return _grid_stats(g, k, [])[1]
+    return int(_start_counts(g, k, np.arange(g.vertex_count)).sum())
 
 
 def max_pair_count(
     g: UnitDistanceGraph, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None, int]:
-    """The ordered pair (v, w) maximizing the irredundant path count |P_vw|.
-
-    Ties break toward the lexicographically smallest (v, w).  The tuples come
-    grouped by total displacement w - v, and inside one group |P_vw| is the
-    depth of v: on a full grid the number of the group's start rectangles
-    covering v (see `_grid_paths`), on any other point set the group's tuples
-    gathered at every start (see `_group_depth`).  On a full grid one pass
-    scores every group whose rectangles share a point (Helly: depth = size),
-    and only the others are ranked, by `_deepest_cells`; a group stands for
-    its orbit, so its pair is the least (v, v + L d) over the maps L, v a low
-    corner of an image of its common box or deepest cells.  Groups are ranked
-    largest first from the best so far (`_largest_groups_first`).
-    `workers` selects nothing: perfbench/job.py passes it, and it goes when
-    the benchmark next changes.
+    """The ordered pair (v, w) maximizing the irredundant path count |P_vw|,
+    ties to the lexicographically smallest.  The tuples come grouped by
+    total displacement w - v, and in one group |P_vw| is the depth of v: on
+    a full grid the max pair of `_grid_stats`, on any other point set the
+    depth of the group's tuples gathered at every start (see `_group_depth`),
+    groups ranked largest first (`_largest_groups_first`).  `workers` selects
+    nothing: perfbench/job.py passes it, and it goes when the benchmark next
+    changes.
     """
     import numpy as np
 
     _check_budget(projected_steps(g, k), step_budget)
     if g.grid is not None:
-        return _max_pair_grid(g, k)
+        return _grid_stats(g, k, [])[2]
     if not g.vertex_count:
         return (None, None, 0)
     dx, dy, size, tuples = _displacement_groups(g.vectors, k)
@@ -659,11 +632,40 @@ def _deepest_cells(ax, bx, ay, by):
     return ux[i], ux[i + 1] - 1, uy[j], uy[j + 1] - 1, int(depth[i[0], j[0]])
 
 
-def _max_pair_grid(g: UnitDistanceGraph, k: int):
+def _grid_stats(g: UnitDistanceGraph, k: int, starts):
+    """(counts, total, best) on the full grid g from one `_grid_paths`, whose
+    rects go on return: counts[i] the k-paths from starts[i], the total
+    over all vertices, and the max pair (v, w, |P_vw|), ties to the least
+    (v, w).  A kept group d stands for its orbit: a map L keeps a rect's area,
+    and d holds as many paths from L v as L d holds from v, so
+    |G| * count(v) = sum over d of orbit(d) * sum over L of depth_d(L v).  In a
+    group |P_vw| is the depth of v: groups whose rects share a point score
+    their size (Helly) at once, and only the others are ranked, by
+    `_deepest_cells`; a pair is the least (v, v + L d) over the maps L, v a low
+    corner of an image of a common box or deepest cell."""
     import numpy as np
 
     x0, y0, w, h = g.grid
-    dx, dy, count, _, ax, bx, ay, by = _grid_paths(g, k)
+    dx, dy, count, orbit, ax, bx, ay, by = _grid_paths(g, k)
+    syms = _grid_symmetries(w, h)
+    weight = np.repeat(orbit, count)
+
+    sx, sy = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
+    ix, iy = np.moveaxis(np.array([_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]), 1, 0)  # a row per map
+    ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
+    field = _box_depth(ax, bx, ay, by, ux, uy, weight)
+    counts = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0) // len(syms)
+
+    total = 0
+    for lo in range(0, len(ax), _GATHER_BUDGET):
+        part = slice(lo, lo + _GATHER_BUDGET)
+        if w * h * 8 < 2**63:  # a weighted area fits int64; a sum of them may not, and is then taken in Python ints
+            area = weight[part] * ((bx[part] - ax[part] + 1).astype(np.int64) * (by[part] - ay[part] + 1))
+            total += int(area.sum()) if len(area) * w * h * 8 < 2**63 else sum(area.tolist())
+        else:
+            cols = (col[part].tolist() for col in (weight, ax, bx, ay, by))
+            total += sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*cols))
+
     ends = np.cumsum(count)
     full = np.flatnonzero(count)
     heads = (ends - count)[full]
@@ -676,7 +678,7 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int):
         # the least (v, v + L e) is read by narrowing the rows to the least of vx, then vy, then ux, then uy
         ex, ey = np.broadcast_to(ex, xa.shape), np.broadcast_to(ey, ya.shape)
         least = []
-        for sym in _grid_symmetries(w, h):
+        for sym in syms:
             vx, _, vy, _ = _map_box(sym, w, h, xa, xb, ya, yb)
             i = np.flatnonzero(vx == vx.min())
             i = i[vy[i] == vy[i].min()]
@@ -691,8 +693,10 @@ def _max_pair_grid(g: UnitDistanceGraph, k: int):
         return (*least_pair(*cells, dx[gi], dy[gi]), peak)
 
     top = count[full[shared]].max(initial=0)
-    at = np.flatnonzero(shared & (count[full] == top))
-    best = (*least_pair(*(c[at] for c in box), dx[full[at]], dy[full[at]]), int(top)) if top else (None, None, 0)
+    hit = np.flatnonzero(shared & (count[full] == top))
+    best = (*least_pair(*(c[hit] for c in box), dx[full[hit]], dy[full[hit]]), int(top)) if top else (None, None, 0)
     size = count - 1  # a group without a common point falls short of its size
     size[full[shared]] = 0
-    return _largest_groups_first(size, deepest, best)
+    best = _largest_groups_first(size, deepest, best)
+    del ends, full, heads  # freed first, glibc hands back the heap this pass grew: 38 MB after 10^10/k3, not 46
+    return counts, total, best

@@ -322,9 +322,9 @@ def tuple_residual_solutions(coeffs, group, height: int):
 def max_pair_grid_loop(g, k: int):
     """(v, w, depth) of the max pair on the full grid g, one displacement
     group at a time: the per-group loop the grid route used before it scored
-    every group with a common point in one pass.  It reads the package's
-    rectangle cache and box helpers, and is the reference at sizes the DFS
-    oracle cannot reach.  Each kept group, largest first until one has fewer
+    every group with a common point in one pass.  It builds the package's
+    start rectangles by its own `_grid_paths` call and reads its box
+    helpers, and is the reference at sizes the DFS oracle cannot reach.  Each kept group, largest first until one has fewer
     rects than the best depth, is scored by Helly when its rects share a
     point and by its deepest cells otherwise; its pair is the least image
     pair (v, v + L d) over the maps L."""
@@ -389,3 +389,42 @@ def multisets_whole_level(vectors, k: int):
     idx, sx, sy = idx[order], sx[order], sy[order]
     kind = (idx[:, 1:] == idx[:, :-1]) @ (1 << np.arange(k - 1))
     return idx, sx, sy, kind
+
+
+def grid_tuple_stats(g, k: int, starts, pair):
+    """(total, counts, recount) on the full grid g from every ordered k-tuple
+    of vector indices, listed as an index product 2^20 rows at a time: a row
+    is kept when all 2^k - 1 of its subset sums are nonzero, and its prefix
+    box, from a cumsum that includes 0, spans [lo, hi].  total is the sum
+    over kept rows of (width - X)+ (height - Y)+, X and Y the box's extents;
+    counts[i] the rows whose box fits at starts[i]; recount the rows of
+    displacement w - v whose box fits at v, for pair = (v, w).  int64
+    throughout, with no multisets, orbits or box-depth fields."""
+    import numpy as np
+
+    x0, y0, width, height = g.grid
+    vec = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
+    subsets = [[j for j in range(k) if mask >> j & 1] for mask in range(1, 1 << k)]
+    at = np.array([(x - x0, y - y0) for x, y in starts], dtype=np.int64).reshape(-1, 2)
+    (vx, vy), (wx, wy) = pair if pair[0] is not None else ((0, 0), (0, 0))
+    total, counts, recount = 0, np.zeros(len(at), dtype=np.int64), 0
+    rows = len(vec) ** k
+    for first in range(0, rows, 1 << 20):
+        idx = np.stack(np.unravel_index(np.arange(first, min(rows, first + (1 << 20))), (len(vec),) * k), axis=1)
+        steps = vec[idx]  # (rows, k, 2)
+        keep = np.ones(len(steps), dtype=bool)
+        for cols in subsets:
+            keep &= steps[:, cols].sum(axis=1).any(axis=1)
+        steps = steps[keep]
+        pre = np.concatenate([np.zeros((len(steps), 1, 2), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+        lo, hi, end = pre.min(axis=1), pre.max(axis=1), pre[:, -1]
+        span = hi - lo
+        total += int((np.maximum(width - span[:, 0], 0) * np.maximum(height - span[:, 1], 0)).sum())
+
+        def fits(ox, oy):
+            return (ox + lo[:, 0] >= 0) & (ox + hi[:, 0] < width) & (oy + lo[:, 1] >= 0) & (oy + hi[:, 1] < height)
+
+        counts += [int(fits(ox, oy).sum()) for ox, oy in at.tolist()]
+        if pair[0] is not None:
+            recount += int((fits(vx - x0, vy - y0) & (end[:, 0] == wx - vx) & (end[:, 1] == wy - vy)).sum())
+    return total, dict(zip(starts, counts.tolist())), recount

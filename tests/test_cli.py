@@ -1,5 +1,6 @@
 import ast
 import errno
+import hashlib
 import json
 import math
 import os
@@ -235,6 +236,14 @@ def test_paths_subcommand(capsys):
     assert stat["total_paths"] == 3128
 
 
+def test_paths_stdout_is_pinned_and_holds_no_max_pair(capsys):
+    # the max pair rides with each k's counts and total, for `verify` only
+    for n, digest in (("100", "130e8dd0"), ("10000", "6dc22f2b")):
+        code, out, _ = run(capsys, ["paths", "--n", n, "--k", "3"])
+        assert code == 0 and "max_pair" not in json.loads(out)
+        assert hashlib.sha256(out.encode()).hexdigest()[:8] == digest, n
+
+
 def test_path_stats_draw_no_sample_without_a_k_and_refuse_one_past_maxsize():
     from udl.cli import _path_stats
 
@@ -462,16 +471,13 @@ def test_a_total_beyond_the_step_budget_refuses_before_any_statistic(monkeypatch
     import udl.cli
 
     ran = []
+    statistics = udl.cli.path_statistics
 
-    def spy(name, statistic):
-        def run_and_note(*args, **kwargs):
-            ran.append(name)
-            return statistic(*args, **kwargs)
+    def spy(*args, **kwargs):
+        ran.append("path_statistics")
+        return statistics(*args, **kwargs)
 
-        return run_and_note
-
-    for name in ("count_irredundant_many", "total_irredundant_paths", "max_pair_count"):
-        monkeypatch.setattr(udl.cli, name, spy(name, getattr(udl.cli, name)))
+    monkeypatch.setattr(udl.cli, "path_statistics", spy)
     g = build_graph(_holed_box(10, 10, {(3, 4), (6, 2), (7, 7)}), 5)  # R = 8
     assert g.grid is None and g.vertex_count == 97
     counts, total = 50 * 8**3, 97 * 8**3
@@ -481,9 +487,10 @@ def test_a_total_beyond_the_step_budget_refuses_before_any_statistic(monkeypatch
             next(_path_stats(g, [2, 3], 4, 0, budget))
         assert exc.value.projected == refused
         assert ran == []
-    (row,) = _path_stats(g, [3], 4, 0, total)
-    assert ran == ["count_irredundant_many", "total_irredundant_paths"]
+    ((row, best),) = _path_stats(g, [3], 4, 0, total)
+    assert ran == ["path_statistics"]
     assert row["total_paths"] == total_irredundant_paths(g, 3)
+    assert best == max_pair_count(g, 3)
 
 
 def test_an_invalid_k_is_refused_before_it_is_priced():
@@ -528,7 +535,7 @@ def test_path_stats_refuse_exactly_when_a_direct_call_would(points, m, k_hi, dat
         rows = None
     assert (rows is None) == direct, (len(points), m, list(ks), budget)
     if rows is not None:
-        assert [row["k"] for row in rows] == list(ks)
+        assert [row["k"] for row, _ in rows] == list(ks)
 
 
 _ALLOCATION = "Unable to allocate 2.00 GiB for an array with shape (268533769,) and data type int64"

@@ -20,6 +20,7 @@ from udl.paths import (
     is_irredundant,
     max_pair_count,
     path_count_lower_bound,
+    path_statistics,
     per_pair_counts,
     total_irredundant_paths,
     _deepest_cells,
@@ -36,6 +37,7 @@ from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_
 from oracles import (
     has_vanishing_subsum,
     irredundant_walk_count,
+    grid_tuple_stats,
     max_pair_grid_loop,
     multisets_whole_level,
     two_squares_set,
@@ -882,12 +884,14 @@ def test_walker_routes_agree_with_oracles_on_holed_boxes():
                 irredundant_walk_count(pts, m, s, k),
             )
             assert len(set(counts)) == 1, (m, k, s, counts)
-        for j in range(1, k + 1):  # one graph, so each length reads its own cached pass
+        for j in range(1, k + 1):  # one graph at every length, each statistic computed afresh
             from_dfs = {s: count_irredundant_from(g, s, j) for s in pts}
             every = per_pair_counts(g, j)
             assert count_irredundant_many(g, starts, j) == {s: from_dfs[s] for s in starts}, (m, j)
             assert total_irredundant_paths(g, j) == sum(from_dfs.values()) == sum(every.values()), (m, j)
             assert max_pair_count(g, j) == _lex_min_best(every), (m, j)
+            expect = ({s: from_dfs[s] for s in starts}, sum(from_dfs.values()), _lex_min_best(every))
+            assert path_statistics(g, j, starts) == expect, (m, j)
 
 
 @st.composite
@@ -1029,3 +1033,62 @@ def _check_grid_statistics_under_a_1gib_cap(side, m=5, vectors=sorted(two_square
 
     assert counts == [[list(s), sum(fits(s, b) for b in boxes)] for s in starts]
     assert total == sum((side - (hx - lx)) * (side - (hy - ly)) for lx, hx, ly, hy in boxes)
+
+
+def assert_grid_statistics_match_the_tuple_oracle(n: int, k: int):
+    """The counts, total and max pair that `udl verify` reports at n and k,
+    on its seeded sample of 50 starts, equal those of `grid_tuple_stats`,
+    which lists every ordered k-tuple; returns (h, starts, statistics).  CI
+    runs it at n = 10^10, k = 3 under a 1 GiB limit."""
+    from udl.cli import SAMPLE_STARTS
+    from udl.config import choose_params
+    from udl.udgraph import peel
+
+    params = choose_params(n)
+    h = peel(grid_graph(params.side, params.m))
+    sample = random.Random(0).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
+    starts = [h.point(i) for i in sorted(sample)]
+    counts, total, (v, w, peak) = statistics = path_statistics(h, k, starts)
+    assert h.grid is not None and len(counts) == len(starts)
+    assert grid_tuple_stats(h, k, starts, (v, w)) == (total, counts, peak), (n, k)
+    return h, starts, statistics
+
+
+@pytest.mark.parametrize("n, k, peak", [(10**6, 3, 24), (10**4, 4, 188)])
+def test_grid_statistics_match_the_tuple_oracle(n, k, peak):
+    h, starts, statistics = assert_grid_statistics_match_the_tuple_oracle(n, k)
+    assert statistics[2][2] == peak
+    assert (count_irredundant_many(h, starts, k), total_irredundant_paths(h, k), max_pair_count(h, k)) == statistics
+
+
+def test_no_grid_statistic_outlives_its_call():
+    import gc
+    import weakref
+
+    import udl.paths
+
+    g = grid_graph(30, 65)
+    count_irredundant_many(g, [(0, 0), (12, 17)], 3)
+    total_irredundant_paths(g, 3)
+    max_pair_count(g, 3)
+    graph = weakref.ref(g)
+    del g
+    gc.collect()
+    assert graph() is None
+    assert [name for name, f in vars(udl.paths).items() if hasattr(f, "cache_info")] == ["_orderings"]
+
+
+def test_verify_enumerates_each_k_once(monkeypatch):
+    import udl.paths
+    from udl.cli import verify_all
+
+    calls = []
+    multisets = udl.paths._multisets
+
+    def counted(vectors, k, *args, **kwargs):
+        calls.append(k)
+        return multisets(vectors, k, *args, **kwargs)
+
+    monkeypatch.setattr(udl.paths, "_multisets", counted)
+    verify_all(10**4, 4)
+    assert calls == [2, 3, 4]
