@@ -23,7 +23,7 @@ K_WINDOW_HI = 2.8
 
 MAX_EQUATION_TERMS = 4
 MAX_EXPONENT_HEIGHT = 8
-DEFAULT_ENUM_BUDGET = 200_000
+ENUM_BUDGET = 200_000
 
 
 def _checked_log_n(log_n) -> float:
@@ -261,7 +261,7 @@ class GroupSpec:
         return math.lcm(4, self.torsion_order)
 
 
-def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: int = DEFAULT_ENUM_BUDGET):
+def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int):
     """All tuples (z_1 .. z_k) of group elements with sum a_j z_j = 1 and no
     vanishing nonempty subsum of the left side.
 
@@ -293,10 +293,10 @@ def enumerate_nondegenerate(coeffs, group: GroupSpec, height: int, *, budget: in
     values = _slot_values(group, height, field)
     v = len(values)
     projected = v ** (k - 1)
-    if projected > budget:
+    if projected > ENUM_BUDGET:
         raise ValueError(
             f"enumeration needs {projected} partial tuples over {v} slot values, "
-            f"beyond the budget of {budget}"
+            f"beyond the budget of {ENUM_BUDGET}"
         )
 
     terms = [[(a * z).coeffs for z in values] for a in (field.embed_pair(*p) for p in pairs)]

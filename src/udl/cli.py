@@ -15,14 +15,7 @@ from . import bounds as bounds_mod
 from .config import ConfigParams, choose_params, generators, rank_bounds, verify_edge_in_group
 from .gaussian import GaussInt, representations
 from .numtheory import AP_1_MOD_4, chebyshev, factor, two_squares_count
-from .paths import (
-    TABLE_WORK,
-    StepBudgetExceeded,
-    _check_budget,
-    path_count_lower_bound,
-    path_statistics,
-    projected_steps,
-)
+from .paths import TABLE_WORK, StepBudgetExceeded, _check_budget, path_count_lower_bound, path_statistics
 from .udgraph import DegreeSummary, build_graph, degree_summary, grid_graph, peel
 
 SAMPLE_STARTS = 50
@@ -117,22 +110,17 @@ def _check_sample_population(vertex_count: int) -> None:
 
 
 def _path_stats(h, ks, min_degree: int, seed: int, step_budget: int | None):
-    """One (stat row, max pair) per k from one `path_statistics` over the same
-    seeded sample of at most SAMPLE_STARTS starts; the row holds the sampled
-    counts, the degree-product lower bound and the total.  Before the first
-    statistic runs, every k is validated and its counts and total (whose
-    projection the max pair shares) priced against the step budget, so an
-    oversized k refuses the whole run up front.  No k draws no sample."""
+    """One (stat row, max pair) per k from one `path_statistics` call over a
+    seeded sample of at most SAMPLE_STARTS starts, which prices every k before
+    the first statistic runs; the row holds the sampled counts, the
+    degree-product lower bound and the total.  No k draws no sample."""
     ks = list(ks)
     if not ks:
         return
     _check_sample_population(h.vertex_count)
     sample = random.Random(seed).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
     starts = [h.point(i) for i in sorted(sample)]
-    for projected in [p for k in ks for p in (projected_steps(h, k, starts), projected_steps(h, k))]:
-        _check_budget(projected, step_budget)
-    for k in ks:
-        counts, total, best = path_statistics(h, k, starts, step_budget=step_budget)
+    for k, (counts, total, best) in zip(ks, path_statistics(h, ks, starts, step_budget=step_budget)):
         yield {
             "k": k,
             "sample_size": len(starts),
@@ -156,7 +144,7 @@ def verify_all(
     Checks that are undefined on the degenerate r = 1 path (no generators,
     no prime factors) are omitted, not faked.  A k_max whose path statistics
     exceed the step budget is refused before any of them runs (see
-    `_path_stats`), and a k_max >= 2 on a grid of more than sys.maxsize
+    `paths.path_statistics`), and a k_max >= 2 on a grid of more than sys.maxsize
     vertices, where no start sample can be drawn, before the grid is built.
     """
     if n < 4:

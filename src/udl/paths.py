@@ -24,7 +24,8 @@ neighbour table (`count_irredundant_from`), are one pruned DFS, `_walks`: it
 keeps the running set S of all nonempty prefix-subset sums, and a
 continuation z is admissible exactly when -z is absent from S.  Every
 statistic is priced by one projection, `projected_steps`, and refused before
-it starts when that exceeds the step budget.
+it starts when that exceeds the step budget; `path_statistics`, the counts,
+total and max pair of several k, prices them all before the first runs.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def count_irredundant_from(
     """Number of irredundant k-edge paths leaving `start`, by the DFS over
     vertex indices: the moves out of u are read from column u of the
     neighbour table (see `_table`)."""
-    _, (i,) = _checked_starts(g, [start], k, step_budget)
+    _, (i,) = _checked_starts(g, [start], [k], step_budget)
     table, n = _table(g, step_budget), g.vertex_count
     negs = [complex(-dx, -dy) for dx, dy in g.vectors]
 
@@ -160,15 +161,20 @@ def count_irredundant_from(
     return sum(nz not in S for u, S in _walks(step, i, k - 1) for _, nz in step(u))
 
 
-def _checked_starts(g: UnitDistanceGraph, starts, k: int, step_budget: int | None):
+def _checked_starts(g: UnitDistanceGraph, starts, ks, step_budget: int | None, *, totals: bool = False):
     """(starts, at): the distinct `starts` in first-seen order and their
-    vertices by `g.locate`, budgeted first; the first not in g is refused,
-    and a coordinate that is not an integer (TypeError from `operator.index`).
-    A coordinate past int64 is located as -2^63, which no vertex has."""
+    vertices by `g.locate`, after each k of `ks` in turn is priced: its walks
+    from the starts, then, with `totals`, its total over every vertex.  The
+    first start not in g is refused, and a coordinate that is not an integer
+    (TypeError from `operator.index`).  A coordinate past int64 is located
+    as -2^63, which no vertex has."""
     import numpy as np
 
     starts = list(dict.fromkeys((index(s[0]), index(s[1])) for s in starts))
-    _check_budget(projected_steps(g, k, starts), step_budget)
+    for k in ks:
+        _check_budget(projected_steps(g, k, starts), step_budget)
+        if totals:
+            _check_budget(projected_steps(g, k), step_budget)
     wide = [[c if abs(c) < 1 << 63 else -(1 << 63) for c in s] for s in starts]
     at = g.locate(*np.array(wide, dtype=np.int64).reshape(-1, 2).T)
     missing = np.flatnonzero(at == g.vertex_count)
@@ -184,25 +190,30 @@ def count_irredundant_many(
     `_grid_stats`, on other point sets one walk over the vector tuples for
     all starts at once (see `_start_counts`).  `workers` selects nothing:
     perfbench/job.py passes it, and it goes when the benchmark next changes."""
-    starts, at = _checked_starts(g, starts, k, step_budget)
+    starts, at = _checked_starts(g, starts, [k], step_budget)
     counts = _start_counts(g, k, at) if g.grid is None else _grid_stats(g, k, starts)[0]
     return dict(zip(starts, counts.tolist()))
 
 
-def path_statistics(g: UnitDistanceGraph, k: int, starts, *, step_budget: int | None = None):
-    """(counts, total, best): what `count_irredundant_many`, `total_irredundant_paths`
-    and `max_pair_count` return, priced before any runs (the counts, then the
-    total, whose projection the max pair shares).  On a full grid all three
-    come from one `_grid_stats`; elsewhere each takes its own route."""
-    starts, at = _checked_starts(g, starts, k, step_budget)
-    _check_budget(projected_steps(g, k), step_budget)
-    if g.grid is not None:
-        counts, total, best = _grid_stats(g, k, starts)
-    else:
-        counts = _start_counts(g, k, at)
-        total = total_irredundant_paths(g, k, step_budget=step_budget)
-        best = max_pair_count(g, k, step_budget=step_budget)
-    return dict(zip(starts, counts.tolist())), total, best
+def path_statistics(g: UnitDistanceGraph, ks, starts, *, step_budget: int | None = None):
+    """[(counts, total, best)] per k of `ks`, in order: what `count_irredundant_many`,
+    `total_irredundant_paths` and `max_pair_count` return, every k priced before
+    any runs.  On a full grid each k is one `_grid_stats`; elsewhere one
+    `_start_counts` over every vertex gives the total and, at the starts, the
+    counts, and `_max_pair` the max pair."""
+    import numpy as np
+
+    ks = list(ks)
+    starts, at = _checked_starts(g, starts, ks, step_budget, totals=True)
+    out = []
+    for k in ks:
+        if g.grid is not None:
+            counts, total, best = _grid_stats(g, k, starts)
+        else:
+            every = _start_counts(g, k, np.arange(g.vertex_count))
+            counts, total, best = every[at], int(every.sum()), _max_pair(g, k)
+        out.append((dict(zip(starts, counts.tolist())), total, best))
+    return out
 
 
 def per_pair_counts(
@@ -223,7 +234,7 @@ def per_pair_counts(
         _check_budget(projected_steps(g, k, range(g.vertex_count)), step_budget)
         starts, at = g.points, np.arange(g.vertex_count)
     else:
-        starts, at = _checked_starts(g, starts, k, step_budget)
+        starts, at = _checked_starts(g, starts, [k], step_budget)
     pairs: dict = {}
     if not starts:
         return pairs
@@ -575,19 +586,18 @@ def max_pair_count(
     g: UnitDistanceGraph, k: int, *, workers: int = 1, step_budget: int | None = None
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None, int]:
     """The ordered pair (v, w) maximizing the irredundant path count |P_vw|,
-    ties to the lexicographically smallest.  The tuples come grouped by
-    total displacement w - v, and in one group |P_vw| is the depth of v: on
-    a full grid the max pair of `_grid_stats`, on any other point set the
-    depth of the group's tuples gathered at every start (see `_group_depth`),
-    groups ranked largest first (`_largest_groups_first`).  `workers` selects
-    nothing: perfbench/job.py passes it, and it goes when the benchmark next
-    changes.
-    """
+    ties to the lexicographically smallest, from `_grid_stats` on a full grid
+    and `_max_pair` elsewhere.  `workers` selects nothing: perfbench/job.py
+    passes it, and it goes when the benchmark next changes."""
+    _check_budget(projected_steps(g, k), step_budget)
+    return _grid_stats(g, k, [])[2] if g.grid is not None else _max_pair(g, k)
+
+
+def _max_pair(g: UnitDistanceGraph, k: int):
+    """The unpriced max pair of a point set that is not a full grid: |P_vw| is the depth of v in
+    the group of displacement w - v (`_group_depth`), groups largest first (`_largest_groups_first`)."""
     import numpy as np
 
-    _check_budget(projected_steps(g, k), step_budget)
-    if g.grid is not None:
-        return _grid_stats(g, k, [])[2]
     if not g.vertex_count:
         return (None, None, 0)
     dx, dy, size, tuples = _displacement_groups(g.vectors, k)

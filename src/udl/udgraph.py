@@ -61,6 +61,7 @@ class UnitDistanceGraph:
         self._neighbours = neighbours
         self._keys = None
         self._degrees = None
+        self._range = None
         if self.grid is not None:  # 1/2 * sum over vectors of (width - |dx|)+ (height - |dy|)+
             twice = sum(max(self.grid[2] - abs(dx), 0) * max(self.grid[3] - abs(dy), 0) for dx, dy in vectors)
         else:  # vectors are closed under negation, so each edge is in two columns
@@ -278,7 +279,7 @@ def _grid_degree_range(w: int, h: int, vectors) -> tuple[int, int]:
 
 def _degree_range(g: UnitDistanceGraph) -> tuple[int, int]:
     """(min, max) degree of g, cached on g."""
-    if getattr(g, "_range", None) is None:
+    if g._range is None:
         if g.grid is not None:
             g._range = _grid_degree_range(g.grid[2], g.grid[3], g.vectors)
         else:

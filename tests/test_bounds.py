@@ -424,8 +424,9 @@ def test_packed_residuals_match_the_tuple_residual_recursion():
 
 def test_enumerate_validation_and_budget():
     group = GroupSpec(torsion_order=4, free_generators=((2, 0), (3, 0)))
-    with pytest.raises(ValueError):
-        enumerate_nondegenerate([1, 1, 1], group, 8, budget=100)
+    # 4 * 17^2 = 1156 slot values, so 1156^2 partial tuples pass the budget of 200 000
+    with pytest.raises(ValueError, match="1336336 partial tuples over 1156 slot values, beyond the budget of 200000"):
+        enumerate_nondegenerate([1, 1, 1], group, 8)
     with pytest.raises(ValueError):
         enumerate_nondegenerate([], group, 1)
     with pytest.raises(ValueError):

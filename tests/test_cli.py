@@ -244,6 +244,12 @@ def test_paths_stdout_is_pinned_and_holds_no_max_pair(capsys):
         assert hashlib.sha256(out.encode()).hexdigest()[:8] == digest, n
 
 
+def test_verify_stdout_is_pinned(capsys):
+    for n, k_max, digest in (("10000", "4", "6632d0a8"), ("100000", "3", "c4aeba61"), ("1000000", "4", "07a7c098")):
+        code, out, _ = run(capsys, ["verify", "--n", n, "--k-max", k_max])
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest()[:8] == digest, (n, k_max)
+
+
 def test_path_stats_draw_no_sample_without_a_k_and_refuse_one_past_maxsize():
     from udl.cli import _path_stats
 
@@ -465,19 +471,19 @@ def _holed_box(w, h, holes):
 
 
 def test_a_total_beyond_the_step_budget_refuses_before_any_statistic(monkeypatch):
-    # verify and paths share `_path_stats`: it prices every k's counts and
-    # total up front, so a total over budget refuses the run before the
-    # counts it would admit have run
-    import udl.cli
+    # verify and paths share `_path_stats`, whose one `path_statistics` call
+    # prices every k's counts and total up front, so a total over budget
+    # refuses the run before the counts it would admit have run
+    import udl.paths
 
     ran = []
-    statistics = udl.cli.path_statistics
+    for name in ("_grid_stats", "_start_counts"):
 
-    def spy(*args, **kwargs):
-        ran.append("path_statistics")
-        return statistics(*args, **kwargs)
+        def spy(*args, name=name, original=getattr(udl.paths, name)):
+            ran.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(udl.cli, "path_statistics", spy)
+        monkeypatch.setattr(udl.paths, name, spy)
     g = build_graph(_holed_box(10, 10, {(3, 4), (6, 2), (7, 7)}), 5)  # R = 8
     assert g.grid is None and g.vertex_count == 97
     counts, total = 50 * 8**3, 97 * 8**3
@@ -488,9 +494,27 @@ def test_a_total_beyond_the_step_budget_refuses_before_any_statistic(monkeypatch
         assert exc.value.projected == refused
         assert ran == []
     ((row, best),) = _path_stats(g, [3], 4, 0, total)
-    assert ran == ["path_statistics"]
+    assert ran == ["_start_counts"]
     assert row["total_paths"] == total_irredundant_paths(g, 3)
     assert best == max_pair_count(g, 3)
+
+
+def test_verify_prices_each_k_twice(monkeypatch):
+    # k = 2, 3, 4, each its sampled counts and its total, in `path_statistics` alone
+    import udl.cli
+    import udl.paths
+
+    priced = []
+    check = udl.paths._check_budget
+
+    def counted(projected, *rest):
+        priced.append(projected)
+        return check(projected, *rest)
+
+    for module in (udl.cli, udl.paths):
+        monkeypatch.setattr(module, "_check_budget", counted)
+    verify_all(10**4, 4)
+    assert priced == [p for k in (2, 3, 4) for p in (50 * 32**k, sum(32**i for i in range(1, k + 1)))]
 
 
 def test_an_invalid_k_is_refused_before_it_is_priced():

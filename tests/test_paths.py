@@ -884,14 +884,40 @@ def test_walker_routes_agree_with_oracles_on_holed_boxes():
                 irredundant_walk_count(pts, m, s, k),
             )
             assert len(set(counts)) == 1, (m, k, s, counts)
+        expect = []
         for j in range(1, k + 1):  # one graph at every length, each statistic computed afresh
             from_dfs = {s: count_irredundant_from(g, s, j) for s in pts}
             every = per_pair_counts(g, j)
             assert count_irredundant_many(g, starts, j) == {s: from_dfs[s] for s in starts}, (m, j)
             assert total_irredundant_paths(g, j) == sum(from_dfs.values()) == sum(every.values()), (m, j)
             assert max_pair_count(g, j) == _lex_min_best(every), (m, j)
-            expect = ({s: from_dfs[s] for s in starts}, sum(from_dfs.values()), _lex_min_best(every))
-            assert path_statistics(g, j, starts) == expect, (m, j)
+            expect.append(({s: from_dfs[s] for s in starts}, sum(from_dfs.values()), _lex_min_best(every)))
+        assert path_statistics(g, range(1, k + 1), starts) == expect, (m, k)
+
+
+def test_path_statistics_price_a_point_set_twice_and_walk_it_once_per_k(monkeypatch):
+    # per k: its sampled counts and its total (whose projection the max pair
+    # shares) are priced, then one walk over every vertex gives the total and,
+    # read at the starts, the counts
+    import udl.paths
+
+    calls = []
+    for name in ("_check_budget", "_start_counts"):
+
+        def counted(*args, name=name, original=getattr(udl.paths, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(udl.paths, name, counted)
+    g = build_graph(_holed_box(20, 20, set(random.Random(3).sample(grid(20), 25))), 65)
+    assert g.grid is None and g.vertex_count == 375 and len(g.vectors) == 16
+    starts = random.Random(4).sample(g.points, 50)
+    got = path_statistics(g, [2, 3], starts)
+    assert calls == ["_check_budget"] * 4 + ["_start_counts"] * 2
+    monkeypatch.undo()
+    assert got == [
+        (count_irredundant_many(g, starts, k), total_irredundant_paths(g, k), max_pair_count(g, k)) for k in (2, 3)
+    ]
 
 
 @st.composite
@@ -1048,7 +1074,8 @@ def assert_grid_statistics_match_the_tuple_oracle(n: int, k: int):
     h = peel(grid_graph(params.side, params.m))
     sample = random.Random(0).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
     starts = [h.point(i) for i in sorted(sample)]
-    counts, total, (v, w, peak) = statistics = path_statistics(h, k, starts)
+    [statistics] = path_statistics(h, [k], starts)
+    counts, total, (v, w, peak) = statistics
     assert h.grid is not None and len(counts) == len(starts)
     assert grid_tuple_stats(h, k, starts, (v, w)) == (total, counts, peak), (n, k)
     return h, starts, statistics
