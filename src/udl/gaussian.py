@@ -16,20 +16,12 @@ class GaussInt(NamedTuple):
     """Gaussian integer a + bi.
 
     A named pair, so it hashes and orders as the tuple (a, b), and
-    GaussInt(a, b) == (a, b) is True.
+    GaussInt(a, b) == (a, b) is True.  `*` is the product in Z[i]; `+`
+    concatenates like any tuple, since Z[i] addition is not defined here.
     """
 
     a: int
     b: int
-
-    def __add__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "GaussInt") -> "GaussInt":
-        return GaussInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "GaussInt":
-        return GaussInt(-self.a, -self.b)
 
     def __mul__(self, other: "GaussInt") -> "GaussInt":
         return GaussInt(
@@ -100,61 +92,22 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     return (min(b, y), max(b, y))
 
 
-def _images(points, conjugates: bool) -> list[tuple[int, int]]:
-    """Each (a, b) times the four units and, when `conjugates` is set, its
-    conjugate times the four units."""
+def _images(points) -> list[tuple[int, int]]:
+    """Each (a, b) and its conjugate, each times the four units."""
     out = []
-    if conjugates:
-        for a, b in points:
-            out += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
-    else:
-        for a, b in points:
-            out += ((a, b), (-b, a), (-a, -b), (b, -a))
+    for a, b in points:
+        out += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
     return out
-
-
-def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
-    """Every (a, b) with a^2 + b^2 = prod p^e over the factorisation {p: e}.
-
-    Each one is a unit times (1+i)^a for 2^a, times q^(e/2) for q^e with
-    q = 3 (mod 4), and times (x+iy)^s (x-iy)^(e-s), 0 <= s <= e, for p^e with
-    p = x^2 + y^2 = 1 (mod 4).
-    A q = 3 (mod 4) to an odd power leaves no points.  Unique factorisation
-    in Z[i] makes the 4 * prod (e+1) points distinct.  The set is closed
-    under conjugation, so the first p = 1 (mod 4) to the first power takes
-    x + iy alone and each product then stands for itself and its conjugate.
-    A higher power cannot be halved so (m = 25 would lose points).
-    """
-    points = [(1, 0)]
-    halve = True
-    for p, e in factors.items():
-        if p == 2:
-            choices = [(1, 1)]
-        elif p % 4 == 3:
-            if e % 2:
-                return []
-            choices, e = [(p, 0)], e // 2
-        else:
-            x, y = two_squares_prime(p)
-            if halve and e == 1:
-                choices, halve = [(x, y)], False
-            else:
-                choices = [(x, y), (x, -y)]
-        for _ in range(e):
-            points = [(a * c - b * d, a * d + b * c) for a, b in points for c, d in choices]
-            if e > 1:  # (x+iy)^s (x-iy)^(e-s) arises along many orders: keep one
-                points = set(points)
-    return _images(points, not halve)
 
 
 def representations(primes) -> set[GaussInt]:
     """All lattice points of squared length m = product of the given primes.
 
     The primes must be distinct and each 1 (mod 4).  The result has exactly
-    2^(t+2) elements for t primes (the four units alone for the empty
-    product), built as unit * prod_j (x_j +- i y_j) over all sign choices:
-    the first sign is fixed and each product stands for itself and its
-    conjugate.
+    2^(t+2) elements for t primes, built as unit * prod_j (x_j +- i y_j) over
+    all sign choices: the first sign is fixed and `_images` adds each
+    product's conjugate.  For the empty product the eight images of 1 fold
+    to the four units.
     """
     primes = list(primes)
     if len(set(primes)) != len(primes):
@@ -171,9 +124,38 @@ def representations(primes) -> set[GaussInt]:
     points = pairs[:1] or [(1, 0)]
     for x, y in pairs[1:]:
         points = [q for a, b in points for q in ((a * x - b * y, a * y + b * x), (a * x + b * y, b * x - a * y))]
-    points = set(map(tuple.__new__, repeat(GaussInt), _images(points, bool(pairs))))
+    points = set(map(tuple.__new__, repeat(GaussInt), _images(points)))
     assert len(points) == 1 << (len(primes) + 2), (primes, len(points))
     return points
+
+
+def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
+    """Every (a, b) with a^2 + b^2 = prod p^e over the factorisation {p: e}.
+
+    `representations` lists the points whose norm is the product of the
+    primes p = 1 (mod 4) to the first power.  Each is then multiplied by
+    (1+i)^a for 2^a, by q^(e/2) for q^e with q = 3 (mod 4), and by
+    (x+iy)^s (x-iy)^(e-s), 0 <= s <= e, for p^e with e > 1 and
+    p = x^2 + y^2 = 1 (mod 4).  A q = 3 (mod 4) to an odd power leaves no
+    points.  Unique factorisation in Z[i] makes the 4 * prod (e+1) points
+    distinct; a product arises along many orders, so each step keeps a set.
+    """
+    points = representations([p for p, e in factors.items() if p % 4 == 1 and e == 1])
+    for p, e in factors.items():
+        if p == 2:
+            choices = [(1, 1)]
+        elif p % 4 == 3:
+            if e % 2:
+                return []
+            choices, e = [(p, 0)], e // 2
+        elif e > 1:
+            x, y = two_squares_prime(p)
+            choices = [(x, y), (x, -y)]
+        else:
+            continue
+        for _ in range(e):
+            points = {(a * c - b * d, a * d + b * c) for a, b in points for c, d in choices}
+    return list(map(tuple, points))
 
 
 def _exact_div(g: GaussInt, d: GaussInt) -> GaussInt | None:

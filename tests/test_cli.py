@@ -167,6 +167,7 @@ def test_reps_prints_sorted_points(capsys):
     assert got == sorted(p.as_tuple() for p in representations([5, 13]))
     assert run(capsys, ["reps", "--m", "12"])[0] == 2
     assert run(capsys, ["reps", "--m", "25"])[0] == 2  # not squarefree
+    assert run(capsys, ["reps", "--m", "21"]) == (2, "", "error: m=21 has prime factors [3, 7] not congruent to 1 mod 4\n")
 
 
 def test_config_subcommand(capsys):

@@ -107,8 +107,10 @@ def test_representations_match_bruteforce():
 
 
 def test_representations_are_the_lattice_builders_points():
-    # the direct sign products against the builder `lattice_vectors` runs over
-    # a factorisation, on seeded squarefree products of up to 8 primes
+    # `lattice_vectors` builds on `representations`, so this pins only that it
+    # keeps every point and sorts them, on seeded squarefree products of up to
+    # 8 primes, and that the empty product is the four units as GaussInts; the
+    # independent checks of both are the `two_squares_set` oracle tests
     rng = random.Random(32)
     pool = [p for p in trial_division_primes(400) if p % 4 == 1] + [1_000_033, 9_257_329]
     for t in [*range(9), *(rng.randint(0, 8) for _ in range(40))]:

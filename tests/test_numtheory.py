@@ -71,6 +71,8 @@ def test_primes_in_ap_examples():
     assert primes_in_ap(30, APClass(4, 1)) == [5, 13, 17, 29]
     assert primes_in_ap(10, APClass(4, 3)) == [3, 7]
     assert primes_in_ap(2, APClass(4, 1)) == []
+    with pytest.raises(ValueError, match="limit must be nonnegative, got -1"):
+        primes_in_ap(-1, AP_1_MOD_4)
 
 
 def test_primes_in_ap_matches_trial_division():
@@ -257,6 +259,16 @@ def test_factor_drawn_products_of_two_large_primes():
     p, q = 10**9 + 7, 10**9 + 9
     assert is_prime_slow(p) and is_prime_slow(q)
     assert list(factor(7 * q**2 * p**3).items()) == [(7, 1), (p, 3), (q, 2)]
+    # 1031 * 1201 has no factor up to the trial bound 2^10, and rho's gcd
+    # over a whole batch is the product itself: the replay, one gcd at a time, finds 1031
+    assert factor(1031 * 1201) == {1031: 1, 1201: 1}
+
+
+def test_factor_refuses_a_prime_it_cannot_certify():
+    # the Mersenne prime 2^89 - 1 passes Miller-Rabin above the exact witness bound
+    assert 2**89 - 1 > _MR_EXACT_LIMIT
+    with pytest.raises(ValueError, match="cannot certify the factor 618970019642690137449562111 of "):
+        factor(2**89 - 1)
 
 
 def test_factor_refuses_a_composite_rho_cannot_split_within_its_iterations(monkeypatch):
