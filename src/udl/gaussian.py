@@ -92,22 +92,14 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     return (min(b, y), max(b, y))
 
 
-def _images(points) -> list[tuple[int, int]]:
-    """Each (a, b) and its conjugate, each times the four units."""
-    out = []
-    for a, b in points:
-        out += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
-    return out
-
-
 def representations(primes) -> set[GaussInt]:
     """All lattice points of squared length m = product of the given primes.
 
     The primes must be distinct and each 1 (mod 4).  The result has exactly
     2^(t+2) elements for t primes, built as unit * prod_j (x_j +- i y_j) over
-    all sign choices: the first sign is fixed and `_images` adds each
-    product's conjugate.  For the empty product the eight images of 1 fold
-    to the four units.
+    all sign choices: the first sign is fixed, and each product is listed
+    with its conjugate, each times the four units.  For the empty product
+    these eight images of 1 fold to the four units.
     """
     primes = list(primes)
     if len(set(primes)) != len(primes):
@@ -124,7 +116,10 @@ def representations(primes) -> set[GaussInt]:
     points = pairs[:1] or [(1, 0)]
     for x, y in pairs[1:]:
         points = [q for a, b in points for q in ((a * x - b * y, a * y + b * x), (a * x + b * y, b * x - a * y))]
-    points = set(map(tuple.__new__, repeat(GaussInt), _images(points)))
+    images = []
+    for a, b in points:
+        images += ((a, b), (-b, a), (-a, -b), (b, -a), (a, -b), (b, a), (-a, b), (-b, -a))
+    points = set(map(tuple.__new__, repeat(GaussInt), images))
     assert len(points) == 1 << (len(primes) + 2), (primes, len(points))
     return points
 
@@ -137,16 +132,17 @@ def _lattice_points(factors: dict[int, int]) -> list[tuple[int, int]]:
     (1+i)^a for 2^a, by q^(e/2) for q^e with q = 3 (mod 4), and by
     (x+iy)^s (x-iy)^(e-s), 0 <= s <= e, for p^e with e > 1 and
     p = x^2 + y^2 = 1 (mod 4).  A q = 3 (mod 4) to an odd power leaves no
-    points.  Unique factorisation in Z[i] makes the 4 * prod (e+1) points
-    distinct; a product arises along many orders, so each step keeps a set.
+    points, which is answered before any point is built.  Unique
+    factorisation in Z[i] makes the 4 * prod (e+1) points distinct; a
+    product arises along many orders, so each step keeps a set.
     """
+    if any(p % 4 == 3 and e % 2 for p, e in factors.items()):
+        return []
     points = representations([p for p, e in factors.items() if p % 4 == 1 and e == 1])
     for p, e in factors.items():
         if p == 2:
             choices = [(1, 1)]
         elif p % 4 == 3:
-            if e % 2:
-                return []
             choices, e = [(p, 0)], e // 2
         elif e > 1:
             x, y = two_squares_prime(p)

@@ -110,14 +110,32 @@ def test_representations_are_the_lattice_builders_points():
     # `lattice_vectors` builds on `representations`, so this pins only that it
     # keeps every point and sorts them, on seeded squarefree products of up to
     # 8 primes, and that the empty product is the four units as GaussInts; the
-    # independent checks of both are the `two_squares_set` oracle tests
+    # independent checks of both are the `two_squares_set` oracle tests and,
+    # past their six primes, the norm of every point: with the size assert in
+    # `representations` and set distinctness, that is all 2^(t+2) of them
     rng = random.Random(32)
     pool = [p for p in trial_division_primes(400) if p % 4 == 1] + [1_000_033, 9_257_329]
     for t in [*range(9), *(rng.randint(0, 8) for _ in range(40))]:
         primes = rng.sample(pool, t)
-        assert lattice_vectors(math.prod(primes)) == sorted(representations(primes)), primes
+        m = math.prod(primes)
+        points = lattice_vectors(m)
+        assert points == sorted(representations(primes)), primes
+        assert all(a * a + b * b == m for a, b in points), primes
     units = representations([])
     assert units == set(UNITS) and len(units) == 4 and all(type(u) is GaussInt for u in units)
+
+
+def test_lattice_vectors_answer_an_odd_power_of_a_prime_3_mod_4_before_building(monkeypatch):
+    # with 30 primes 1 (mod 4) beside it, building first would list 2^32 points
+    import udl.gaussian
+
+    def refuse(primes):
+        raise AssertionError("representations was called")
+
+    monkeypatch.setattr(udl.gaussian, "representations", refuse)
+    split = math.prod([p for p in trial_division_primes(1000) if p % 4 == 1][:30])
+    for q, e in ((3, 1), (7, 3), (1031, 1)):
+        assert lattice_vectors(split * q**e) == []
 
 
 def test_representations_refuses_a_strong_pseudoprime():

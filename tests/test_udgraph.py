@@ -85,7 +85,7 @@ _general_m = st.one_of(
 @example(7**3 * 5)  # q = 3 (mod 4) to an odd power: no points
 @example(2**11 * 3**2 * 5**3 * 13)
 @example(5**2 * 13)  # `representations` of 13, times the choices for 5^2
-@example(2 * 5**2 * 13**2)  # no prime to the first power: `representations` gives the units
+@example(2 * 5**2 * 13**2)  # no prime = 1 (mod 4) to the first power: `representations` gives the units
 @example(2**3 * 3**2 * 5 * 13**2 * 17)
 def test_lattice_vectors_match_oracle_on_general_m(m):
     assert lattice_vectors(m) == sorted(two_squares_set(m))
