@@ -223,10 +223,9 @@ def verify_all(
     checks.append(BoundCheck("lambert_at_e", abs(bounds_mod.lambert_w(math.e) - 1.0), 1e-12))
 
     big_l = math.log(n)
-    k_star = bounds_mod.k_star(big_l, params.r)
-    base = (big_l / params.r) ** 0.2
-    checks.append(BoundCheck("k_window_lower", bounds_mod.K_WINDOW_LO * base, k_star))
-    checks.append(BoundCheck("k_window_upper", k_star, bounds_mod.K_WINDOW_HI * base))
+    window = bounds_mod.optimal_k_window(log_n=big_l, r=params.r)
+    checks.append(BoundCheck("k_window_lower", window.k_lo, window.k_star))
+    checks.append(BoundCheck("k_window_upper", window.k_star, window.k_hi))
 
     absorb = bounds_mod.absorption_sides(max(k_max, 2), params.r, log_n=big_l)
     info.append({"name": "absorption_sides", **absorb})

@@ -19,9 +19,9 @@ a point at once and ranks the rest.  Elsewhere the counts walk the vector tuples
 once for all starts, each node the array of the starts' positions
 (`_start_counts`), and the pair statistics gather each displacement group's
 tuples as one block (`_group_depth`), per-pair counts on a grid too.  That
-walk and the reference route, the per-start DFS over the columns of the
-neighbour table (`count_irredundant_from`), are one pruned DFS, `_walks`: it
-keeps the running set S of all nonempty prefix-subset sums, and a
+walk and the reference route, the per-start DFS that locates its moves
+(`count_irredundant_from`), are one pruned DFS, `_walks`: it keeps the
+running set S of all nonempty prefix-subset sums, and a
 continuation z is admissible exactly when -z is absent from S.  Every
 statistic is priced by one projection, `projected_steps`, and refused before
 it starts when that exceeds the step budget; `path_statistics`, the counts,
@@ -30,7 +30,6 @@ total and max pair of several k, prices them all before the first runs.
 
 from __future__ import annotations
 
-import gc
 import os
 from functools import lru_cache
 from itertools import combinations
@@ -66,14 +65,6 @@ def _check_budget(projected: int, budget: int | None, *message) -> None:
     limit = effective_step_budget(budget)
     if projected > limit:
         raise StepBudgetExceeded(projected, limit, *message)
-
-
-def _table(g: UnitDistanceGraph, step_budget: int | None):
-    """g's neighbour table.  A grid builds it only on first access, so its
-    n * R lookups are charged to the step budget first."""
-    if g._neighbours is None:
-        _check_budget(g.vertex_count * len(g.vectors), step_budget, TABLE_WORK)
-    return g.neighbours
 
 
 def projected_steps(g: UnitDistanceGraph, k: int, starts=None) -> int:
@@ -119,7 +110,7 @@ def _walks(step, start, depth: int):
     `depth` vectors.
 
     `step(u)` lists the moves out of node u as (w, u - w), with u - w a
-    complex.  A node is whatever `step` takes: a vertex index, or the
+    complex.  A node is whatever `step` takes: a point, or the
     positions of all starts at once (`_start_counts`).  A move with vector
     z is admissible exactly when -z is not in S.  S is one live set: read
     it before the next walk is drawn.
@@ -148,17 +139,20 @@ def count_irredundant_from(
     g: UnitDistanceGraph, start, k: int, *, step_budget: int | None = None
 ) -> int:
     """Number of irredundant k-edge paths leaving `start`, by the DFS over
-    vertex indices: the moves out of u are read from column u of the
-    neighbour table (see `_table`)."""
-    _, (i,) = _checked_starts(g, [start], [k], step_budget)
-    table, n = _table(g, step_budget), g.vertex_count
-    negs = [complex(-dx, -dy) for dx, dy in g.vectors]
+    points: the moves out of p are `g.locate` of p moved by every vector, so
+    no neighbour table is read or built."""
+    import numpy as np
 
-    def step(u: int):
-        return [(w, nz) for w, nz in zip(table[:, u].tolist(), negs) if w != n]
+    (start,), _ = _checked_starts(g, [start], [k], step_budget)
+    vx, vy = np.array(g.vectors, dtype=np.int64).reshape(-1, 2).T
+    moves, n = [(dx, dy, complex(-dx, -dy)) for dx, dy in g.vectors], g.vertex_count
 
-    # a last step to w is blocked exactly when u - w is in S
-    return sum(nz not in S for u, S in _walks(step, i, k - 1) for _, nz in step(u))
+    def step(p):
+        at = g.locate(p[0] + vx, p[1] + vy).tolist()
+        return [((p[0] + dx, p[1] + dy), nz) for (dx, dy, nz), w in zip(moves, at) if w != n]
+
+    # a last step to w is blocked exactly when p - w is in S
+    return sum(nz not in S for p, S in _walks(step, start, k - 1) for _, nz in step(p))
 
 
 def _checked_starts(g: UnitDistanceGraph, starts, ks, step_budget: int | None, *, totals: bool = False):
@@ -238,22 +232,15 @@ def per_pair_counts(
     pairs: dict = {}
     if not starts:
         return pairs
-    table = _table(g, step_budget)
+    if g._neighbours is None:  # a grid builds its table on first access: its n * R lookups are priced first
+        _check_budget(g.vertex_count * len(g.vectors), step_budget, TABLE_WORK)
     dx, dy, _, tuples = _displacement_groups(g.vectors, k)
-    # every key is a new tuple the cyclic GC tracks, so it would run full
-    # collections over the growing dict; keys of ints cannot form a cycle
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for gi, (ddx, ddy) in enumerate(zip(dx.tolist(), dy.tolist())):
-            depth = _group_depth(table, tuples(gi), at)
-            hit = np.flatnonzero(depth)
-            for i, c in zip(hit.tolist(), depth[hit].tolist()):
-                v = starts[i]
-                pairs[(v, (v[0] + ddx, v[1] + ddy))] = c
-    finally:
-        if was_enabled:
-            gc.enable()
+    for gi, (ddx, ddy) in enumerate(zip(dx.tolist(), dy.tolist())):
+        depth = _group_depth(g.neighbours, tuples(gi), at)
+        hit = np.flatnonzero(depth)
+        for i, c in zip(hit.tolist(), depth[hit].tolist()):
+            v = starts[i]
+            pairs[(v, (v[0] + ddx, v[1] + ddy))] = c
     return pairs
 
 

@@ -35,9 +35,8 @@ class UnitDistanceGraph:
     and every coordinate moved by any vector must fit in int64, so none is
     -2^63.  A grid keeps no derived copy: it counts its edges in closed form
     and locates them by box arithmetic, so it builds its table only when
-    `neighbours` is read (the per-start DFS, per-pair counts, `peel` below
-    its minimum degree), and one made by `grid_graph` lists its points only
-    when `points` is read.
+    `neighbours` is read (per-pair counts, `peel` below its minimum degree),
+    and one made by `grid_graph` lists its points only when `points` is read.
     """
 
     def __init__(

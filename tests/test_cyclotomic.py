@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from udl.cyclotomic import CyclotomicField, cyclotomic_poly
+from udl.cyclotomic import CyclotomicField, _poly_div_exact, cyclotomic_poly
 from udl.numtheory import euler_phi
 
 from oracles import gaussian_rational_mul
@@ -26,6 +26,14 @@ def test_cyclotomic_poly_examples():
     assert len(cyclotomic_poly(44)) == 21
     with pytest.raises(ValueError):
         cyclotomic_poly(0)
+
+
+def test_inexact_polynomial_division_is_refused():
+    # x^2 + 1 = (x + 1)(x - 1) + 2 leaves a remainder; x + 1 over 2x + 1 fails at the leading coefficient
+    with pytest.raises(ArithmeticError, match="non-exact polynomial division"):
+        _poly_div_exact([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError, match="non-exact polynomial division"):
+        _poly_div_exact([1, 1], [1, 2])
 
 
 def test_cyclotomic_product_recovers_x_pow_n_minus_one():
@@ -120,6 +128,19 @@ def test_elements_hash_consistently():
     field = CyclotomicField(12)
     seen = {field.zeta(j) for j in range(12)} | {field.zeta(j + 12) for j in range(12)}
     assert len(seen) == 12
+
+
+def test_repr_names_the_terms_and_the_field():
+    field = CyclotomicField(12)
+    assert repr(field.zeta(1)) == "<1*z | z = zeta_12>"
+    assert repr(field.zero) == "<0 | z = zeta_12>"
+    assert repr(field.element([1, 0, Fraction(-1, 2)])) == "<1 + -1/2*z^2 | z = zeta_12>"
+
+
+def test_an_element_is_not_equal_to_a_number():
+    # __eq__ hands a non-element back to Python, which then compares identities
+    assert (CyclotomicField(12).zeta(1) == 5) is False
+    assert CyclotomicField(12).one != 1
 
 
 def test_mixed_conductors_rejected():

@@ -181,6 +181,13 @@ def test_kth_prime_in_ap_examples():
         kth_prime_in_ap(0, APClass(4, 1))
 
 
+def test_kth_prime_in_ap_refuses_past_the_sieve_cap(monkeypatch):
+    # 1 mod 4 holds 334 primes below 5 000, so the 10 000th is past a cap of 5 000
+    monkeypatch.setattr(udl.numtheory, "SIEVE_HARD_LIMIT", 5000)
+    with pytest.raises(RuntimeError, match="sieve exhausted at 5000 before prime #10000 of 1 mod 4"):
+        kth_prime_in_ap(10000, AP_1_MOD_4)
+
+
 def test_kth_prime_in_ap_deep_index_extends_sieve():
     # forces at least one geometric extension past the initial window
     p = kth_prime_in_ap(5000, APClass(4, 1))

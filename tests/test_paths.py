@@ -127,22 +127,26 @@ def test_step_budget_env_override(monkeypatch):
 def test_a_lazy_grids_table_is_priced_before_it_is_built():
     # the 10 x 10 grid at m = 5 has n * R = 800 table entries; one start's DFS steps are far fewer
     refusal = "projected 800 neighbour-table lookups exceed the budget of 799"
-    for call in (
-        lambda g, budget: count_irredundant_from(g, (5, 5), 3, step_budget=budget),
-        lambda g, budget: per_pair_counts(g, 2, starts=[(5, 5)], step_budget=budget),
-    ):
-        g = grid_graph(10, 5)
-        with pytest.raises(StepBudgetExceeded, match=refusal):
-            call(g, 799)
-        assert g._neighbours is None
-        assert call(g, 800) == call(build_graph(grid(10), 5), 800)
-        assert g._neighbours is not None
-        assert call(g, 8**3) == call(build_graph(grid(10), 5), 800)  # 512 steps at most; a built table is not charged again
+    g, explicit = grid_graph(10, 5), build_graph(grid(10), 5)
+    pairs = per_pair_counts(explicit, 2, starts=[(5, 5)])
+    with pytest.raises(StepBudgetExceeded, match=refusal):
+        per_pair_counts(g, 2, starts=[(5, 5)], step_budget=799)
+    assert g._neighbours is None
+    assert per_pair_counts(g, 2, starts=[(5, 5)], step_budget=800) == pairs
+    assert g._neighbours is not None
+    assert per_pair_counts(g, 2, starts=[(5, 5)], step_budget=8**3) == pairs  # 64 steps; a built table is not charged again
+    # the per-start DFS locates its moves, so it is charged its 8^3 steps alone and builds no table
+    g = grid_graph(10, 5)
+    with pytest.raises(StepBudgetExceeded, match="projected 512 DFS steps exceed the budget of 511"):
+        count_irredundant_from(g, (5, 5), 3, step_budget=511)
+    assert count_irredundant_from(g, (5, 5), 3, step_budget=8**3) == count_irredundant_from(explicit, (5, 5), 3)
+    assert g._neighbours is None
 
 
 def test_a_lazy_grids_table_is_refused_in_a_gibibyte():
     # a 10^6 x 10^6 grid at m = 5: the table is 8 * 10^12 lookups, and its coordinate columns alone 7.28 TiB
-    # each, so the refusal must come before any allocation; the statistics that read no table still run
+    # each, so the per-pair refusal must come before any allocation; the per-start DFS, which locates its
+    # moves, and the statistics that read no table still run
     start = (500_000, 500_000)
     code = (
         "import resource\n"
@@ -150,11 +154,12 @@ def test_a_lazy_grids_table_is_refused_in_a_gibibyte():
         "from udl.paths import StepBudgetExceeded, count_irredundant_from, count_irredundant_many, per_pair_counts\n"
         "from udl.udgraph import grid_graph\n"
         "g = grid_graph(10**6, 5)\n"
-        f"for call in (lambda: count_irredundant_from(g, {start}, 3), lambda: per_pair_counts(g, 2, starts=[{start}])):\n"
-        "    try:\n"
-        "        call()\n"
-        "    except StepBudgetExceeded as exc:\n"
-        "        print(exc)\n"
+        f"print(count_irredundant_from(g, {start}, 3))\n"
+        "assert g._neighbours is None\n"
+        "try:\n"
+        f"    per_pair_counts(g, 2, starts=[{start}])\n"
+        "except StepBudgetExceeded as exc:\n"
+        "    print(exc)\n"
         "assert g._neighbours is None\n"
         f"print(count_irredundant_many(g, [{start}], 3)[{start}])\n"
     )
@@ -164,10 +169,9 @@ def test_a_lazy_grids_table_is_refused_in_a_gibibyte():
     env.pop("UDL_STEP_BUDGET", None)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    *refusals, count = out.stdout.splitlines()
-    refusal = "projected 8000000000000 neighbour-table lookups exceed the budget of 1000000000; raise --step-budget or UDL_STEP_BUDGET to force the run"
-    assert refusals == [refusal] * 2
-    assert int(count) == sum(is_irredundant(t) for t in product(sorted(two_squares_set(5)), repeat=3))
+    dfs, refusal, count = out.stdout.splitlines()
+    assert refusal == "projected 8000000000000 neighbour-table lookups exceed the budget of 1000000000; raise --step-budget or UDL_STEP_BUDGET to force the run"
+    assert int(dfs) == int(count) == sum(is_irredundant(t) for t in product(sorted(two_squares_set(5)), repeat=3)) == 344
 
 
 def test_path_count_lower_bound_examples():
