@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, islice
 
-# Flat bytearray sieves stay comfortable to ~1e8; refuse beyond that rather
-# than silently thrash.
+# The shared sieve and the segmented class reads refuse a limit past this
+# bound: at 10^9, theta of one class would take over 10 s and a list of its
+# primes about 1 GB.
 SIEVE_HARD_LIMIT = 10**8
 
 # Miller-Rabin on the first 13 primes is exact below psi_13, the least strong
@@ -25,6 +26,10 @@ _SIEVED_PRIMALITY_LIMIT = 1 << 21
 # theta and psi fold their logs this many at a time into an exact integer
 # (see `_exact_log_sum`)
 _FOLD_CHUNK = 4096
+
+# a class is read off fresh segments of this many odd flags, 256 KiB each
+# (see `_class_runs`)
+_SEGMENT = 1 << 18
 
 # factor trial-divides by the primes up to this bound before Pollard-Brent rho
 _TRIAL_BOUND = 1 << 10
@@ -249,42 +254,77 @@ def two_squares_count(m: int) -> int:
 
 def _class_runs(x: int, cls: APClass):
     """(small, runs) for the class a mod d up to x: `small` lists 2 and 3
-    where they are members, and each run is (members, flags), an ascending
-    range of odd members and their sieve flags, one stride of the sieve bytes.
+    where they are members, and `runs` yields (members, flags), an ascending
+    range of odd members inside one segment and their flags.
 
     a' is the odd one of a and a + d and step = lcm(2, d), so the odd members
-    a' + j * step have their flags at a' >> 1 + j * (step >> 1).  When 3
-    divides d no member is a multiple of 3, and that is the one run.  Else
-    every third member is, so a wheel reads the two runs of stride 3 * step
-    that skip them, a third fewer numbers, and 3, the one prime it skips,
-    goes to `small`.  No other number is looked at.
+    are a' + j * step.  When 3 divides d no member is a multiple of 3, and
+    a' heads the one run.  Else every third member is, so a wheel reads the
+    two heads of stride 3 * step that skip them, a third fewer numbers, and
+    3, the one prime it skips, goes to `small`.  No other number is looked
+    at, so the segments are sieved by the primes from 5 up to sqrt(x) alone
+    (see `_segment_runs`).  An x past `SIEVE_HARD_LIMIT` is refused here,
+    before any segment is sieved.
     """
+    if x > SIEVE_HARD_LIMIT:
+        raise ValueError(f"sieve limit {x} exceeds hard cap {SIEVE_HARD_LIMIT}")
     d, a = cls.d, cls.a
     step = d if d % 2 == 0 else 2 * d
     odd = a if a % 2 else a + d
-    flags = _sieve(x)
     if d % 3 == 0:
         heads, stride = [odd], step
     else:
         heads, stride = [s for s in (odd, odd + step, odd + 2 * step) if s % 3], 3 * step
     small = [p for p in (2, 3) if p <= x and p % d == a]
-    return small, [(range(s, x + 1, stride), flags[s >> 1 : (x + 1) >> 1 : stride >> 1]) for s in heads]
+    return small, _segment_runs(x, heads, stride)
+
+
+def _segment_runs(x: int, heads: list[int], stride: int):
+    """For each segment of `_SEGMENT` odd flags up to x in turn, and each
+    head s < stride, the members s + j * stride inside it and their flags.
+
+    Flag i stands for 2i + 1.  Each segment is a fresh bytearray in which
+    the primes 5 <= p <= sqrt(x), listed off the shared sieve, clear their
+    odd multiples from p^2 on, at indices p >> 1 (mod p); multiples of 3
+    keep their flags, as no head reads them.  A segment is let go once its
+    runs are read, so a class up to x holds O(sqrt(x) + _SEGMENT) bytes.
+    """
+    size = (x + 1) >> 1
+    primes = primes_up_to(math.isqrt(x))[2:]
+    half = stride >> 1
+    for lo in range(0, size, _SEGMENT):
+        hi = min(lo + _SEGMENT, size)
+        seg = bytearray([1]) * (hi - lo)
+        if lo == 0:
+            seg[0] = 0  # 1 is not prime
+        for p in primes:
+            i = p * p >> 1
+            if i >= hi:
+                break
+            if i < lo:
+                i = lo + ((p >> 1) - lo) % p
+            seg[i - lo :: p] = bytes(len(range(i, hi, p)))
+        for s in heads:
+            i = lo + ((s >> 1) - lo) % half
+            yield range(2 * i + 1, 2 * hi, stride), seg[i - lo :: half]
 
 
 def _class_primes(x: int, cls: APClass):
-    """The primes p <= x with p = a (mod d) as ascending iterators, `small`
-    and then one per run of `_class_runs`; the wheel's two runs interleave."""
+    """The primes p <= x with p = a (mod d) as one lazy iterator: `small`,
+    then each run of `_class_runs` as its segment is sieved.  Within a
+    segment the wheel's runs interleave, so the order is ascending only
+    segment by segment."""
     small, runs = _class_runs(x, cls)
-    return [small, *(compress(*run) for run in runs)]
+    return chain(small, chain.from_iterable(compress(*run) for run in runs))
 
 
 def primes_in_ap(limit: int, cls: APClass) -> list[int]:
     """All primes p <= limit with p = a (mod d), ascending, read off the
-    shared sieve's flags one wheel run at a time (see `_class_runs`); the
-    runs are ascending, so `sorted` merges them in linear time."""
+    class's segments one run at a time (see `_class_runs`); `sorted` merges
+    the ascending runs."""
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    return sorted(chain.from_iterable(_class_primes(limit, cls)))
+    return sorted(_class_primes(limit, cls))
 
 
 def _exact_log_sum(logs) -> int:
@@ -312,7 +352,7 @@ def _exact_log_sum(logs) -> int:
 def _class_log_sum(x: int, cls: APClass) -> int:
     """Sum of log p over the primes p <= x with p = a (mod d), in units of
     2**-53 (`_exact_log_sum`); the latest one is kept for psi at the same x."""
-    return _exact_log_sum(map(math.log, chain.from_iterable(_class_primes(x, cls))))
+    return _exact_log_sum(map(math.log, _class_primes(x, cls)))
 
 
 def _higher_power_logs(x: int, cls: APClass):
@@ -337,10 +377,13 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
     power itself, not on p: 9 = 3^2 contributes log 3 to psi for the class
     1 mod 4 even though 3 = 3 (mod 4).
 
-    theta and psi are exact integer sums of their float terms in units of
-    2**-53, divided once: int true division rounds to nearest-even, as fsum
-    does, so each is the fsum of its terms to the bit, and psi reuses the
-    class sum theta read at the same x.
+    Each reads the class's segments once, in turn (`_class_runs`), so it
+    holds O(sqrt(x) + 256 KiB) of flags, not x / 2 bytes.  pi counts the set
+    flag bytes of each run.  theta and psi are exact integer sums of their
+    float terms in units of 2**-53, divided once: int true division rounds
+    to nearest-even, as fsum does, so each is the fsum of its terms to the
+    bit, whatever the segments' order, and psi reuses the class sum theta
+    read at the same x.
     """
     if not 0 <= x < math.inf:
         raise ValueError(f"x must be finite and nonnegative, got {x}")
@@ -360,8 +403,10 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
 def kth_prime_in_ap(k: int, cls: APClass) -> int:
     """k-th smallest prime in the class a mod d (1-indexed).
 
-    The sieve grows geometrically until the prime appears; a class that stays
-    too thin past the hard sieve cap raises RuntimeError.
+    The limit starts at 4 096 and grows fourfold until the prime appears,
+    each limit's primes read afresh off the class's segments
+    (`primes_in_ap`); a class that stays too thin past the hard sieve cap
+    raises RuntimeError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from udl.numtheory import (
     _FOLD_CHUNK,
     _MR_EXACT_LIMIT,
     _MR_WITNESSES,
+    _SEGMENT,
     _SIEVED_PRIMALITY_LIMIT,
     AP_1_MOD_4,
     APClass,
@@ -83,8 +85,9 @@ def test_primes_in_ap_matches_trial_division():
 
 
 def test_primes_in_ap_reads_each_class_off_a_larger_table():
-    # the table is grown first, so every x below reads a slice of flags that
-    # runs past it; odd moduli with 2 in the class take the odd residue a + d
+    # a class read at a larger x first leaves nothing behind for the small x
+    # below: each reads its own segments, sieved by the primes up to its own
+    # sqrt(x); odd moduli with 2 in the class take the odd residue a + d
     primes_in_ap(10**5, APClass(4, 1))
     classes = [(4, 1), (4, 3), (3, 1), (3, 2), (5, 2), (5, 3), (12, 7), (8, 3), (2, 1), (7, 2), (9, 4)]
     for x in (0, 1, 2, 3, 997, 1000):
@@ -189,7 +192,8 @@ def test_kth_prime_in_ap_refuses_past_the_sieve_cap(monkeypatch):
 
 
 def test_kth_prime_in_ap_deep_index_extends_sieve():
-    # forces at least one geometric extension past the initial window
+    # forces at least one fourfold extension of the limit past the initial
+    # 4 096, each limit read off the class's own segments
     p = kth_prime_in_ap(5000, APClass(4, 1))
     assert is_probable_prime(p) and p % 4 == 1
     assert len(primes_in_ap(p, APClass(4, 1))) == 5000
@@ -424,9 +428,10 @@ def test_theta_and_psi_are_bit_identical_in_any_order_and_share_one_class_sum(mo
 
 
 def test_theta_and_psi_are_bit_identical_in_either_order_across_a_growth_step(monkeypatch):
-    # the latest class sum is kept apart from the sieve: a sum read off a
-    # small sieve serves the other kind after the sieve grows, and a sum read
-    # afresh off the larger sieve is the same
+    # the latest class sum is kept apart from the shared sieve, which lists
+    # the segments' sieving primes and psi's higher powers: a sum read while
+    # that sieve is small serves the other kind after it grows, and a sum
+    # read afresh after the growth is the same
     cls = APClass(4, 1)
     for x in (2999, 3000):
         expect = {"theta": chebyshev_sum("theta", x, 4, 1), "psi": chebyshev_sum("psi", x, 4, 1)}
@@ -487,6 +492,63 @@ def test_the_wheel_matches_a_plain_sieve(d, a):
         drawn = [m for r, _ in runs for m in r]
         assert sorted(drawn) == [m for m in members if m % 3 or d % 3 == 0], x
         assert small == [p for p in expect if p <= 3], x
+
+
+def test_a_class_past_the_cap_is_refused_before_any_segment_is_sieved(monkeypatch):
+    # the segment reader checks the cap itself: no larger shared sieve is
+    # asked for that would refuse it, and `_class_runs` refuses at once, not
+    # when its first run is drawn
+    monkeypatch.setattr(udl.numtheory, "SIEVE_HARD_LIMIT", 5000)
+    with pytest.raises(ValueError, match="sieve limit 5001 exceeds hard cap 5000"):
+        _class_runs(5001, AP_1_MOD_4)
+    with pytest.raises(ValueError, match="sieve limit 5001 exceeds hard cap 5000"):
+        primes_in_ap(5001, APClass(3, 2))
+    assert primes_in_ap(5000, AP_1_MOD_4) == [p for p in trial_division_primes(5000) if p % 4 == 1]
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="sieve limit 100000001 exceeds hard cap 100000000"):
+        primes_in_ap(10**8 + 1, AP_1_MOD_4)
+
+
+@pytest.mark.parametrize("segment", [1, 7, 64])
+@pytest.mark.parametrize("d, a", [(3, 1), (3, 2), (6, 5), (9, 4), (12, 7), (2, 1), (4, 1), (4, 3), (5, 3), (7, 2), (8, 3), (10, 3)])
+def test_the_class_sums_are_bit_identical_at_every_segment_edge(monkeypatch, segment, d, a):
+    # flag i stands for 2i + 1, so segment j ends at 2 * j * segment - 1 and
+    # the next begins at 2 * j * segment + 1: x sits at each edge and one
+    # either side, with primes up to sqrt(x) whose multiples cross many edges
+    monkeypatch.setattr(udl.numtheory, "_SEGMENT", segment)
+    udl.numtheory._class_log_sum.cache_clear()
+    cls = APClass(d, a)
+    edges = [2 * segment * j for j in range(1, 4 + 240 // (2 * segment))]
+    members = range(a if a % 2 else a + d, 2 * edges[-1] + 2, d if d % 2 == 0 else 2 * d)
+    for x in sorted({y for edge in edges for y in (edge - 1, edge, edge + 1)}):
+        expect = [p for p in trial_division_primes(x) if p % d == a]
+        assert primes_in_ap(x, cls) == expect, x
+        for kind in ("pi", "theta", "psi"):
+            assert chebyshev(kind, x, cls) == chebyshev_sum(kind, x, d, a), (kind, x)
+        _, runs = _class_runs(x, cls)
+        runs = list(runs)
+        assert all(len(r) == len(flags) and len(r) <= -(-segment // (r.step >> 1)) for r, flags in runs), x
+        drawn = sorted(m for r, _ in runs for m in r)
+        assert drawn == [m for m in members if m <= x and (m % 3 or d % 3 == 0)], x
+
+
+def test_a_class_read_holds_one_segment_not_an_x_over_2_byte_sieve(monkeypatch):
+    # theta at 10^7 lists the primes to sqrt(x) = 3 162 off the shared sieve
+    # and reads 256 KiB segments: the shared sieve stays far below x / 2 =
+    # 5 * 10^6 flags, and pi's read never holds 1 MiB at once
+    assert _SEGMENT == 1 << 18
+    monkeypatch.setattr(udl.numtheory, "_flags", bytearray())
+    udl.numtheory._class_log_sum.cache_clear()
+    chebyshev("theta", 10**7, AP_1_MOD_4)
+    assert len(udl.numtheory._flags) <= 1 << 20
+    tracemalloc.start()
+    try:
+        pi = chebyshev("pi", 10**7, AP_1_MOD_4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert pi == 332180
 
 
 def test_two_squares_count_matches_the_sweep():
