@@ -252,7 +252,7 @@ def two_squares_count(m: int) -> int:
     return count
 
 
-def _class_runs(x: int, cls: APClass):
+def _class_runs(x: int, cls: APClass, start: int = 0):
     """(small, runs) for the class a mod d up to x: `small` lists 2 and 3
     where they are members, and `runs` yields (members, flags), an ascending
     range of odd members inside one segment and their flags.
@@ -263,8 +263,10 @@ def _class_runs(x: int, cls: APClass):
     two heads of stride 3 * step that skip them, a third fewer numbers, and
     3, the one prime it skips, goes to `small`.  No other number is looked
     at, so the segments are sieved by the primes from 5 up to sqrt(x) alone
-    (see `_segment_runs`).  An x past `SIEVE_HARD_LIMIT` is refused here,
-    before any segment is sieved.
+    (see `_segment_runs`).  The runs cover the odd flags from `start` on
+    (flag i stands for 2i + 1), so a reader that grows x can skip what it
+    has read.  An x past `SIEVE_HARD_LIMIT` is refused here, before any
+    segment is sieved.
     """
     if x > SIEVE_HARD_LIMIT:
         raise ValueError(f"sieve limit {x} exceeds hard cap {SIEVE_HARD_LIMIT}")
@@ -276,12 +278,13 @@ def _class_runs(x: int, cls: APClass):
     else:
         heads, stride = [s for s in (odd, odd + step, odd + 2 * step) if s % 3], 3 * step
     small = [p for p in (2, 3) if p <= x and p % d == a]
-    return small, _segment_runs(x, heads, stride)
+    return small, _segment_runs(x, heads, stride, start)
 
 
-def _segment_runs(x: int, heads: list[int], stride: int):
-    """For each segment of `_SEGMENT` odd flags up to x in turn, and each
-    head s < stride, the members s + j * stride inside it and their flags.
+def _segment_runs(x: int, heads: list[int], stride: int, start: int = 0):
+    """For each segment of `_SEGMENT` odd flags from flag `start` up to x in
+    turn, and each head s < stride, the members s + j * stride inside it and
+    their flags.
 
     Flag i stands for 2i + 1.  Each segment is a fresh bytearray in which
     the primes 5 <= p <= sqrt(x), listed off the shared sieve, clear their
@@ -292,7 +295,7 @@ def _segment_runs(x: int, heads: list[int], stride: int):
     size = (x + 1) >> 1
     primes = primes_up_to(math.isqrt(x))[2:]
     half = stride >> 1
-    for lo in range(0, size, _SEGMENT):
+    for lo in range(start, size, _SEGMENT):
         hi = min(lo + _SEGMENT, size)
         seg = bytearray([1]) * (hi - lo)
         if lo == 0:
@@ -403,20 +406,28 @@ def chebyshev(kind: str, x: float, cls: APClass) -> float:
 def kth_prime_in_ap(k: int, cls: APClass) -> int:
     """k-th smallest prime in the class a mod d (1-indexed).
 
-    The limit starts at 4 096 and grows fourfold until the prime appears,
-    each limit's primes read afresh off the class's segments
-    (`primes_in_ap`); a class that stays too thin past the hard sieve cap
-    raises RuntimeError.
+    The limit starts at 4 096 and grows fourfold up to the hard sieve cap;
+    each step reads only the class's segments past the last limit
+    (`_class_runs` from that flag on), so every segment is read once, in
+    order.  The reading stops at the segment that holds the k-th prime: each
+    segment's runs are counted, and only that one's primes are listed and
+    sorted.  A class that stays too thin up to the cap raises RuntimeError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    limit = 1 << 12
+    heads = 1 if cls.d % 3 == 0 else 2  # the runs `_class_runs` yields per segment: one per wheel head
+    limit, start, left = 1 << 12, 0, k
     while True:
-        found = primes_in_ap(limit, cls)
-        if len(found) >= k:
-            return found[k - 1]
+        small, runs = _class_runs(limit, cls, start)
+        if not start:
+            if left <= len(small):
+                return small[left - 1]
+            left -= len(small)
+        for segment in zip(*[runs] * heads):  # one run per head, so the next segment is not sieved to end this one
+            here = sum(flags.count(1) for _, flags in segment)
+            if left <= here:
+                return sorted(chain.from_iterable(compress(*run) for run in segment))[left - 1]
+            left -= here
         if limit >= SIEVE_HARD_LIMIT:
-            raise RuntimeError(
-                f"sieve exhausted at {SIEVE_HARD_LIMIT} before prime #{k} of {cls.a} mod {cls.d}"
-            )
-        limit = min(limit * 4, SIEVE_HARD_LIMIT)
+            raise RuntimeError(f"sieve exhausted at {SIEVE_HARD_LIMIT} before prime #{k} of {cls.a} mod {cls.d}")
+        start, limit = (limit + 1) >> 1, min(limit * 4, SIEVE_HARD_LIMIT)

@@ -11,11 +11,13 @@ irredundant k-tuples of that displacement.  A k-path is a tuple placed at a
 start whose prefix points all lie in the point set.  On a full grid the
 counts, total and max pair take that as a box test (`_grid_paths`), and
 only for one displacement group per orbit of the box's symmetries (the 8 of
-the square, or the 4 flips of an oblong box), all three in one pass over
-the boxes of one k (`_grid_stats`), which keeps nothing: the total weights
+the square, or the 4 flips of an oblong box), all three in one fold over
+ranges of displacement groups (`_grid_stats`), each range's boxes built and
+let go before the next, so no box outlives its range: the total weights
 each kept group by its orbit size, the counts add the group's depths at the
-images of each start, and the max pair scores the groups whose boxes share
-a point at once and ranks the rest.  Elsewhere the counts walk the vector tuples
+images of each start into one difference field, and the max pair scores
+the groups whose boxes share a point as their range is read and ranks a
+short list of the rest at the end.  Elsewhere the counts walk the vector tuples
 once for all starts, each node the array of the starts' positions
 (`_start_counts`), and the pair statistics gather each displacement group's
 tuples as one block (`_group_depth`), per-pair counts on a grid too.  That
@@ -35,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import index
 
-from .udgraph import _GATHER_BUDGET, UnitDistanceGraph, _box_depth, _distinct
+from .udgraph import _GATHER_BUDGET, UnitDistanceGraph, _box_depth, _box_scatter, _distinct, _field_depth
 
 MAX_PATH_LENGTH = 20
 DEFAULT_STEP_BUDGET = 10**9
@@ -305,7 +307,9 @@ def _multisets(vectors, k: int, keep=None):
             if held >= _GATHER_BUDGET * 64:  # parts joined in blocks of 2^20 rows leave their heap to the next parts
                 blocks.append(join(parts))
                 parts, held = [], 0
-        return join([*blocks, join(parts)])
+        if parts:  # none when the last chunk closed a block
+            blocks.append(join(parts))
+        return join(blocks)
 
     idx, sx, sy = np.zeros((1, 0), dtype=itype), np.zeros(1, dtype=stype), np.zeros(1, dtype=stype)  # the empty multiset
     for level in range(k):
@@ -363,11 +367,11 @@ def _orderings(k: int, kind: int):
     return table
 
 
-def _group_heads(sx, sy) -> list[int]:
-    """First row of each run of equal (sx, sy)."""
+def _group_heads(sx, sy):
+    """First row of each run of equal (sx, sy), as an int array."""
     import numpy as np
 
-    return np.flatnonzero(np.r_[len(sx) > 0, (np.diff(sx) != 0) | (np.diff(sy) != 0)]).tolist()
+    return np.flatnonzero(np.r_[len(sx) > 0, (np.diff(sx) != 0) | (np.diff(sy) != 0)])
 
 
 def _ordering_counts(k: int, kind):
@@ -390,8 +394,8 @@ def _displacement_groups(vectors, k: int):
 
     idx, sx, sy, kind = _multisets(vectors, k)
     heads = _group_heads(sx, sy)
-    ends = heads[1:] + [len(idx)]
-    size = np.add.reduceat(_ordering_counts(k, kind), heads) if heads else np.zeros(0, dtype=np.intp)
+    ends = np.append(heads[1:], len(idx))
+    size = np.add.reduceat(_ordering_counts(k, kind), heads) if len(heads) else np.zeros(0, dtype=np.intp)
 
     def tuples(i: int):
         lo, hi = heads[i], ends[i]
@@ -490,9 +494,57 @@ def _map_box(sym, w: int, h: int, xa, xb, ya, yb):
     return xa, xb, ya, yb
 
 
-def _grid_paths(g: UnitDistanceGraph, k: int):
-    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g, built
-    afresh on each call and read by `_grid_stats` alone.
+def _grid_multisets(g: UnitDistanceGraph, k: int):
+    """(idx, sx, sy, kind, offset): the irredundant k-multisets of the full
+    grid g that `_orbit_least` keeps (see `_multisets`), and offset[r], the
+    first pre-cut rect row of multiset r in `_grid_paths`: the ordering counts
+    of the rows before it, len(idx) + 1 entries."""
+    import numpy as np
+
+    _, _, w, h = g.grid
+    idx, sx, sy, kind = _multisets(g.vectors, k, _orbit_least(w, h))
+    offset = np.zeros(len(idx) + 1, dtype=np.intp)
+    offset[1:] = _ordering_counts(k, kind)
+    np.cumsum(offset, out=offset)
+    return idx, sx, sy, kind, offset
+
+
+def _grid_ranges(sx, sy, offset):
+    """The multiset row ranges [lo, hi) of `_grid_stats`, in order: each
+    holds whole displacement groups whose pre-cut rect rows,
+    offset[hi] - offset[lo], add up to at most `_GATHER_BUDGET`, or one
+    group larger than that."""
+    import numpy as np
+
+    n = len(sx)
+
+    def heads_in(a, b):  # the rows in (a, b] that head a group, for b < n
+        return a + 1 + np.flatnonzero((sx[a + 1 : b + 1] != sx[a:b]) | (sy[a + 1 : b + 1] != sy[a:b]))
+
+    def next_head(r):  # the first group head past row r, or n, searched in windows that double
+        width = 1
+        while r < n - 1:
+            heads = heads_in(r, min(r + width, n - 1))
+            if len(heads):
+                return int(heads[0])
+            r, width = min(r + width, n - 1), 2 * width
+        return n
+
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(offset, offset[lo] + _GATHER_BUDGET, "right")) - 1  # rows [lo, hi) fit the budget
+        if hi < n:  # back to the last head that fits, or, when the group at lo outgrows the budget, on to its end
+            heads = heads_in(lo, hi)
+            hi = int(heads[-1]) if len(heads) else next_head(hi)
+        yield lo, hi
+        lo = hi
+
+
+def _grid_paths(g: UnitDistanceGraph, k: int, lo: int = 0, hi: int | None = None, kept=None):
+    """(dx, dy, count, orbit, ax, bx, ay, by) for the full grid g and the
+    kept multiset rows [lo, hi) of `_grid_multisets` (`kept`, built when not
+    given), every row by default; lo and hi fall on group heads.  Built
+    afresh on each call: `_grid_stats` folds one range of groups at a time.
 
     The norm-m vectors are closed under the maps of the grid box onto itself
     (`_grid_symmetries`, the group G: the 8 of the square on a square grid,
@@ -508,45 +560,45 @@ def _grid_paths(g: UnitDistanceGraph, k: int):
     Each irredundant k-tuple of a kept group that fits the grid is one row of
     the rectangle columns: the start offsets v - (x0, y0) in
     [ax, bx] x [ay, by] keep its prefix bounding box inside, and the tuple
-    fits exactly when that rectangle is not empty.  The rows come from
-    `_multisets`: each repetition-pattern class takes the prefix boxes of all
+    fits exactly when that rectangle is not empty.  The rows come from the
+    multisets: each repetition-pattern class takes the prefix boxes of all
     its orderings at once, chunk by chunk, and scatters them to its
-    multisets' rows, so no T-row array is sorted or reordered and each
+    multisets' rows, so no array of rects is sorted or reordered and each
     displacement group is one run of rows.  Group i has displacement
-    (dx[i], dy[i]) and the next count[i] rows, which may be none.  Every
-    grid statistic reads these columns alone, so memory is O(T / |G| + side)
-    for T tuples.
+    (dx[i], dy[i]) and the next count[i] rows, which may be none.
     """
     import numpy as np
 
     _, _, w, h = g.grid
-    idx, sx, sy, kind = _multisets(g.vectors, k, _orbit_least(w, h))
+    idx, sx, sy, kind, offset = _grid_multisets(g, k) if kept is None else kept
+    hi = len(idx) if hi is None else hi
     step = np.array(g.vectors, dtype=np.int64).reshape(-1, 2)
-    size = _ordering_counts(k, kind)
-    offset = np.cumsum(size) - size
+    base = offset[lo]
     # a side lies in [-k * reach, max(side - 1, k * reach)] before the cut, in [0, side - 1] after
     wide = max(w - 1, h - 1, k * int(np.abs(step).max(initial=0))) >= 2**31
-    rect = [np.empty(int(size.sum()), dtype=np.int64 if wide else np.int32) for _ in range(4)]  # ax, bx, ay, by
-    for c in np.flatnonzero(np.bincount(kind)).tolist():
+    step = step.astype(np.int64 if wide else np.int32)
+    rect = [np.empty(int(offset[hi] - base), dtype=step.dtype) for _ in range(4)]  # ax, bx, ay, by
+    kinds = kind[lo:hi]
+    for c in np.flatnonzero(np.bincount(kinds)).tolist():
         orders = _orderings(k, c)
-        members = np.flatnonzero(kind == c)
+        members = lo + np.flatnonzero(kinds == c)
         chunk = max(1, _GATHER_BUDGET // len(orders))
         for i in range(0, len(members), chunk):
             ms = members[i : i + chunk]
-            at = offset[ms, None] + np.arange(len(orders))
+            at = (offset[ms] - base)[:, None] + np.arange(len(orders))
             for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
                 # prefix boxes of every ordering: running sum, min and max over the k positions
-                pre = np.zeros(at.shape, dtype=np.int64)
-                lo, hi = pre.copy(), pre.copy()
+                pre = np.zeros(at.shape, dtype=step.dtype)
+                low, high = pre.copy(), pre.copy()
                 for j in range(k):
                     pre += coord[:, orders[:, j]]
-                    np.minimum(lo, pre, out=lo)
-                    np.maximum(hi, pre, out=hi)
-                first[at], last[at] = -lo, side - 1 - hi
+                    np.minimum(low, pre, out=low)
+                    np.maximum(high, pre, out=high)
+                first[at], last[at] = -low, side - 1 - high
     keep = rect[0] <= rect[1]
     keep &= rect[2] <= rect[3]
-    heads = _group_heads(sx, sy)
-    count = np.add.reduceat(keep, offset[heads], dtype=np.intp)
+    heads = lo + _group_heads(sx[lo:hi], sy[lo:hi])
+    count = np.add.reduceat(keep, offset[heads] - base, dtype=np.intp)
     if not keep.all():
         for i in range(4):  # one column at a time, so one full column is freed as each is cut
             rect[i] = rect[i][keep]
@@ -630,45 +682,33 @@ def _deepest_cells(ax, bx, ay, by):
 
 
 def _grid_stats(g: UnitDistanceGraph, k: int, starts):
-    """(counts, total, best) on the full grid g from one `_grid_paths`, whose
-    rects go on return: counts[i] the k-paths from starts[i], the total
+    """(counts, total, best) on the full grid g, folded over the ranges of
+    displacement groups of `_grid_ranges`, each built by `_grid_paths` and
+    let go before the next: counts[i] the k-paths from starts[i], the total
     over all vertices, and the max pair (v, w, |P_vw|), ties to the least
     (v, w).  A kept group d stands for its orbit: a map L keeps a rect's area,
     and d holds as many paths from L v as L d holds from v, so
-    |G| * count(v) = sum over d of orbit(d) * sum over L of depth_d(L v).  In a
-    group |P_vw| is the depth of v: groups whose rects share a point score
-    their size (Helly) at once, and only the others are ranked, by
-    `_deepest_cells`; a pair is the least (v, v + L d) over the maps L, v a low
-    corner of an image of a common box or deepest cell."""
+    |G| * count(v) = sum over d of orbit(d) * sum over L of depth_d(L v).
+    Each range adds its weighted areas to the total and its rects to one
+    difference field over the starts' images (`_box_scatter`), summed once at
+    the end.  In a group |P_vw| is the depth of v: groups whose rects share a
+    point score their size (Helly) as their range is read, and the others
+    whose size less one can still beat the running best are listed by their
+    multiset rows, then ranked, their rects rebuilt, by `_deepest_cells`; a
+    pair is the least (v, v + L d) over the maps L, v a low corner of an image
+    of a common box or deepest cell.  Across ranges only the multisets, the
+    field, the running total and best and that short list are held."""
     import numpy as np
 
     x0, y0, w, h = g.grid
-    dx, dy, count, orbit, ax, bx, ay, by = _grid_paths(g, k)
+    kept = _grid_multisets(g, k)
+    _, sx, sy, _, offset = kept
     syms = _grid_symmetries(w, h)
-    weight = np.repeat(orbit, count)
 
-    sx, sy = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
-    ix, iy = np.moveaxis(np.array([_map_box(sym, w, h, sx, sx, sy, sy)[::2] for sym in syms]), 1, 0)  # a row per map
+    px, py = np.array([(s[0] - x0, s[1] - y0) for s in starts], dtype=np.int64).reshape(-1, 2).T
+    ix, iy = np.moveaxis(np.array([_map_box(sym, w, h, px, px, py, py)[::2] for sym in syms]), 1, 0)  # a row per map
     ux, uy = _distinct(ix.ravel()), _distinct(iy.ravel())
-    field = _box_depth(ax, bx, ay, by, ux, uy, weight)
-    counts = field[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0) // len(syms)
-
-    total = 0
-    for lo in range(0, len(ax), _GATHER_BUDGET):
-        part = slice(lo, lo + _GATHER_BUDGET)
-        if w * h * 8 < 2**63:  # a weighted area fits int64; a sum of them may not, and is then taken in Python ints
-            area = weight[part] * ((bx[part] - ax[part] + 1).astype(np.int64) * (by[part] - ay[part] + 1))
-            total += int(area.sum()) if len(area) * w * h * 8 < 2**63 else sum(area.tolist())
-        else:
-            cols = (col[part].tolist() for col in (weight, ax, bx, ay, by))
-            total += sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*cols))
-
-    ends = np.cumsum(count)
-    full = np.flatnonzero(count)
-    heads = (ends - count)[full]
-    # Helly: boxes share a point iff their x and their y projections do, and their depth is then their number
-    box = [op.reduceat(col, heads) for op, col in ((np.maximum, ax), (np.minimum, bx), (np.maximum, ay), (np.minimum, by))]
-    shared = (box[0] <= box[1]) & (box[2] <= box[3])
+    field = np.zeros((len(ux) + 1) * (len(uy) + 1), dtype=np.int64)
 
     def least_pair(xa, xb, ya, yb, ex, ey):
         # per map L, v is the low corner of a box's image and v + L e that of the image of the box moved by e;
@@ -684,16 +724,56 @@ def _grid_stats(g: UnitDistanceGraph, k: int, starts):
             least.append(((x0 + int(vx[i[0]]), y0 + int(vy[i[0]])), (x0 + u, y0 + int(uy[ux == u].min()))))
         return min(least)
 
-    def deepest(gi):
-        lo, hi = ends[gi] - count[gi], ends[gi]
-        *cells, peak = _deepest_cells(ax[lo:hi], bx[lo:hi], ay[lo:hi], by[lo:hi])
-        return (*least_pair(*cells, dx[gi], dy[gi]), peak)
+    total, best, short = 0, (None, None, 0), []  # short: (size, lo, hi) of listed groups, per range
+    # a range's columns hold at most _GATHER_BUDGET rows, so the heap recycles them range by range and the
+    # order of frees no longer decides what RSS keeps: 39.6 MB after 10^10/k3, freed before the next range or not
+    for lo, hi in _grid_ranges(sx, sy, offset):
+        dx, dy, count, orbit, ax, bx, ay, by = _grid_paths(g, k, lo, hi, kept)
+        weight = np.repeat(orbit, count)
+        if len(ux):
+            _box_scatter(field, ax, bx, ay, by, ux, uy, weight)
+        total += _weighted_area(w, h, weight, ax, bx, ay, by)
+        full = np.flatnonzero(count)
+        heads = (np.cumsum(count) - count)[full]
+        # Helly: boxes share a point iff their x and their y projections do, and their depth is then their number
+        box = [op.reduceat(col, heads) for op, col in ((np.maximum, ax), (np.minimum, bx), (np.maximum, ay), (np.minimum, by))]
+        shared = (box[0] <= box[1]) & (box[2] <= box[3])
+        top = int(count[full[shared]].max(initial=0))
+        if top and top >= best[2]:
+            hit = np.flatnonzero(shared & (count[full] == top))
+            found = (*least_pair(*(c[hit] for c in box), dx[full[hit]], dy[full[hit]]), top)
+            if top > best[2]:  # a listed group below the new best can no longer beat it
+                short = [tuple(col[part[0] >= top] for col in part) for part in short]
+            if top > best[2] or found[:2] < best[:2]:
+                best = found
+        size = count - 1  # a group without a common point falls short of its size
+        size[full[shared]] = 0
+        listed = np.flatnonzero(size >= max(best[2], 1))
+        if len(listed):
+            rows = lo + _group_heads(sx[lo:hi], sy[lo:hi])
+            short.append((size[listed], rows[listed], np.append(rows[1:], hi)[listed]))
 
-    top = count[full[shared]].max(initial=0)
-    hit = np.flatnonzero(shared & (count[full] == top))
-    best = (*least_pair(*(c[hit] for c in box), dx[full[hit]], dy[full[hit]]), int(top)) if top else (None, None, 0)
-    size = count - 1  # a group without a common point falls short of its size
-    size[full[shared]] = 0
-    best = _largest_groups_first(size, deepest, best)
-    del ends, full, heads  # freed first, glibc hands back the heap this pass grew: 38 MB after 10^10/k3, not 46
-    return counts, total, best
+    counts = _field_depth(field, ux, uy)[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0) // len(syms)
+    # the listed groups' (size, first row, end row), an empty column each when none is listed
+    size, first, last = (np.concatenate(col) for col in zip((np.zeros(0, dtype=np.intp),) * 3, *short))
+
+    def deepest(i):
+        ex, ey, _, _, *rect = _grid_paths(g, k, int(first[i]), int(last[i]), kept)
+        *cells, peak = _deepest_cells(*rect)
+        return (*least_pair(*cells, ex[0], ey[0]), peak)
+
+    return counts, total, _largest_groups_first(size, deepest, best)
+
+
+def _weighted_area(w: int, h: int, weight, ax, bx, ay, by) -> int:
+    """The sum of weight[i] times the area of rect i of the w x h grid: one
+    range's rects at once, in int64 while no sum can pass it."""
+    import numpy as np
+
+    if w * h * 8 >= 2**63:  # a weighted area may not fit int64: each is taken in Python ints
+        return sum(o * (b - a + 1) * (d - c + 1) for o, a, b, c, d in zip(*(col.tolist() for col in (weight, ax, bx, ay, by))))
+    area = (bx - ax).astype(np.int64)  # int64 from here on, and each step in place
+    area += 1
+    area *= by - ay + 1
+    area *= weight
+    return int(area.sum()) if len(area) * w * h * 8 < 2**63 else sum(area.tolist())

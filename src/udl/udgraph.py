@@ -10,8 +10,9 @@ from typing import Iterable
 from .gaussian import _lattice_points
 from .numtheory import factor
 
-# positions one gather or scatter takes at once: box rows of `_box_depth`,
-# table entries of `edge_lines`, and the path statistics' tuple blocks
+# positions one gather or scatter takes at once: box rows of `_box_scatter`,
+# table entries of `edge_lines`, the path statistics' tuple blocks, and the
+# rects, before the fit cut, of one range of the grid statistics' fold
 _GATHER_BUDGET = 1 << 14
 
 
@@ -223,15 +224,27 @@ def _distinct(values):
 def _box_depth(xa, xb, ya, yb, ux, uy, weight=1):
     """depth[i, j]: the summed integer weights (one per row, or one for all) of
     the boxes [xa, xb] x [ya, yb], one per row, that hold (ux[i], uy[j]), for
-    sorted distinct ux and uy.  Each side column is ranked by a table over
-    the span from its min to its max when that span is no longer than the
-    rows, else by searchsorted, so a table never outnumbers the rows it ranks
-    and no value falls outside it; `_GATHER_BUDGET` rows at a time then put
-    +weight at two corners of their rank boxes and -weight at the other two,
-    and one int64 field is summed along both axes in place.  Per-row weights
-    are best int64, as the field is: narrower ones take `np.add.at` off its
-    fast path (int8 orbit weights made the sampled grid counts 1.7 to 2.3
-    times slower)."""
+    sorted distinct ux and uy: one `_box_scatter` into a zero field, then
+    `_field_depth`."""
+    import numpy as np
+
+    field = np.zeros((len(ux) + 1) * (len(uy) + 1), dtype=np.int64)
+    _box_scatter(field, xa, xb, ya, yb, ux, uy, weight)
+    return _field_depth(field, ux, uy)
+
+
+def _box_scatter(field, xa, xb, ya, yb, ux, uy, weight=1):
+    """Add the boxes [xa, xb] x [ya, yb] to the flat int64 difference `field`
+    of (len(ux) + 1) x (len(uy) + 1) cells, so that `_field_depth` reads
+    their depths; scatters of several row sets into one field add up.  Each
+    side column is ranked by a table over the span from its min to its max
+    when that span is no longer than the rows, else by searchsorted, so a
+    table never outnumbers the rows it ranks and no value falls outside it;
+    `_GATHER_BUDGET` rows at a time then put +weight at two corners of their
+    rank boxes and -weight at the other two.  Per-row weights are best
+    int64, as the field is: narrower ones take `np.add.at` off its fast path
+    (int8 orbit weights made the sampled grid counts 1.7 to 2.3 times
+    slower)."""
     import numpy as np
 
     def ranker(col, u, side):  # a table never outnumbers the rows it ranks
@@ -239,20 +252,30 @@ def _box_depth(xa, xb, ya, yb, ux, uy, weight=1):
         if hi - lo >= len(col):
             return lambda part: np.searchsorted(u, col[part], side)
         table = np.searchsorted(u, np.arange(lo, hi + 1), side)
-        return lambda part: table.take(col[part] - lo)
+        return lambda part: table.take(np.subtract(col[part], lo, dtype=np.intp))  # intp, which take needs
 
     cols = len(uy) + 1
-    field = np.zeros((len(ux) + 1) * cols, dtype=np.int64)
     ranks = [ranker(*side) for side in ((xa, ux, "left"), (xb, ux, "right"), (ya, uy, "left"), (yb, uy, "right"))]
     for lo in range(0, len(xa), _GATHER_BUDGET):
         part = slice(lo, lo + _GATHER_BUDGET)
-        a, b, c, d = (rank(part) for rank in ranks)
         w = weight if np.ndim(weight) == 0 else weight[part]
-        np.add.at(field, a * cols + c, w)  # in place, as no second field is held
-        np.add.at(field, b * cols + d, w)
-        np.subtract.at(field, b * cols + c, w)
-        np.subtract.at(field, a * cols + d, w)
-    field = field.reshape(-1, cols)
+        c, d = ranks[2](part), ranks[3](part)
+        for rank, at_c, at_d in ((ranks[0], np.add, np.subtract), (ranks[1], np.subtract, np.add)):
+            at = rank(part)  # one x rank column at a time, turned in place into the flat cells of both y ranks
+            at *= cols
+            at += c
+            at_c.at(field, at, w)
+            at -= c
+            at += d
+            at_d.at(field, at, w)
+
+
+def _field_depth(field, ux, uy):
+    """The depth field of a `_box_scatter` difference field: summed along
+    both axes in place, its last row and column (past every box) dropped."""
+    import numpy as np
+
+    field = field.reshape(len(ux) + 1, len(uy) + 1)
     np.cumsum(field, axis=0, out=field)
     np.cumsum(field, axis=1, out=field)
     return field[: len(ux), : len(uy)]

@@ -361,6 +361,21 @@ def max_pair_grid_loop(g, k: int):
     return best
 
 
+def closed_form_counts(r: int, k: int) -> tuple[int, int]:
+    """(M_k, T_k) for r vectors of one norm, closed under negation: with
+    h = r / 2 antipodal classes, a multiset or tuple with no antipodal pair
+    takes from each class nothing or one sign, so there are
+    M_k = [x^k] ((1 + x) / (1 - x))^h = sum_i C(h, i) C(h + k - i - 1, k - i)
+    such k-multisets and T_k = k! [x^k] (2e^x - 1)^h
+    = sum_j C(h, j) 2^j (-1)^(h - j) j^k such ordered k-tuples.  They count
+    the irredundant ones exactly while that is the whole rule (k <= 5), and
+    bound them from above once hexagons close."""
+    h = r // 2
+    multisets = sum(math.comb(h, i) * math.comb(h + k - i - 1, k - i) for i in range(k + 1))
+    tuples = sum(math.comb(h, j) * 2**j * (-1) ** (h - j) * j**k for j in range(h + 1))
+    return multisets, tuples
+
+
 def multisets_whole_level(vectors, k: int):
     """(idx, sx, sy, kind) of the irredundant k-multisets, built the way
     `_multisets` did before it filtered inside its last level: every level

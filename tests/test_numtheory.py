@@ -193,7 +193,7 @@ def test_kth_prime_in_ap_refuses_past_the_sieve_cap(monkeypatch):
 
 def test_kth_prime_in_ap_deep_index_extends_sieve():
     # forces at least one fourfold extension of the limit past the initial
-    # 4 096, each limit read off the class's own segments
+    # 4 096, each step reading only the class's segments past the last limit
     p = kth_prime_in_ap(5000, APClass(4, 1))
     assert is_probable_prime(p) and p % 4 == 1
     assert len(primes_in_ap(p, APClass(4, 1))) == 5000
@@ -530,6 +530,46 @@ def test_the_class_sums_are_bit_identical_at_every_segment_edge(monkeypatch, seg
         assert all(len(r) == len(flags) and len(r) <= -(-segment // (r.step >> 1)) for r, flags in runs), x
         drawn = sorted(m for r, _ in runs for m in r)
         assert drawn == [m for m in members if m <= x and (m % 3 or d % 3 == 0)], x
+
+
+@pytest.mark.parametrize("segment", [64, 1000])
+@pytest.mark.parametrize("d, a", [(4, 3), (3, 2), (10, 7)])
+def test_kth_prime_in_ap_reads_each_segment_once_and_stops_at_the_kth(monkeypatch, segment, d, a):
+    # small segments put many edges below the fourfold limits 4 096 and 16 384: every k whose prime is
+    # the first or last of its segment, or of a limit's read, and one either side, against the whole list
+    monkeypatch.setattr(udl.numtheory, "_SEGMENT", segment)
+    cls = APClass(d, a)
+    primes = primes_in_ap(20_000, cls)
+
+    def segment_of(p):  # (first flag of its limit's read, segment in that read); flag i stands for 2i + 1
+        flag, start = p >> 1, 0
+        for end in (2048, 8192):
+            if flag >= end:
+                start = end
+        return start, (flag - start) // segment
+
+    where = [segment_of(p) for p in primes]
+    edges = {i for i in range(1, len(primes)) if where[i] != where[i - 1]}
+    ks = sorted({k for i in edges for k in (i - 1, i, i + 1, i + 2) if 1 <= k <= len(primes)} | {1, 2, len(primes)})
+    assert len(edges) > 5000 // segment
+    segments_read = []
+    runs = udl.numtheory._segment_runs
+
+    def counted(*args):
+        for members, flags in runs(*args):
+            segments_read.append(members.stop)
+            yield members, flags
+
+    monkeypatch.setattr(udl.numtheory, "_segment_runs", counted)
+    for k in ks:
+        segments_read.clear()
+        assert kth_prime_in_ap(k, cls) == primes[k - 1], (k, primes[k - 1])
+        stops = list(dict.fromkeys(segments_read))
+        assert segments_read == sorted(segments_read), k  # each segment once, in order
+        if primes[k - 1] <= 3:  # 2 and 3 are no segment's members
+            assert not stops, k
+        else:  # the last segment read holds the k-th prime
+            assert stops[-1] > primes[k - 1] >= (stops[-2] if len(stops) > 1 else 0), k
 
 
 def test_a_class_read_holds_one_segment_not_an_x_over_2_byte_sieve(monkeypatch):

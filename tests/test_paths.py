@@ -35,6 +35,7 @@ from udl.paths import (
 from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
 
 from oracles import (
+    closed_form_counts,
     has_vanishing_subsum,
     irredundant_walk_count,
     grid_tuple_stats,
@@ -263,16 +264,15 @@ def _lex_min_best(pairs):
 
 
 def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
+    import numpy as np
+
     import udl.paths
 
-    # how the max pair scores a group: by a common point (the groups the Helly pass zeroes), or ranked by `deepest`
+    # how the max pair scores a group: by a common point of its rects (Helly), or ranked by `deepest`
     routes = {"common point": 0, "ranked": 0}
-    sizes = []
     visit = udl.paths._largest_groups_first
 
     def counted_visit(size, deepest, best):
-        sizes.append(size)
-
         def counted(gi):
             routes["ranked"] += 1
             return deepest(gi)
@@ -300,8 +300,12 @@ def test_grid_route_matches_dfs_on_random_offset_grids(monkeypatch):
         assert total == sum(pairs.values()), (w, h, m, k)
         best = max_pair_count(g, k)
         assert best == _lex_min_best(pairs), (w, h, m, k)
-        count = _grid_paths(g, k)[2]
-        routes["common point"] += int(((sizes.pop() == 0) & (count > 0)).sum())
+        _, _, count, _, ax, bx, ay, by = _grid_paths(g, k)
+        heads = (np.cumsum(count) - count)[count > 0]
+        shared = (np.maximum.reduceat(ax, heads) <= np.minimum.reduceat(bx, heads)) & (
+            np.maximum.reduceat(ay, heads) <= np.minimum.reduceat(by, heads)
+        )
+        routes["common point"] += int(shared.sum())
         assert all(type(c) is int for c in (*counts.values(), total, best[2]))
         # every offset as a start: repeated x and y values, boundary rows and columns
         per_start = dict.fromkeys(g.points, 0)
@@ -602,11 +606,9 @@ def test_multiset_and_tuple_counts_match_the_closed_forms():
     # that is the whole rule (k <= 5), upper bounds once hexagons close
     for m, k_top in [(5, 6), (65, 6), (1105, 6), (48612265, 2)]:
         vecs = sorted(two_squares_set(m))
-        h = len(vecs) // 2
         for k in range(1, k_top + 1):
             idx, _, _, kind = _multisets(vecs, k)
-            multisets = sum(math.comb(h, i) * math.comb(h + k - i - 1, k - i) for i in range(k + 1))
-            tuples = sum(math.comb(h, j) * 2**j * (-1) ** (h - j) * j**k for j in range(h + 1))
+            multisets, tuples = closed_form_counts(len(vecs), k)
             got = (len(idx), int(_ordering_counts(k, kind).sum()))
             if k <= 5:
                 assert got == (multisets, tuples), (m, k)
@@ -1123,3 +1125,114 @@ def test_verify_enumerates_each_k_once(monkeypatch):
     monkeypatch.setattr(udl.paths, "_multisets", counted)
     verify_all(10**4, 4)
     assert calls == [2, 3, 4]
+
+
+def _verify_grid(n: int):
+    """The peeled grid `udl verify` builds at n, and its seeded sample of starts."""
+    from udl.cli import SAMPLE_STARTS
+    from udl.config import choose_params
+    from udl.udgraph import peel
+
+    params = choose_params(n)
+    h = peel(grid_graph(params.side, params.m))
+    sample = random.Random(0).sample(range(h.vertex_count), min(SAMPLE_STARTS, h.vertex_count))
+    return h, [h.point(i) for i in sorted(sample)]
+
+
+@pytest.mark.parametrize("n, k", [(10**4, 2), (10**4, 3), (10**4, 4), (10**3, 5), (10**6, 3), (10**10, 3)])
+def test_the_kept_multisets_weighted_by_orbit_are_the_closed_forms(n, k):
+    # each kept multiset stands for orbit(d) multisets, one per image of its displacement, and each of its
+    # orderings for as many tuples: summed, they are M_k and T_k of every irredundant multiset and tuple
+    import numpy as np
+
+    from udl.paths import _grid_multisets, _orbit_size
+
+    g, _ = _verify_grid(n)
+    _, _, w, h = g.grid
+    _, sx, sy, _, offset = _grid_multisets(g, k)
+    orbit = _orbit_size(w, h, sx.astype(np.int64), sy.astype(np.int64))
+    got = (int(orbit.sum()), int((orbit * np.diff(offset)).sum()))
+    assert got == closed_form_counts(len(g.vectors), k), (n, k)
+    if (n, k) == (10**10, 3):
+        assert got[1] == 16_581_376
+
+
+@pytest.mark.parametrize("n, t3", [(10**8, 2_048_384), (10**10, 16_581_376)])
+def test_a_start_far_from_every_side_has_every_irredundant_tuple(n, t3):
+    # a start at least 3 * reach from each side fits every irredundant 3-tuple, and the sample holds one
+    from udl.cli import verify_all
+
+    report = verify_all(n, 3)
+    (row,) = [row for row in report.path_stats if row["k"] == 3]
+    assert row["max_count"] == closed_form_counts(len(lattice_vectors(report.params.m)), 3)[1] == t3
+
+
+def test_grid_ranges_hold_whole_groups_within_the_budget(monkeypatch):
+    import numpy as np
+
+    import udl.paths
+    from udl.paths import _grid_multisets, _grid_ranges, _group_heads
+
+    g, _ = _verify_grid(10**4)
+    _, sx, sy, _, offset = _grid_multisets(g, 4)
+    heads = _group_heads(sx, sy).tolist()
+    end = dict(zip(heads, heads[1:] + [len(sx)]))  # the rows after each group
+    for budget in (1, 7, 1000, 10**9):
+        monkeypatch.setattr(udl.paths, "_GATHER_BUDGET", budget)
+        ranges = list(_grid_ranges(sx, sy, offset))
+        assert [lo for lo, _ in ranges] == [0, *(hi for _, hi in ranges[:-1])] and ranges[-1][1] == len(sx)
+        for lo, hi in ranges:  # whole groups within the budget, or one group; none could take the next group too
+            assert lo in end and (hi == len(sx) or hi in end), budget
+            assert offset[hi] - offset[lo] <= budget or end[lo] == hi, budget
+            assert hi == len(sx) or offset[end[hi]] - offset[lo] > budget, budget
+    monkeypatch.setattr(udl.paths, "_GATHER_BUDGET", 1)
+    assert [lo for lo, _ in _grid_ranges(sx, sy, offset)] == heads
+    monkeypatch.setattr(udl.paths, "_GATHER_BUDGET", 10**9)
+    assert list(_grid_ranges(sx, sy, offset)) == [(0, len(sx))]
+    assert list(_grid_ranges(sx[:0], sy[:0], offset[:1])) == []
+    assert np.array_equal(_group_heads(sx, sy), np.array(heads))
+
+
+def test_the_grid_fold_gives_the_same_statistics_at_any_range_size(monkeypatch):
+    # every group its own range, a few groups at a time, and one range: the counts, total and max pair agree;
+    # 10^4 at k = 4 is a box whose top groups share no point, so the listed groups are ranked in a second pass
+    import udl.paths
+
+    cases = [(*_verify_grid(n), k) for n, k in [(10**4, 2), (10**4, 3), (10**4, 4), (10**3, 5), (10**6, 3)]]
+    oblong = grid_graph(60, 65, height=90, corner=(-4, 7))
+    cases.append((oblong, random.Random(1).sample(oblong.points, 30), 3))
+    ranked = []
+    cells = udl.paths._deepest_cells
+
+    def counted(*rects):
+        ranked.append(len(rects[0]))
+        return cells(*rects)
+
+    monkeypatch.setattr(udl.paths, "_deepest_cells", counted)
+    seen = []
+    for budget in (1, 7, 10**9):
+        monkeypatch.setattr(udl.paths, "_GATHER_BUDGET", budget)
+        seen.append([path_statistics(g, [k], starts, step_budget=10**11) for g, starts, k in cases])
+        assert ranked, budget
+        ranked.clear()
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[2][2][0][2][2] == 188  # falls short of its top group's 216 rows
+
+
+def test_the_grid_pass_holds_one_range_of_rects_at_a_time():
+    # grid_graph(100, 1105) at k = 4 has 112 956 rect rows before the fit cut, in seven ranges: the pass's
+    # numpy buffers, which numpy reports to tracemalloc, peak under 1.5 MB, where all the rows at once took 3.9 MB
+    import tracemalloc
+
+    from udl.paths import _grid_stats
+
+    g, starts = _verify_grid(10**4)
+    assert (g.grid, len(starts)) == ((0, 0, 100, 100), 50)
+    _grid_stats(g, 4, starts)  # the cached orderings and numpy's first-use allocations come first
+    tracemalloc.start()
+    try:
+        _grid_stats(g, 4, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, peak
