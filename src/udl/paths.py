@@ -16,12 +16,12 @@ ranges of displacement groups (`_grid_stats`), each range's boxes built and
 let go before the next, so no box outlives its range: the total weights
 each kept group by its orbit size, the counts add the group's depths at the
 images of each start into one difference field, and the max pair scores
-the groups whose boxes share a point as their range is read and ranks a
-short list of the rest at the end.  Elsewhere the counts walk the vector tuples
-once for all starts, each node the array of the starts' positions
-(`_start_counts`), and the pair statistics gather each displacement group's
-tuples as one block (`_group_depth`), per-pair counts on a grid too.  That
-walk and the reference route, the per-start DFS that locates its moves
+the groups whose boxes share a point and ranks the rest as their range is
+read, the ranges taken from the shortest displacements on.  Elsewhere the
+counts walk the vector tuples once for all starts, each node the array of
+the starts' positions (`_start_counts`), and the pair statistics gather
+each displacement group's tuples as one block (`_group_depth`), per-pair
+counts on a grid too.  That walk and the reference route, the per-start DFS that locates its moves
 (`count_irredundant_from`), are one pruned DFS, `_walks`: it keeps the
 running set S of all nonempty prefix-subset sums, and a
 continuation z is admissible exactly when -z is absent from S.  Every
@@ -692,12 +692,15 @@ def _grid_stats(g: UnitDistanceGraph, k: int, starts):
     Each range adds its weighted areas to the total and its rects to one
     difference field over the starts' images (`_box_scatter`), summed once at
     the end.  In a group |P_vw| is the depth of v: groups whose rects share a
-    point score their size (Helly) as their range is read, and the others
-    whose size less one can still beat the running best are listed by their
-    multiset rows, then ranked, their rects rebuilt, by `_deepest_cells`; a
-    pair is the least (v, v + L d) over the maps L, v a low corner of an image
-    of a common box or deepest cell.  Across ranges only the multisets, the
-    field, the running total and best and that short list are held."""
+    point score their size (Helly), and the others, whose size less one bounds
+    their depth, are ranked by `_deepest_cells` within their range, largest
+    first while they can still reach the running best (`_largest_groups_first`).
+    The ranges are read from the last: rows run in ascending (dx, dy) and
+    every kept dx <= 0, so the short displacements, whose groups are the
+    largest, come first and raise the best before the small groups are
+    reached.  A pair is the least (v, v + L d) over the maps L, v a low
+    corner of an image of a common box or deepest cell.  Across ranges only
+    the multisets, the field, the running total and the best are held."""
     import numpy as np
 
     x0, y0, w, h = g.grid
@@ -724,45 +727,37 @@ def _grid_stats(g: UnitDistanceGraph, k: int, starts):
             least.append(((x0 + int(vx[i[0]]), y0 + int(vy[i[0]])), (x0 + u, y0 + int(uy[ux == u].min()))))
         return min(least)
 
-    total, best, short = 0, (None, None, 0), []  # short: (size, lo, hi) of listed groups, per range
+    total, best = 0, (None, None, 0)
     # a range's columns hold at most _GATHER_BUDGET rows, so the heap recycles them range by range and the
     # order of frees no longer decides what RSS keeps: 39.6 MB after 10^10/k3, freed before the next range or not
-    for lo, hi in _grid_ranges(sx, sy, offset):
+    for lo, hi in reversed(list(_grid_ranges(sx, sy, offset))):  # the shortest displacements, the largest groups, first
         dx, dy, count, orbit, ax, bx, ay, by = _grid_paths(g, k, lo, hi, kept)
         weight = np.repeat(orbit, count)
         if len(ux):
             _box_scatter(field, ax, bx, ay, by, ux, uy, weight)
         total += _weighted_area(w, h, weight, ax, bx, ay, by)
         full = np.flatnonzero(count)
-        heads = (np.cumsum(count) - count)[full]
+        heads = np.cumsum(count) - count
         # Helly: boxes share a point iff their x and their y projections do, and their depth is then their number
-        box = [op.reduceat(col, heads) for op, col in ((np.maximum, ax), (np.minimum, bx), (np.maximum, ay), (np.minimum, by))]
+        box = [op.reduceat(col, heads[full]) for op, col in ((np.maximum, ax), (np.minimum, bx), (np.maximum, ay), (np.minimum, by))]
         shared = (box[0] <= box[1]) & (box[2] <= box[3])
         top = int(count[full[shared]].max(initial=0))
         if top and top >= best[2]:
             hit = np.flatnonzero(shared & (count[full] == top))
             found = (*least_pair(*(c[hit] for c in box), dx[full[hit]], dy[full[hit]]), top)
-            if top > best[2]:  # a listed group below the new best can no longer beat it
-                short = [tuple(col[part[0] >= top] for col in part) for part in short]
             if top > best[2] or found[:2] < best[:2]:
                 best = found
         size = count - 1  # a group without a common point falls short of its size
         size[full[shared]] = 0
-        listed = np.flatnonzero(size >= max(best[2], 1))
-        if len(listed):
-            rows = lo + _group_heads(sx[lo:hi], sy[lo:hi])
-            short.append((size[listed], rows[listed], np.append(rows[1:], hi)[listed]))
+
+        def deepest(i):
+            *cells, peak = _deepest_cells(*(col[heads[i] : heads[i] + count[i]] for col in (ax, bx, ay, by)))
+            return (*least_pair(*cells, dx[i], dy[i]), peak)
+
+        best = _largest_groups_first(size, deepest, best)
 
     counts = _field_depth(field, ux, uy)[np.searchsorted(ux, ix), np.searchsorted(uy, iy)].sum(axis=0) // len(syms)
-    # the listed groups' (size, first row, end row), an empty column each when none is listed
-    size, first, last = (np.concatenate(col) for col in zip((np.zeros(0, dtype=np.intp),) * 3, *short))
-
-    def deepest(i):
-        ex, ey, _, _, *rect = _grid_paths(g, k, int(first[i]), int(last[i]), kept)
-        *cells, peak = _deepest_cells(*rect)
-        return (*least_pair(*cells, ex[0], ey[0]), peak)
-
-    return counts, total, _largest_groups_first(size, deepest, best)
+    return counts, total, best
 
 
 def _weighted_area(w: int, h: int, weight, ax, bx, ay, by) -> int:

@@ -1167,6 +1167,20 @@ def test_a_start_far_from_every_side_has_every_irredundant_tuple(n, t3):
     assert row["max_count"] == closed_form_counts(len(lattice_vectors(report.params.m)), 3)[1] == t3
 
 
+@pytest.mark.parametrize(
+    "m, side, k, tk", [(1105, 100, 2, 992), (1105, 100, 3, 29_792), (65, 40, 4, 44_592), (325, 60, 3, 12_168)]
+)
+def test_the_totals_mixed_second_difference_is_the_closed_form(m, side, k, tk):
+    # once both sides are at least k * reach every tuple fits, so the total is bilinear in the box's sides and its
+    # mixed second difference counts each irredundant tuple once; the two squares take 8 maps, the oblongs 4 flips
+    reach = max(abs(c) for v in lattice_vectors(m) for c in v)
+    assert k * reach <= side
+    sides = (side, side + 1)
+    total = {(w, h): total_irredundant_paths(grid_graph(w, m, height=h), k) for w in sides for h in sides}
+    got = total[side + 1, side + 1] - total[side + 1, side] - total[side, side + 1] + total[side, side]
+    assert got == closed_form_counts(len(lattice_vectors(m)), k)[1] == tk
+
+
 def test_grid_ranges_hold_whole_groups_within_the_budget(monkeypatch):
     import numpy as np
 
@@ -1195,7 +1209,7 @@ def test_grid_ranges_hold_whole_groups_within_the_budget(monkeypatch):
 
 def test_the_grid_fold_gives_the_same_statistics_at_any_range_size(monkeypatch):
     # every group its own range, a few groups at a time, and one range: the counts, total and max pair agree;
-    # 10^4 at k = 4 is a box whose top groups share no point, so the listed groups are ranked in a second pass
+    # 10^4 at k = 4 is a box whose top groups share no point, so each range ranks those groups by their deepest cells
     import udl.paths
 
     cases = [(*_verify_grid(n), k) for n, k in [(10**4, 2), (10**4, 3), (10**4, 4), (10**3, 5), (10**6, 3)]]
@@ -1217,6 +1231,26 @@ def test_the_grid_fold_gives_the_same_statistics_at_any_range_size(monkeypatch):
         ranked.clear()
     assert seen[0] == seen[1] == seen[2]
     assert seen[2][2][0][2][2] == 188  # falls short of its top group's 216 rows
+
+
+def test_the_grid_fold_ranks_the_shortest_displacements_first(monkeypatch):
+    # the ranges are walked from the last, whose displacements are the shortest and whose groups the largest, so
+    # the running best is high before the small groups are reached and few groups are ranked by their deepest cells
+    import udl.paths
+
+    ranked = []
+    cells = udl.paths._deepest_cells
+
+    def counted(*rects):
+        ranked.append(len(rects[0]))
+        return cells(*rects)
+
+    monkeypatch.setattr(udl.paths, "_deepest_cells", counted)
+    for n, k, fewest, most in [(10**4, 4, 3, 3), (10**3, 5, 1, 1), (10**3, 6, 2, 2), (10**4, 5, 1, 150)]:
+        g, starts = _verify_grid(n)
+        ranked.clear()
+        path_statistics(g, [k], starts, step_budget=10**11)
+        assert fewest <= len(ranked) <= most, (n, k, len(ranked))
 
 
 def test_the_grid_pass_holds_one_range_of_rects_at_a_time():
