@@ -513,29 +513,18 @@ def _grid_ranges(sx, sy, offset):
     """The multiset row ranges [lo, hi) of `_grid_stats`, in order: each
     holds whole displacement groups whose pre-cut rect rows,
     offset[hi] - offset[lo], add up to at most `_GATHER_BUDGET`, or one
-    group larger than that."""
+    group larger than that.  Each cut is two binary searches for the group
+    that holds the row where the budget runs out."""
     import numpy as np
 
-    n = len(sx)
-
-    def heads_in(a, b):  # the rows in (a, b] that head a group, for b < n
-        return a + 1 + np.flatnonzero((sx[a + 1 : b + 1] != sx[a:b]) | (sy[a + 1 : b + 1] != sy[a:b]))
-
-    def next_head(r):  # the first group head past row r, or n, searched in windows that double
-        width = 1
-        while r < n - 1:
-            heads = heads_in(r, min(r + width, n - 1))
-            if len(heads):
-                return int(heads[0])
-            r, width = min(r + width, n - 1), 2 * width
-        return n
-
-    lo = 0
+    n, lo = len(sx), 0
     while lo < n:
         hi = int(np.searchsorted(offset, offset[lo] + _GATHER_BUDGET, "right")) - 1  # rows [lo, hi) fit the budget
-        if hi < n:  # back to the last head that fits, or, when the group at lo outgrows the budget, on to its end
-            heads = heads_in(lo, hi)
-            hi = int(heads[-1]) if len(heads) else next_head(hi)
+        if hi < n:  # back to the head of the group at hi, or, when that group starts at lo, on to its end
+            # the rows are sorted by (sx, sy), so a group is one run of sy inside one run of sx
+            a, b = np.searchsorted(sx, sx[hi], "left"), np.searchsorted(sx, sx[hi], "right")
+            a, b = a + np.searchsorted(sy[a:b], sy[hi], "left"), a + np.searchsorted(sy[a:b], sy[hi], "right")
+            hi = int(a if a > lo else b)
         yield lo, hi
         lo = hi
 
@@ -562,9 +551,10 @@ def _grid_paths(g: UnitDistanceGraph, k: int, lo: int = 0, hi: int | None = None
     [ax, bx] x [ay, by] keep its prefix bounding box inside, and the tuple
     fits exactly when that rectangle is not empty.  The rows come from the
     multisets: each repetition-pattern class takes the prefix boxes of all
-    its orderings at once, chunk by chunk, and scatters them to its
-    multisets' rows, so no array of rects is sorted or reordered and each
-    displacement group is one run of rows.  Group i has displacement
+    its orderings in one gather, which a range of `_grid_ranges` keeps
+    within `_GATHER_BUDGET` rows unless it is one larger group, and
+    scatters them to its multisets' rows, so no array of rects is sorted or
+    reordered and each displacement group is one run of rows.  Group i has displacement
     (dx[i], dy[i]) and the next count[i] rows, which may be none.
     """
     import numpy as np
@@ -581,20 +571,17 @@ def _grid_paths(g: UnitDistanceGraph, k: int, lo: int = 0, hi: int | None = None
     kinds = kind[lo:hi]
     for c in np.flatnonzero(np.bincount(kinds)).tolist():
         orders = _orderings(k, c)
-        members = lo + np.flatnonzero(kinds == c)
-        chunk = max(1, _GATHER_BUDGET // len(orders))
-        for i in range(0, len(members), chunk):
-            ms = members[i : i + chunk]
-            at = (offset[ms] - base)[:, None] + np.arange(len(orders))
-            for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
-                # prefix boxes of every ordering: running sum, min and max over the k positions
-                pre = np.zeros(at.shape, dtype=step.dtype)
-                low, high = pre.copy(), pre.copy()
-                for j in range(k):
-                    pre += coord[:, orders[:, j]]
-                    np.minimum(low, pre, out=low)
-                    np.maximum(high, pre, out=high)
-                first[at], last[at] = -low, side - 1 - high
+        ms = lo + np.flatnonzero(kinds == c)
+        at = (offset[ms] - base)[:, None] + np.arange(len(orders))
+        for first, last, coord, side in ((*rect[:2], step[idx[ms], 0], w), (*rect[2:], step[idx[ms], 1], h)):
+            # prefix boxes of every ordering: running sum, min and max over the k positions
+            pre = np.zeros(at.shape, dtype=step.dtype)
+            low, high = pre.copy(), pre.copy()
+            for j in range(k):
+                pre += coord[:, orders[:, j]]
+                np.minimum(low, pre, out=low)
+                np.maximum(high, pre, out=high)
+            first[at], last[at] = -low, side - 1 - high
     keep = rect[0] <= rect[1]
     keep &= rect[2] <= rect[3]
     heads = lo + _group_heads(sx[lo:hi], sy[lo:hi])

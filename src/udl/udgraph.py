@@ -221,15 +221,14 @@ def _distinct(values):
     return values[keep]
 
 
-def _box_depth(xa, xb, ya, yb, ux, uy, weight=1):
-    """depth[i, j]: the summed integer weights (one per row, or one for all) of
-    the boxes [xa, xb] x [ya, yb], one per row, that hold (ux[i], uy[j]), for
-    sorted distinct ux and uy: one `_box_scatter` into a zero field, then
-    `_field_depth`."""
+def _box_depth(xa, xb, ya, yb, ux, uy):
+    """depth[i, j]: how many of the boxes [xa, xb] x [ya, yb], one per row,
+    hold (ux[i], uy[j]), for sorted distinct ux and uy: one `_box_scatter`
+    into a zero field, then `_field_depth`."""
     import numpy as np
 
     field = np.zeros((len(ux) + 1) * (len(uy) + 1), dtype=np.int64)
-    _box_scatter(field, xa, xb, ya, yb, ux, uy, weight)
+    _box_scatter(field, xa, xb, ya, yb, ux, uy)
     return _field_depth(field, ux, uy)
 
 

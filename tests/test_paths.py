@@ -4,7 +4,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, islice, permutations, product
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from udl.paths import (
     _ordering_counts,
     _orderings,
 )
-from udl.udgraph import _box_depth, _distinct, build_graph, grid_graph, lattice_vectors
+from udl.udgraph import _box_depth, _box_scatter, _distinct, _field_depth, build_graph, grid_graph, lattice_vectors
 
 from oracles import (
     closed_form_counts,
@@ -481,7 +481,9 @@ def test_box_depth_matches_a_bruteforce_count(monkeypatch):
         expect = bruteforce(boxes, weight, ux, uy)
         for rows_at_once in (7, budget):
             monkeypatch.setattr(udl.udgraph, "_GATHER_BUDGET", rows_at_once)
-            got = _box_depth(xa, xb, ya, yb, ux, uy, np.array(weight, dtype=np.int64))
+            field = np.zeros((len(ux) + 1) * (len(uy) + 1), dtype=np.int64)
+            _box_scatter(field, xa, xb, ya, yb, ux, uy, np.array(weight, dtype=np.int64))
+            got = _field_depth(field, ux, uy)
             assert got.dtype == np.int64 and got.tolist() == expect, (trial, rows_at_once)
 
 
@@ -1181,19 +1183,22 @@ def test_the_totals_mixed_second_difference_is_the_closed_form(m, side, k, tk):
     assert got == closed_form_counts(len(lattice_vectors(m)), k)[1] == tk
 
 
-def test_grid_ranges_hold_whole_groups_within_the_budget(monkeypatch):
+# 10^3 at k = 6 is the first grid whose hexagon filter drops rows, and the oblong box keeps dx <= 0 and dy <= 0
+# of its 4 flips where a square keeps dx <= dy <= 0 of its 8 maps
+@pytest.mark.parametrize("n, k", [(10**4, 4), (10**3, 6), (10**6, 4), ("oblong", 3)])
+def test_grid_ranges_hold_whole_groups_within_the_budget(monkeypatch, n, k):
     import numpy as np
 
     import udl.paths
     from udl.paths import _grid_multisets, _grid_ranges, _group_heads
 
-    g, _ = _verify_grid(10**4)
-    _, sx, sy, _, offset = _grid_multisets(g, 4)
+    g = grid_graph(60, 65, height=90, corner=(-4, 7)) if n == "oblong" else _verify_grid(n)[0]
+    _, sx, sy, _, offset = _grid_multisets(g, k)
     heads = _group_heads(sx, sy).tolist()
     end = dict(zip(heads, heads[1:] + [len(sx)]))  # the rows after each group
     for budget in (1, 7, 1000, 10**9):
         monkeypatch.setattr(udl.paths, "_GATHER_BUDGET", budget)
-        ranges = list(_grid_ranges(sx, sy, offset))
+        ranges = list(islice(_grid_ranges(sx, sy, offset), len(sx) + 1))  # a cut that stops moving fails, not hangs
         assert [lo for lo, _ in ranges] == [0, *(hi for _, hi in ranges[:-1])] and ranges[-1][1] == len(sx)
         for lo, hi in ranges:  # whole groups within the budget, or one group; none could take the next group too
             assert lo in end and (hi == len(sx) or hi in end), budget
